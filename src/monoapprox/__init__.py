@@ -57,7 +57,6 @@ from .functions import (
 )
 from .haar_basis import (
     DyadicCell,
-    HaarIndex1D,
     LEVEL_BOTTOM,
     MultiIndex,
     cell_of_point,

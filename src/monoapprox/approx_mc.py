@@ -1,9 +1,10 @@
 """Randomized wavelet approximation of monotone functions from point samples.
 
-Three estimators share one batch of i.i.d. uniform samples:
+Three estimators share one batch of i.i.d. uniform samples and read their
+output off the same linear reconstruction ``h``: the truncated tensor-Haar
+expansion with every coefficient replaced by its sample mean.
 
-* ``linear``: estimate every truncated-basis coefficient by its sample mean
-  and return the linear reconstruction ``h``.
+* ``linear``: return ``h`` itself.
 * ``sign``: return ``sgn(h)``, the natural output for sign-valued targets.
 * ``generalized``: for targets with values in [-1, 1], average the sign
   outputs of every threshold cut of the data.  Sorting the samples by value
@@ -18,10 +19,13 @@ Three estimators share one batch of i.i.d. uniform samples:
 The key computational fact: the reconstruction of a single sample depends on
 the query point only through the count ``b`` of coordinates whose first ``r``
 binary digits match the sample's.  The integer table ``chi(b)`` tabulates
-``n * [reconstruction of one unit sample](x)`` for ``b = 0..d``, so each
-``g_i(x)`` follows from integer prefix sums in O(n) after an O(n d) digit
-comparison.  All chi arithmetic is exact (Python integers, with a 64-bit fast
-path when magnitudes permit).
+``n * [reconstruction of one unit sample](x)`` for ``b = 0..d``, so
+``h(x) = (1/n) * sum_i y_i * chi(b_i(x))`` and a fitted model of any mode is
+just its samples (with digit keys) and ``chi``; no coefficient is stored.
+Each ``g_i(x)`` follows from integer prefix sums in O(n) after an O(n d)
+digit comparison.  All chi arithmetic is exact (Python integers, with a
+64-bit fast path when magnitudes provably permit).  ``estimate_coefficients``
+is the explicit coefficient route the identity is checked against.
 
 Outputs are approximations of the target but carry no monotonicity guarantee
 of their own; only boundedness (outputs in [-1, 1] for the generalized
@@ -64,7 +68,7 @@ class SampleSet:
         values = np.asarray(self.values, dtype=float)
         if points.shape[0] != values.shape[0]:
             raise ValueError("points and values must have equal length")
-        if points.size and (points.min() < 0.0 or points.max() > 1.0):
+        if points.size and not ((points >= 0.0) & (points <= 1.0)).all():  # NaN fails too
             raise ValueError("sample points must lie in [0, 1]^d")
         if values.size and (np.abs(values).max() > 1.0 or not np.isfinite(values).all()):
             raise ValueError("sample values must lie in [-1, 1]")
@@ -167,14 +171,6 @@ def chi_table(d: int, k: int, r: int) -> tuple[int, ...]:
     return tuple(chi_value(b, d, k, r) for b in range(d + 1))
 
 
-def _chi_array(chi: tuple[int, ...], n: int) -> np.ndarray:
-    """chi as an ndarray, int64 when all downstream sums provably fit."""
-    max_abs = max(abs(c) for c in chi)
-    if (2 * max(n, 1) + 4) * max_abs < 2**62:
-        return np.asarray(chi, dtype=np.int64)
-    return np.asarray(chi, dtype=object)
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Estimated (or exactly computed) coefficients over a truncated index set.
@@ -256,86 +252,88 @@ def estimate_coefficients(
 
 @dataclass(frozen=True)
 class WaveletModel:
-    """A fitted approximant.
+    """A fitted approximant: digit-keyed samples plus the chi table for ``k``.
 
-    ``linear`` mode stores the coefficient table.  ``sign`` and
-    ``generalized`` modes store the samples (with digit keys) and the chi
-    table; the generalized mode additionally requires the samples sorted by
-    value.  Models are immutable and thread-safe.
+    ``d``, ``r`` and ``n`` are read off the samples, which must carry digit
+    keys; the resolution of those keys is the model's ``r``.  The generalized
+    mode additionally requires the samples sorted by value.  ``chi`` is built
+    here and cannot be passed in.  Models are immutable and thread-safe.
     """
 
-    d: int
     k: int
-    r: int
-    n: int
     mode: str
-    coefficients: CoefficientTable | None = None
-    samples: SampleSet | None = None
-    chi: tuple[int, ...] | None = None
+    samples: SampleSet
+    chi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "linear":
-            if self.coefficients is None:
-                raise ValueError("linear mode requires a coefficient table")
-        else:
-            if self.samples is None or self.chi is None:
-                raise ValueError(f"{self.mode} mode requires samples and a chi table")
-            if self.samples.digit_keys is None or self.samples.resolution != self.r:
-                raise ValueError("samples must carry digit keys at the model resolution")
-            if len(self.chi) != self.d + 1:
-                raise ValueError("chi table must have d + 1 entries")
+        if self.samples.digit_keys is None:
+            raise ValueError("samples must carry digit keys")
         if self.mode == "generalized" and not self.samples.sorted_by_value:
             raise RuntimeError("generalized mode requires value-sorted samples")
+        table = chi_table(self.d, self.k, self.r)
+        # Every integer a query forms is at most 3 n max|chi| in size: each
+        # partial sum of a sign numerator sum_i y_i chi(b_i) (|y_i| = 1) and
+        # each prefix sum T_i of _flip_numerators by n max|chi|, 2 T_i by
+        # 2 n max|chi|, and S - 2 T_i by 3 n max|chi|.  Below 2**63 no int64
+        # operation can wrap; otherwise numpy carries exact Python integers.
+        exact_in_int64 = 3 * self.n * max(abs(c) for c in table) < 2**63
+        chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
+        chi.flags.writeable = False
+        object.__setattr__(self, "chi", chi)
+
+    @property
+    def d(self) -> int:
+        return self.samples.d
+
+    @property
+    def r(self) -> int:
+        return self.samples.resolution
+
+    @property
+    def n(self) -> int:
+        return self.samples.n
 
 
 def fit(oracle, d: int, k: int, r: int, n: int, seed, mode: str) -> WaveletModel:
     """Draw one batch of samples and build the requested model.
 
-    The generalized mode sorts the samples by value (O(n log n)) and attaches
-    the chi table; the sign mode attaches keys and chi without sorting.
+    Every mode attaches resolution-r digit keys; the generalized mode also
+    sorts the samples by value (O(n log n)).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    samples = draw_samples(d, n, oracle, seed)
-    if mode == "linear":
-        return WaveletModel(d, k, r, n, mode, coefficients=estimate_coefficients(samples, d, k, r))
-    samples = samples.with_resolution(r)
+    samples = draw_samples(d, n, oracle, seed).with_resolution(r)
     if mode == "generalized":
         samples = samples.sorted()
-    return WaveletModel(d, k, r, n, mode, samples=samples, chi=chi_table(d, k, r))
+    return WaveletModel(k, mode, samples)
 
 
-def _match_counts(model: WaveletModel, x) -> np.ndarray:
+def _chi_at(model: WaveletModel, x) -> np.ndarray:
+    """chi(b_i(x)) for every stored sample, in the model's chi dtype."""
     keys = point_keys(x, model.r)
     if len(keys) != model.d:
         raise ValueError(f"point has {len(keys)} coordinates, model has d={model.d}")
-    return (model.samples.digit_keys == keys).sum(axis=1)
+    return model.chi[(model.samples.digit_keys == keys).sum(axis=1)]
+
+
+def _numerator(model: WaveletModel, x) -> int | float:
+    """``n * h(x)``: an exact integer when every sample value is +-1."""
+    chi_b = _chi_at(model, x)
+    values = model.samples.values
+    if np.all(np.abs(values) == 1.0):
+        return int(np.dot(values.astype(np.int64), chi_b))
+    return float(np.dot(values, chi_b))
 
 
 def reconstruction_value(model: WaveletModel, x) -> float:
-    """Value of the linear reconstruction ``h`` underlying any model.
-
-    Uses the stored table when present; otherwise the identity
-    ``h(x) = (1/n) * sum_i y_i * chi(b_i(x))`` on the stored samples.
-    """
-    if model.coefficients is not None:
-        table = model.coefficients
-        if len(x) != model.d:
-            raise ValueError(f"point has {len(x)} coordinates, model has d={model.d}")
-        return math.fsum(
-            table[index] * value for index, value in _support_terms(x, model.k, model.r)
-        )
-    b = _match_counts(model, x)
-    chi_b = _chi_array(model.chi, model.n)[b]
-    if chi_b.dtype == object:
-        return math.fsum(float(y) * int(c) for y, c in zip(model.samples.values, chi_b)) / model.n
-    return float(np.dot(model.samples.values, chi_b)) / model.n
+    """Value of the linear reconstruction ``h(x) = (1/n) sum_i y_i chi(b_i(x))``."""
+    return _numerator(model, x) / model.n
 
 
 def eval_linear(model: WaveletModel, x) -> float:
-    """Linear-mode output: the reconstruction from the stored table."""
+    """Linear-mode output: the reconstruction itself."""
     if model.mode != "linear":
         raise ValueError(f"eval_linear requires a linear-mode model, got {model.mode!r}")
     return reconstruction_value(model, x)
@@ -346,16 +344,7 @@ def eval_sign(model: WaveletModel, x) -> float:
 
     For sign-valued samples the sign is decided in exact integer arithmetic.
     """
-    if model.mode != "linear" and np.all(np.abs(model.samples.values) == 1.0):
-        b = _match_counts(model, x)
-        chi_b = _chi_array(model.chi, model.n)[b]
-        y_int = model.samples.values.astype(np.int64)
-        if chi_b.dtype == object:
-            numerator = sum(int(y) * int(c) for y, c in zip(y_int, chi_b))
-        else:
-            numerator = int(np.dot(y_int, chi_b))
-        return sign_plus(numerator)
-    return sign_plus(reconstruction_value(model, x))
+    return sign_plus(_numerator(model, x))
 
 
 def _flip_numerators(model: WaveletModel, x) -> np.ndarray:
@@ -365,8 +354,7 @@ def _flip_numerators(model: WaveletModel, x) -> np.ndarray:
     forced to -1 and the remaining ``n - i`` forced to +1, so
     ``n * g_i = S - 2 * T_i`` with ``T_i`` the prefix sums of chi(b).
     """
-    b = _match_counts(model, x)
-    chi_b = _chi_array(model.chi, model.n)[b]
+    chi_b = _chi_at(model, x)
     prefix = np.concatenate([np.zeros(1, dtype=chi_b.dtype), np.cumsum(chi_b)])
     return prefix[-1] - 2 * prefix
 
@@ -381,8 +369,6 @@ def eval_generalized(model: WaveletModel, x) -> float:
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
-    if not model.samples.sorted_by_value:
-        raise RuntimeError("model samples are not sorted by value")
     numerators = _flip_numerators(model, x)
     signs = np.where(numerators >= 0, 1.0, -1.0).astype(float)
     y_ext = np.concatenate([[-1.0], model.samples.values, [1.0]])

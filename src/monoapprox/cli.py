@@ -16,6 +16,7 @@ do not depend on scheduling.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -28,7 +29,6 @@ from .approx_mc import WaveletModel, eval_generalized, eval_linear, eval_sign, f
 from .bounds import (
     BERRY_ESSEEN_UPPER,
     DEFAULT_UPPER_C,
-    LbParams,
     McParams,
     choose_params,
     default_lb_params,
@@ -37,6 +37,7 @@ from .bounds import (
     n_det_curse,
     n_ran_upper_breakdown,
     ub_error_breakdown,
+    with_berry_esseen,
 )
 from .budget import BudgetExceededError
 from .functions import family_from_spec
@@ -110,14 +111,9 @@ def _emit(cfg: ExperimentConfig, rows: list[dict], extra: dict | None = None) ->
             payload.update(extra)
         text = json.dumps(payload, indent=2, default=str) + "\n"
     else:
-        buffer = []
-
-        class _Buf:
-            def write(self, s):
-                buffer.append(s)
-
-        _write_csv(rows, _Buf())
-        text = "".join(buffer)
+        buffer = io.StringIO()
+        _write_csv(rows, buffer)
+        text = buffer.getvalue()
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -253,12 +249,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> list[dict]:
 def cmd_bounds(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     eps_grid = cfg.eps_grid or [1 / 15, 0.1, 0.25, 0.5]
     d_grid = cfg.d_grid or [2, 10, 100]
-    params = default_lb_params()
-    if cfg.c0 != params.c0:
-        params = LbParams(
-            params.alpha0, params.beta0, params.tau0, params.lam, params.nu,
-            params.rho, cfg.c0, params.d0, params.eps0,
-        )
+    params = with_berry_esseen(default_lb_params(), cfg.c0)
     rows = []
     for eps in eps_grid:
         for d in d_grid:
@@ -379,19 +370,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """A malformed command line; reported in one line with exit status 2."""
+
+
+# The smallest value of each numeric flag a run can produce a row for; grid
+# flags apply the bound to every entry.
+_FLAG_MINIMUM = {
+    "d": 1, "k": 1, "r": 1, "n": 1, "m": 2, "replications": 1, "n_probe": 2,
+    "n_cap": 0, "m_grid": 2, "n_grid": 1,
+}
+
+
+def _check_flags(cfg: ExperimentConfig) -> None:
+    for name, low in _FLAG_MINIMUM.items():
+        value = getattr(cfg, name)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and v < low:
+                raise _UsageError(f"--{name.replace('_', '-')} must be at least {low}, got {v}")
+    if cfg.k is not None and cfg.k > cfg.d:
+        raise _UsageError(f"--k must be at most --d = {cfg.d}, got {cfg.k}")
+    if cfg.eps is not None and not 0.0 < cfg.eps < 1.0:
+        raise _UsageError(f"--eps must lie in (0, 1), got {cfg.eps}")
+    if any(0 < len(grid) < 3 for grid in (cfg.m_grid, cfg.n_grid)):
+        raise _UsageError("a fitted slope needs at least three grid sizes")
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
-    path = argv[at + 1]
+    if at + 1 == len(argv):
+        raise _UsageError("--config needs a file path")
     injected = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            injected += [f"--{key.strip()}", value.strip()]
+    try:
+        with open(argv[at + 1], encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise _UsageError(f"cannot read --config file: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        injected += [f"--{key.strip()}", value.strip()]
     # Config-provided flags go right after the subcommand so explicit
     # command-line flags still win.
     return argv[:1] + injected + argv[1:]
@@ -399,11 +421,16 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-"):
-        argv = _apply_config_file(argv)
-    args = build_parser().parse_args(argv)
-    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in known and v is not None})
+    try:
+        if argv and not argv[0].startswith("-"):
+            argv = _apply_config_file(argv)
+        args = build_parser().parse_args(argv)
+        known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
+        cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in known and v is not None})
+        _check_flags(cfg)
+    except _UsageError as exc:
+        print(f"monoapprox: error: {exc}", file=sys.stderr)
+        return 2
 
     if cfg.subcommand == "verify":
         if getattr(args, "list_checks", False):

@@ -84,38 +84,6 @@ def cell_of_point(x: float, level: int) -> int:
 
 
 @dataclass(frozen=True)
-class HaarIndex1D:
-    """A one-dimensional basis index together with its (level, shift) form."""
-
-    alpha: int
-    level: int | None
-    shift: int
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.alpha == 0:
-            if self.level is not LEVEL_BOTTOM or self.shift != 0:
-                raise ValueError("alpha = 0 requires level = LEVEL_BOTTOM, shift = 0")
-        else:
-            if self.level is LEVEL_BOTTOM or self.level < 0:
-                raise ValueError("alpha >= 1 requires a nonnegative level")
-            if not 0 <= self.shift < (1 << self.level):
-                raise ValueError("shift out of range for level")
-            if self.alpha != (1 << self.level) + self.shift:
-                raise ValueError("alpha inconsistent with (level, shift)")
-
-    @classmethod
-    def from_alpha(cls, alpha: int) -> "HaarIndex1D":
-        level, shift = split_index(alpha)
-        return cls(alpha, level, shift)
-
-    @property
-    def is_active(self) -> bool:
-        return self.alpha > 0
-
-
-@dataclass(frozen=True)
 class MultiIndex:
     """A d-vector of one-dimensional indices for a tensor basis function."""
 
@@ -134,10 +102,6 @@ class MultiIndex:
     @property
     def d(self) -> int:
         return len(self.alphas)
-
-    @property
-    def entries(self) -> tuple[HaarIndex1D, ...]:
-        return tuple(HaarIndex1D.from_alpha(a) for a in self.alphas)
 
     @property
     def active_count(self) -> int:

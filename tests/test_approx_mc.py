@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from monoapprox.approx_mc import (
 )
 from monoapprox.functions import Affine, boxbslash, snap_to_grid
 from monoapprox.haar_basis import MultiIndex, cell_of_point, enumerate_indices, psi_1d, psi_d
-from monoapprox.metrics import exact_coefficient_table
 
 
 # ---------------------------------------------------------------------------
@@ -132,46 +132,61 @@ def test_sample_set_validation():
         SampleSet(np.array([[0.5]]), np.array([0.0, 1.0]))
 
 
+def test_sample_set_rejects_non_finite_points():
+    # NaN fails every comparison, so a min/max range test alone lets it
+    # through and its digit key becomes INT64_MIN.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            SampleSet(np.array([[0.5, bad]]), np.array([1.0]))
+
+
 def test_wavelet_model_validation():
-    samples = draw_samples(2, 8, boxbslash(2), 1).with_resolution(2)
-    chi = chi_table(2, 1, 2)
+    samples = draw_samples(2, 8, boxbslash(2), 1)
+    keyed = samples.with_resolution(2)
+    model = WaveletModel(1, "sign", keyed)
+    assert (model.d, model.r, model.n) == (2, 2, 8)  # read off the samples
+    assert model.chi.tolist() == list(chi_table(2, 1, 2))
     with pytest.raises(ValueError):
-        WaveletModel(2, 1, 2, 8, "sign", samples=samples)  # chi missing
+        WaveletModel(1, "sign", samples)  # digit keys missing
     with pytest.raises(ValueError):
-        WaveletModel(2, 1, 3, 8, "sign", samples=samples, chi=chi_table(2, 1, 3))
+        WaveletModel(3, "sign", keyed)  # k > d
     with pytest.raises(ValueError):
-        WaveletModel(2, 1, 2, 8, "linear")  # table missing
-    with pytest.raises(ValueError):
-        WaveletModel(2, 1, 2, 8, "typo", samples=samples, chi=chi)
+        WaveletModel(1, "typo", keyed)
+    with pytest.raises(TypeError):
+        WaveletModel(1, "sign", keyed, chi=chi_table(2, 2, 2))  # chi is built, never passed
 
 
 # ---------------------------------------------------------------------------
 # linear and sign evaluation
 
 
-def _linear_model_from_dict(d, k, r, entries):
-    values = {index: 0.0 for index in enumerate_indices(d, k, r)}
-    values.update(entries)
-    from monoapprox.approx_mc import CoefficientTable
+def _midpoint_model(k, mode, d, r, value_of):
+    """Model on one sample at the midpoint of every resolution-r cell.
 
-    return WaveletModel(d, k, r, 1, "linear", coefficients=CoefficientTable(d, k, r, values))
+    At ``k = d`` the reconstruction is the resolution-r cell mean, so these
+    samples realise any piecewise-constant coefficient table exactly.
+    """
+    mids = (np.arange(1 << r) + 0.5) / (1 << r)
+    points = np.array(list(product(mids, repeat=d)))
+    samples = SampleSet(points, np.array([value_of(p) for p in points])).with_resolution(r)
+    return WaveletModel(k, mode, samples)
 
 
 def test_eval_linear_constant_table():
-    model = _linear_model_from_dict(2, 1, 1, {MultiIndex.of(0, 0): 0.7})
+    model = _midpoint_model(2, "linear", 2, 1, lambda p: 0.7)
     assert eval_linear(model, (0.1, 0.9)) == pytest.approx(0.7)
 
 
 def test_eval_linear_single_wavelet_table():
-    model = _linear_model_from_dict(1, 1, 1, {MultiIndex.of(1): 1.0})
+    # Values -1 / +1 on the two halves: exactly the alpha = 1 wavelet.
+    model = _midpoint_model(1, "linear", 1, 1, lambda p: psi_1d(1, p[0]))
     assert eval_linear(model, (0.2,)) == pytest.approx(-1.0)
     assert eval_linear(model, (0.8,)) == pytest.approx(1.0)
 
 
 def test_eval_linear_reproduces_piecewise_constant_target():
     truth = snap_to_grid(boxbslash(2), 2, 2)
-    table = exact_coefficient_table(truth, 2, 2, 2)
-    model = WaveletModel(2, 2, 2, 1, "linear", coefficients=table)
+    model = _midpoint_model(2, "linear", 2, 2, truth)
     rng = np.random.default_rng(23)
     for x in rng.random((200, 2)):
         assert eval_linear(model, x) == pytest.approx(truth(x), abs=1e-10)
@@ -184,24 +199,70 @@ def test_eval_linear_requires_linear_mode():
 
 
 def test_eval_sign_convention():
-    zero = _linear_model_from_dict(1, 1, 1, {})
-    assert eval_sign(zero, (0.4,)) == 1.0  # sgn(0) = +1
-    negative = _linear_model_from_dict(1, 1, 1, {MultiIndex.of(0): -0.3})
-    assert eval_sign(negative, (0.4,)) == -1.0
-    positive = _linear_model_from_dict(1, 1, 1, {MultiIndex.of(0): 2.0})
-    assert eval_sign(positive, (0.4,)) == 1.0
+    def constant(value):
+        return _midpoint_model(1, "sign", 1, 1, lambda p: value)
+
+    assert eval_sign(constant(0.0), (0.4,)) == 1.0  # sgn(0) = +1
+    assert eval_sign(constant(-0.3), (0.4,)) == -1.0
+    assert eval_sign(constant(1.0), (0.4,)) == 1.0
+    assert eval_sign(constant(-1.0), (0.4,)) == -1.0
+    # A sign-valued tie: the exact integer numerator is 0, so the sign is +1.
+    tie = SampleSet(np.array([[0.1], [0.2]]), np.array([1.0, -1.0])).with_resolution(1)
+    assert eval_sign(WaveletModel(1, "sign", tie), (0.4,)) == 1.0
 
 
-def test_reconstruction_value_table_and_chi_routes_agree():
-    truth = boxbslash(2)
-    seed = 31
-    linear = fit(truth, 2, 2, 2, 80, seed, "linear")
-    sign = fit(truth, 2, 2, 2, 80, seed, "sign")
-    rng = np.random.default_rng(4)
-    for x in rng.random((100, 2)):
-        assert reconstruction_value(sign, x) == pytest.approx(
-            reconstruction_value(linear, x), abs=1e-10
-        )
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+def test_reconstruction_value_table_and_chi_routes_agree(d, r, n, sign_valued, seed, data):
+    # The model never builds coefficients; the explicit coefficient table
+    # summed against the basis is the reference for the chi identity.
+    k = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], n) if sign_valued else rng.uniform(-1.0, 1.0, n)
+    samples = SampleSet(rng.random((n, d)), values)
+    table = estimate_coefficients(samples, d, k, r)
+    model = WaveletModel(k, "linear", samples.with_resolution(r))
+    for x in np.concatenate([rng.random((4, d)), samples.points[:2]]):
+        expected = math.fsum(c * psi_d(index, x) for index, c in table.items())
+        assert eval_linear(model, x) == pytest.approx(expected, abs=1e-12)
+
+
+def test_object_route_keeps_sums_exact():
+    # d = k = 8, r = 7: chi(8) = 2**56, so 1000 samples in one cell sum to
+    # 1000 * 2**56 > 2**63.  The model sizes its guard from the real n and
+    # carries Python integers instead of wrapping around in int64.
+    d, k, r, n = 8, 8, 7, 1000
+    point = np.full(d, 0.3)
+    samples = SampleSet(np.tile(point, (n, 1)), np.ones(n)).with_resolution(r)
+    sign = WaveletModel(k, "sign", samples)
+    generalized = WaveletModel(k, "generalized", samples.sorted())
+    assert sign.chi.dtype == object and chi_value(d, d, k, r) == 2**56
+    assert eval_sign(sign, point) == 1.0
+    assert eval_generalized(generalized, point) == 1.0
+    assert reconstruction_value(sign, point) == (n * 2**56) / n
+
+
+def test_int64_and_object_routes_agree():
+    # Duplicating every sample doubles each integer numerator, which leaves
+    # signs and h unchanged while n crosses the int64 guard.
+    d, k, r = 8, 7, 7
+    chi_max = max(abs(c) for c in chi_table(d, k, r))
+    n = (2**63 - 1) // (3 * chi_max)  # the largest n the int64 route takes
+    rng = np.random.default_rng(21)
+    points = rng.random((n, d))
+    for values in (rng.choice([-1.0, 1.0], n), rng.uniform(-1.0, 1.0, n)):
+        small = SampleSet(points, values).with_resolution(r)
+        double = SampleSet(np.repeat(points, 2, axis=0), np.repeat(values, 2)).with_resolution(r)
+        models = [(WaveletModel(k, "sign", s), WaveletModel(k, "generalized", s.sorted()))
+                  for s in (small, double)]
+        (sign64, gen64), (sign_obj, gen_obj) = models
+        assert sign64.chi.dtype == np.int64 and sign_obj.chi.dtype == object
+        for x in np.concatenate([rng.random((5, d)), points[:5]]):
+            assert eval_sign(sign64, x) == eval_sign(sign_obj, x)
+            assert reconstruction_value(sign64, x) == pytest.approx(reconstruction_value(sign_obj, x), rel=1e-12)
+            assert np.array_equal(2 * _flip_numerators(gen64, x), _flip_numerators(gen_obj, x)[::2])
+            assert eval_generalized(gen64, x) == pytest.approx(eval_generalized(gen_obj, x), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +336,7 @@ def test_generalized_all_positive_samples():
     points = np.full((5, 2), 0.1)
     values = np.ones(5)
     samples = SampleSet(points, values, sorted_by_value=True).with_resolution(2)
-    model = WaveletModel(2, 1, 2, 5, "generalized", samples=samples, chi=chi_table(2, 1, 2))
+    model = WaveletModel(1, "generalized", samples)
     assert eval_generalized(model, (0.05, 0.05)) == 1.0
 
 
@@ -283,14 +344,14 @@ def test_generalized_empty_information_returns_plus_one():
     samples = SampleSet(
         np.empty((0, 2)), np.empty(0), sorted_by_value=True
     ).with_resolution(1)
-    model = WaveletModel(2, 1, 1, 0, "generalized", samples=samples, chi=chi_table(2, 1, 1))
-    assert eval_generalized(model, (0.3, 0.8)) == 1.0
+    assert eval_generalized(WaveletModel(1, "generalized", samples), (0.3, 0.8)) == 1.0
+    assert eval_sign(WaveletModel(1, "sign", samples), (0.3, 0.8)) == 1.0
 
 
 def test_generalized_requires_sorted_samples():
     samples = draw_samples(2, 10, Affine(2), 0).with_resolution(1)
     with pytest.raises(RuntimeError):
-        WaveletModel(2, 1, 1, 10, "generalized", samples=samples, chi=chi_table(2, 1, 1))
+        WaveletModel(1, "generalized", samples)
 
 
 def test_generalized_collapses_to_sign_on_sign_valued_data():
@@ -412,9 +473,8 @@ def test_generalized_ties_do_not_matter():
     swapped = SampleSet(
         points[[0, 2, 1, 3]], values, sorted_by_value=True
     ).with_resolution(2)
-    chi = chi_table(2, 2, 2)
-    m1 = WaveletModel(2, 2, 2, 4, "generalized", samples=base, chi=chi)
-    m2 = WaveletModel(2, 2, 2, 4, "generalized", samples=swapped, chi=chi)
+    m1 = WaveletModel(2, "generalized", base)
+    m2 = WaveletModel(2, "generalized", swapped)
     rng = np.random.default_rng(12)
     for x in rng.random((50, 2)):
         assert eval_generalized(m1, x) == eval_generalized(m2, x)
@@ -426,7 +486,7 @@ def test_generalized_ties_do_not_matter():
 
 def test_fit_linear_on_zero_oracle():
     model = fit(lambda x: 0.0, 2, 1, 2, 25, 0, "linear")
-    assert all(v == 0.0 for _, v in model.coefficients.items())
+    assert np.all(model.samples.values == 0.0)
     assert eval_linear(model, (0.3, 0.3)) == 0.0
 
 

@@ -147,3 +147,34 @@ def test_out_writes_file(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text().startswith("replication,")
+
+
+_DET = ["approximate", "--algo", "det", "--d", "2", "--m", "4", "--family", "affine"]
+_MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _MC + ["--eps", "0.5", "--replications", "0"],
+        ["convergence", "--algo", "mc", "--d", "2", "--family", "affine",
+         "--k", "1", "--r", "1", "--replications", "0"],
+        _DET + ["--config"],
+        _DET + ["--config", "no-such-file.cfg"],
+        _DET + ["--n-probe", "1"],
+        ["approximate", "--algo", "det", "--d", "2", "--m", "1", "--family", "affine"],
+        _MC + ["--k", "1", "--r", "1", "--n", "0"],
+        _MC + ["--k", "3", "--r", "1", "--n", "8"],
+        _MC + ["--eps", "0"],
+        ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", "16,32"],
+    ],
+    ids=["replications-0", "convergence-replications-0", "config-without-path",
+         "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
+         "two-grid-sizes"],
+)
+def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from monoapprox.haar_basis import (
     DyadicCell,
-    HaarIndex1D,
     LEVEL_BOTTOM,
     MultiIndex,
     cell_of_point,
@@ -110,16 +109,6 @@ def test_multi_index_properties():
     assert index.active_count == 2
     assert index.level_sum == 2  # levels 2 and 0
     assert index.support_volume == 0.25
-    entries = index.entries
-    assert entries[0].level is LEVEL_BOTTOM
-    assert (entries[1].level, entries[1].shift) == (2, 1)
-
-
-def test_haar_index_invariants_enforced():
-    with pytest.raises(ValueError):
-        HaarIndex1D(0, 0, 0)
-    with pytest.raises(ValueError):
-        HaarIndex1D(5, 2, 3)  # alpha != 2**level + shift
 
 
 def test_enumerate_indices_small_case():
