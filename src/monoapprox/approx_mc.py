@@ -21,11 +21,25 @@ the query point only through the count ``b`` of coordinates whose first ``r``
 binary digits match the sample's.  The integer table ``chi(b)`` tabulates
 ``n * [reconstruction of one unit sample](x)`` for ``b = 0..d``, so
 ``h(x) = (1/n) * sum_i y_i * chi(b_i(x))`` and a fitted model of any mode is
-just its samples (with digit keys) and ``chi``; no coefficient is stored.
-Each ``g_i(x)`` follows from integer prefix sums in O(n) after an O(n d)
-digit comparison.  All chi arithmetic is exact (Python integers, with a
-64-bit fast path when magnitudes provably permit).  ``estimate_coefficients``
-is the explicit coefficient route the identity is checked against.
+built from its samples (with digit keys); no coefficient is stored.
+
+Per coordinate the kernel is ``2**r [same r-cell] - 1``, so ``chi`` itself
+expands over coordinate subsets ``T`` with ``|T| <= k``:
+
+    sum_i y_i chi(b_i(x)) = sum_T c_T * S_T(x),
+
+with ``c_T = 2**(r|T|) (-1)**(k-|T|) C(d-|T|-1, k-|T|)`` for ``|T| < d``,
+``c_T = 2**(r d)`` for ``|T| = d`` (at ``k = d`` only the full cell is left),
+and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
+coordinates of ``T``.  Linear and sign models store the nonzero ``c_T S_T``
+in one sorted table (``ProjectionTables``), so a query costs one
+``searchsorted`` over ``#T`` keys.  Where a packed key would not fit in
+int64 or the tables could outgrow the ``n d`` digit keys, they keep the chi
+route instead: an O(n d) digit comparison per query.  Each ``g_i(x)`` of the
+generalized mode follows from integer prefix sums in O(n) after that
+comparison.  All integer arithmetic is exact (Python integers, with a 64-bit
+fast path when magnitudes provably permit).  ``estimate_coefficients`` is
+the explicit coefficient route the identity is checked against.
 
 Outputs are approximations of the target but carry no monotonicity guarantee
 of their own; only boundedness (outputs in [-1, 1] for the generalized
@@ -100,9 +114,7 @@ class SampleSet:
             raise ValueError("resolution must be positive")
         if self.resolution == r and self.digit_keys is not None:
             return self
-        scale = 1 << r
-        keys = np.minimum((self.points * scale).astype(np.int64), scale - 1)
-        return SampleSet(self.points, self.values, r, keys, self.sorted_by_value)
+        return SampleSet(self.points, self.values, r, _cell_keys(self.points, r), self.sorted_by_value)
 
     def sorted(self) -> "SampleSet":
         """Stable sort of the (point, value) pairs by value."""
@@ -128,9 +140,22 @@ def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
     return SampleSet(points, values)
 
 
+def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:
+    """Resolution-r cell index ``min(floor(x * 2**r), 2**r - 1)`` of every coordinate.
+
+    The minimum puts ``x = 1`` in the last (right-closed) cell, as
+    ``haar_basis.cell_of_point`` does.
+    """
+    scale = 1 << r
+    return np.minimum((points * scale).astype(np.int64), scale - 1)
+
+
 def point_keys(x, r: int) -> np.ndarray:
     """Resolution-r digit keys of a single point."""
-    return np.asarray([cell_of_point(float(xj), r) for xj in x], dtype=np.int64)
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x <= 1.0)).all():  # NaN fails too
+        raise ValueError(f"point {x} outside [0, 1]^d")
+    return _cell_keys(x, r)
 
 
 def match_count(x, sample_keys, r: int) -> int:
@@ -250,20 +275,130 @@ def estimate_coefficients(
     return CoefficientTable(d, k, r, table)
 
 
+def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
+    """Weight ``c_T`` of a coordinate subset of size ``t`` (see the module docstring).
+
+    ``chi(b) = sum_{t <= min(b, k)} C(b, t) c_t``: a sample shares x's cell
+    in every coordinate of exactly the subsets of its ``b`` matching ones.
+    """
+    if not 0 <= t <= k <= d or r < 1:
+        raise ValueError("need 0 <= t <= k <= d and r >= 1")
+    if t == d:
+        return 1 << (r * d)
+    return (1 << (r * t)) * (-1) ** (k - t) * math.comb(d - t - 1, k - t)
+
+
+def _cell_sums(codes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``codes`` and the sum of ``values`` over each.
+
+    bincount adds in float64; for +-1 values every partial sum is an integer
+    of size at most n < 2**53, so those sums are exact.  The n-sized inverse
+    is freed on return, before the next table is built.
+    """
+    cells, inverse = np.unique(codes, return_inverse=True)
+    return cells, np.bincount(inverse, weights=values, minlength=len(cells))
+
+
+@dataclass(frozen=True)
+class ProjectionTables:
+    """``sum_i y_i chi(b_i(x))`` as ``sum_T c_T S_T(x)``, one sorted lookup per query.
+
+    ``S_T(x)`` is the sum of ``y_i`` over the samples that share x's
+    resolution-r cell in every coordinate of ``T``.  Row ``t`` of ``pack``
+    maps digit keys to the cell code of the ``t``-th subset with ``c_T != 0``
+    (``2**(r j)`` for ``j`` in ``T``, 0 elsewhere) and ``offsets[t] = t <<
+    (r d)`` tags it, so ``pack @ keys + offsets`` are the query's keys into
+    ``keys``: every occupied (subset, cell) pair, sorted, led by a sentinel
+    -1 of weight 0.  ``weights`` holds ``c_T S_T`` for each.
+    """
+
+    pack: np.ndarray
+    offsets: np.ndarray
+    keys: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, samples: SampleSet, k: int, exact: bool) -> "ProjectionTables | None":
+        """Tables of keyed samples, or None where the chi route is the better one.
+
+        None when a packed key would not fit in int64 (``r d + bitlen(#T - 1)
+        > 63``) or when the tables could hold more entries than the ``n d``
+        digit keys (table ``T`` holds at most ``min(n, 2**(r |T|))``).
+        ``exact`` (every ``|y| = 1``) makes the weights integers.
+        """
+        d, r, n = samples.d, samples.resolution, samples.n
+        subsets = [
+            (subset, c)
+            for t in range(k + 1)
+            for subset in combinations(range(d), t)
+            if (c := subset_coefficient(t, d, k, r))
+        ]
+        if r * d + (len(subsets) - 1).bit_length() > 63:
+            return None
+        if sum(min(n, 1 << (r * len(subset))) for subset, _ in subsets) > n * d:
+            return None
+        # A query adds one weight per subset and |S_T| <= n, so every partial
+        # sum is at most n sum_T |c_T|.  Below 2**63 no int64 operation can
+        # wrap (max(n, 1) also keeps each c_T itself in range); otherwise the
+        # weights are exact Python integers.
+        in_int64 = max(n, 1) * sum(abs(c) for _, c in subsets) < 2**63
+        dtype = np.float64 if not exact else np.int64 if in_int64 else object
+        pack = np.zeros((len(subsets), d), dtype=np.int64)
+        for t, (subset, _) in enumerate(subsets):
+            for j in subset:
+                pack[t, j] = 1 << (r * j)
+        offsets = np.arange(len(subsets), dtype=np.int64) << (r * d)
+        keys, weights = [np.full(1, -1, dtype=np.int64)], [np.zeros(1, dtype=dtype)]
+        for t, (_, c) in enumerate(subsets):
+            cells, sums = _cell_sums(samples.digit_keys @ pack[t] + offsets[t], samples.values)
+            if exact:
+                sums = sums.astype(np.int64).astype(dtype, copy=False)
+                sums *= c
+            else:
+                sums *= float(c)
+            keys.append(cells)
+            weights.append(sums)
+        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights))
+        for array in (tables.pack, tables.offsets, tables.keys, tables.weights):
+            array.flags.writeable = False
+        return tables
+
+    def numerator(self, keys: np.ndarray):
+        """``sum_T c_T S_T(x)`` for digit keys of x: a numpy scalar or Python int."""
+        query = self.pack @ keys + self.offsets
+        at = np.searchsorted(self.keys, query, side="right") - 1
+        return self.weights[at[self.keys[at] == query]].sum()
+
+
 @dataclass(frozen=True)
 class WaveletModel:
-    """A fitted approximant: digit-keyed samples plus the chi table for ``k``.
+    """A fitted approximant: digit-keyed samples plus what evaluation reads.
 
     ``d``, ``r`` and ``n`` are read off the samples, which must carry digit
     keys; the resolution of those keys is the model's ``r``.  The generalized
-    mode additionally requires the samples sorted by value.  ``chi`` is built
-    here and cannot be passed in.  Models are immutable and thread-safe.
+    mode additionally requires the samples sorted by value.  Everything else
+    is built here and cannot be passed in:
+
+    * ``chi``, the table of the chi identity for ``k``;
+    * ``exact``: every sample value is +-1, so numerators are integers;
+    * linear and sign modes: ``tables``, the projection sums, or None where
+      they do not pay (see ``ProjectionTables.build``);
+    * without tables: ``y``, the sample values (int64 when ``exact``) that
+      the chi route sums ``h`` with;
+    * generalized mode: ``steps``, the value increments ``diff([-1, y, +1])``
+      of the threshold-cut sum.
+
+    Models are immutable and thread-safe.
     """
 
     k: int
     mode: str
     samples: SampleSet
     chi: np.ndarray = field(init=False, repr=False)
+    exact: bool = field(init=False)
+    tables: ProjectionTables | None = field(init=False, repr=False)
+    y: np.ndarray | None = field(init=False, repr=False)
+    steps: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -281,7 +416,19 @@ class WaveletModel:
         exact_in_int64 = 3 * self.n * max(abs(c) for c in table) < 2**63
         chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
         chi.flags.writeable = False
-        object.__setattr__(self, "chi", chi)
+        values = self.samples.values
+        exact = bool(np.all(np.abs(values) == 1.0))
+        tables = y = steps = None
+        if self.mode == "generalized":
+            steps = np.diff(np.concatenate([[-1.0], values, [1.0]]))
+            steps.flags.writeable = False
+        else:
+            tables = ProjectionTables.build(self.samples, self.k, exact)
+        if tables is None:
+            y = values.astype(np.int64) if exact else values
+            y.flags.writeable = False
+        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("y", y), ("steps", steps)):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -310,21 +457,29 @@ def fit(oracle, d: int, k: int, r: int, n: int, seed, mode: str) -> WaveletModel
     return WaveletModel(k, mode, samples)
 
 
+def _query_keys(model: WaveletModel, x) -> np.ndarray:
+    keys = point_keys(x, model.r)
+    if keys.shape != (model.d,):
+        raise ValueError(f"point has {keys.size} coordinates, model has d={model.d}")
+    return keys
+
+
 def _chi_at(model: WaveletModel, x) -> np.ndarray:
     """chi(b_i(x)) for every stored sample, in the model's chi dtype."""
-    keys = point_keys(x, model.r)
-    if len(keys) != model.d:
-        raise ValueError(f"point has {len(keys)} coordinates, model has d={model.d}")
-    return model.chi[(model.samples.digit_keys == keys).sum(axis=1)]
+    return model.chi[(model.samples.digit_keys == _query_keys(model, x)).sum(axis=1)]
 
 
 def _numerator(model: WaveletModel, x) -> int | float:
-    """``n * h(x)``: an exact integer when every sample value is +-1."""
-    chi_b = _chi_at(model, x)
-    values = model.samples.values
-    if np.all(np.abs(values) == 1.0):
-        return int(np.dot(values.astype(np.int64), chi_b))
-    return float(np.dot(values, chi_b))
+    """``n * h(x)``: an exact integer when every sample value is +-1.
+
+    Read off the projection tables when the model has them, else summed
+    over the samples through ``chi``.
+    """
+    if model.tables is not None:
+        total = model.tables.numerator(_query_keys(model, x))
+    else:
+        total = np.dot(model.y, _chi_at(model, x))
+    return int(total) if model.exact else float(total)
 
 
 def reconstruction_value(model: WaveletModel, x) -> float:
@@ -369,7 +524,5 @@ def eval_generalized(model: WaveletModel, x) -> float:
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
-    numerators = _flip_numerators(model, x)
-    signs = np.where(numerators >= 0, 1.0, -1.0).astype(float)
-    y_ext = np.concatenate([[-1.0], model.samples.values, [1.0]])
-    return 0.5 * float(np.dot(np.diff(y_ext), signs))
+    signs = np.where(_flip_numerators(model, x) >= 0, 1.0, -1.0)
+    return 0.5 * float(np.dot(model.steps, signs))

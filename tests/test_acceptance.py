@@ -28,6 +28,7 @@ from monoapprox.bounds import (
     lb_epshat,
     n_det_curse,
     ub_error,
+    ub_error_breakdown,
 )
 from monoapprox.cli import ExperimentConfig, cmd_convergence
 from monoapprox.functions import (
@@ -284,6 +285,15 @@ def test_criterion_11_bakhvalov_average_error_equality():
     report(11, "closed form equals the brute-force average over all 16 perturbations")
 
 
+def _end_to_end_truth(d: int, rep: int):
+    """Replication ``rep``'s sign-valued target: a level set or a cut step function."""
+    if rep % 2:
+        t = 1 + rep % 2
+        return level_set_function(d, t, d, sample_U(d, t, 0.35, (d, rep)))
+    cut = np.random.default_rng((57, d, rep)).uniform(-0.8, 0.8)
+    return threshold(step_function(d, 4, random_delta(d, 4, (58, d, rep))), cut)
+
+
 def test_criterion_12_end_to_end_error_below_bound():
     start = time.perf_counter()
     details = []
@@ -293,12 +303,7 @@ def test_criterion_12_end_to_end_error_below_bound():
         n_used = min(params.n, END_TO_END_SAMPLE_CAP)
         errors = []
         for rep in range(20):
-            if rep % 2:
-                t = 1 + rep % 2
-                truth = level_set_function(d, t, d, sample_U(d, t, 0.35, (d, rep)))
-            else:
-                cut = np.random.default_rng((57, d, rep)).uniform(-0.8, 0.8)
-                truth = threshold(step_function(d, 4, random_delta(d, 4, (58, d, rep))), cut)
+            truth = _end_to_end_truth(d, rep)
             model = fit(truth, d, params.k, params.r, n_used,
                         np.random.SeedSequence((55, d, rep)), "sign")
             err = l1_mc(truth, lambda x: eval_sign(model, x), d, 1000,
@@ -313,3 +318,31 @@ def test_criterion_12_end_to_end_error_below_bound():
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     report(12, "; ".join(details) + f" ({elapsed:.0f} s)")
+
+
+def test_criterion_12_formula_n_error_below_exact_tail_bound():
+    # ub_error charges the tail term 4 sqrt(d r)/(k+1) even at k = d, where
+    # the truncation drops nothing; at d = 2 that bound is 4.94, above the
+    # L1 distance 2 of any two [-1, 1]-valued functions, so criterion 12
+    # cannot fail there.  With the exact tail 0 the bound is resolution plus
+    # estimation, which the constant predictor exceeds.
+    start = time.perf_counter()
+    d = 2
+    params = choose_params(0.5, d)
+    assert params.k == d
+    parts = ub_error_breakdown(params)
+    bound = parts.resolution_term + parts.estimation_term
+    errors, constant = [], []
+    for rep in range(20):
+        truth = _end_to_end_truth(d, rep)
+        model = fit(truth, d, params.k, params.r, params.n,
+                    np.random.SeedSequence((55, d, rep)), "sign")
+        probe_seed = np.random.SeedSequence((56, d, rep))
+        errors.append(l1_mc(truth, lambda x: eval_sign(model, x), d, 1000, probe_seed).value)
+        constant.append(l1_mc(truth, lambda x: 1.0, d, 1000, probe_seed).value)
+    mean_error, mean_constant = float(np.mean(errors)), float(np.mean(constant))
+    assert mean_error <= bound
+    assert mean_constant > bound
+    elapsed = time.perf_counter() - start
+    report(12, f"d={d}, n={params.n}: mean error {mean_error:.4f} <= {bound:.4f} "
+               f"< constant +1 predictor {mean_constant:.4f} ({elapsed:.1f} s)")

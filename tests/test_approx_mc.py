@@ -17,8 +17,12 @@ from monoapprox.approx_mc import (
     eval_sign,
     fit,
     match_count,
+    point_keys,
     reconstruction_value,
+    subset_coefficient,
+    _chi_at,
     _flip_numerators,
+    _numerator,
 )
 from monoapprox.functions import Affine, boxbslash, snap_to_grid
 from monoapprox.haar_basis import MultiIndex, cell_of_point, enumerate_indices, psi_1d, psi_d
@@ -265,6 +269,57 @@ def test_int64_and_object_routes_agree():
             assert eval_generalized(gen64, x) == pytest.approx(eval_generalized(gen_obj, x), abs=1e-12)
 
 
+def _chi_route(model, x):
+    """``n h(x)`` summed over every sample through chi: the reference route."""
+    values = model.samples.values
+    return np.dot(values.astype(np.int64) if model.exact else values, _chi_at(model, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 200), st.booleans(),
+       st.sampled_from(["linear", "sign"]), st.integers(0, 2**32 - 1), st.data())
+def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, data):
+    # Covers k < d (the T = {} table among them), k = d, n = 0, duplicate
+    # points and coordinates equal to 1.0; shapes where the tables would
+    # outgrow the digit keys take the chi route and are compared all the same.
+    k = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(seed)
+    base = rng.random((max(n // 2, 1), d))
+    base[rng.random(base.shape) < 0.2] = 1.0
+    points = base[rng.integers(0, len(base), n)]
+    values = rng.choice([-1.0, 1.0], n) if sign_valued else rng.uniform(-1.0, 1.0, n)
+    model = WaveletModel(k, mode, SampleSet(points, values).with_resolution(r))
+    chi_max = max(abs(c) for c in chi_table(d, k, r))
+    for x in np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))]):
+        got, expected = _numerator(model, x), _chi_route(model, x)
+        if sign_valued:
+            assert type(got) is int and got == expected
+        else:
+            assert abs(got - expected) <= 1e-12 * n * chi_max
+    if n == 0 and mode == "sign":
+        assert eval_sign(model, np.full(d, 0.5)) == 1.0
+
+
+def test_projection_tables_route_choice():
+    rng = np.random.default_rng(8)
+
+    def model(d, k, r, n):
+        samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
+        return WaveletModel(k, "sign", samples)
+
+    # k = d keeps only the full subset: one table of at most n cells.
+    assert len(model(4, 4, 7, 300).tables.offsets) == 1
+    # k < d, 1 + 4 * 16 + 6 * 256 = 1601 cells at most, below n d = 16384.
+    assert len(model(4, 2, 4, 4096).tables.offsets) == 11
+    # The packed key needs r d = 64 bits (approximate --d 8 --eps 0.5).
+    assert model(8, 8, 8, 50).tables is None
+    # 93 tables could hold 236673 cells, more than n d = 160000.
+    assert model(8, 3, 4, 20000).tables is None
+    # Generalized models read chi over every sample and build no tables.
+    samples = SampleSet(np.full((3, 2), 0.5), np.ones(3), sorted_by_value=True).with_resolution(2)
+    assert WaveletModel(2, "generalized", samples).tables is None
+
+
 # ---------------------------------------------------------------------------
 # digit matching and the chi table
 
@@ -274,6 +329,34 @@ def test_match_count_examples():
     assert match_count((0.3, 0.6), keys, 3) == 2
     assert match_count((0.1, 0.9), [cell_of_point(v, 1) for v in (0.4, 0.2)], 1) == 1
     assert match_count((0.1, 0.9), [cell_of_point(v, 2) for v in (0.6, 0.3)], 2) == 0
+
+
+def test_point_keys_match_cell_of_point():
+    rng = np.random.default_rng(31)
+    for r in (1, 3, 7):
+        for x in np.concatenate([rng.random((20, 3)), [[0.0, 0.5, 1.0]]]):
+            assert point_keys(x, r).tolist() == [cell_of_point(v, r) for v in x]
+    model = fit(boxbslash(2), 2, 1, 2, 10, 0, "sign")
+    for bad in ((np.nan, 0.5), (-0.1, 0.5), (0.5, 1.5)):
+        with pytest.raises(ValueError):
+            point_keys(bad, 2)
+        with pytest.raises(ValueError):
+            eval_sign(model, bad)
+    with pytest.raises(ValueError):
+        eval_sign(model, (0.5, 0.5, 0.5))  # wrong dimension
+
+
+def test_subset_coefficients_sum_to_chi():
+    # Sample and query agree in exactly b coordinates: the subsets T they
+    # share a cell in are those inside the b matching coordinates.
+    for d in range(1, 6):
+        for k in range(d + 1):
+            for r in (1, 2, 5):
+                for b in range(d + 1):
+                    total = sum(math.comb(b, t) * subset_coefficient(t, d, k, r)
+                                for t in range(min(b, k) + 1))
+                    assert total == chi_value(b, d, k, r)
+    assert subset_coefficient(1, 3, 3, 2) == 0  # k = d: only the full cell is left
 
 
 def brute_chi(b, d, k, r):
@@ -363,6 +446,7 @@ def test_generalized_collapses_to_sign_on_sign_valued_data():
         gen_model = fit(truth, d, 1, 2, 33, seed, "generalized")
         for x in rng.random((50, d)):
             assert eval_sign(sign_model, x) == eval_generalized(gen_model, x)
+            assert reconstruction_value(sign_model, x) == reconstruction_value(gen_model, x)
 
 
 def test_generalized_output_bounded():
