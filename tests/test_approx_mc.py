@@ -1,10 +1,12 @@
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoapprox import approx_mc
 from monoapprox.approx_mc import (
     SampleSet,
     WaveletModel,
@@ -280,15 +282,18 @@ def _chi_route(model, x):
        st.sampled_from(["linear", "sign"]), st.integers(0, 2**32 - 1), st.data())
 def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, data):
     # Covers k < d (the T = {} table among them), k = d, n = 0, duplicate
-    # points and coordinates equal to 1.0; shapes where the tables would
-    # outgrow the digit keys take the chi route and are compared all the same.
+    # points and coordinates equal to 1.0.  A zero entry floor makes small
+    # shapes whose tables could hold more than n d entries take the chi
+    # route; they are compared all the same.
     k = data.draw(st.integers(0, d))
+    floor = data.draw(st.sampled_from([0, approx_mc.TABLE_ENTRY_FLOOR]))
     rng = np.random.default_rng(seed)
     base = rng.random((max(n // 2, 1), d))
     base[rng.random(base.shape) < 0.2] = 1.0
     points = base[rng.integers(0, len(base), n)]
     values = rng.choice([-1.0, 1.0], n) if sign_valued else rng.uniform(-1.0, 1.0, n)
-    model = WaveletModel(k, mode, SampleSet(points, values).with_resolution(r))
+    with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", floor):
+        model = WaveletModel(k, mode, SampleSet(points, values).with_resolution(r))
     chi_max = max(abs(c) for c in chi_table(d, k, r))
     for x in np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))]):
         got, expected = _numerator(model, x), _chi_route(model, x)
@@ -313,11 +318,31 @@ def test_projection_tables_route_choice():
     assert len(model(4, 2, 4, 4096).tables.offsets) == 11
     # The packed key needs r d = 64 bits (approximate --d 8 --eps 0.5).
     assert model(8, 8, 8, 50).tables is None
-    # 93 tables could hold 236673 cells, more than n d = 160000.
-    assert model(8, 3, 4, 20000).tables is None
+    # 93 tables could hold 236673 cells: more than n d = 160000, but within
+    # the entry floor, so they are built.
+    assert len(model(8, 3, 4, 20000).tables.offsets) == 93
     # Generalized models read chi over every sample and build no tables.
     samples = SampleSet(np.full((3, 2), 0.5), np.ones(3), sorted_by_value=True).with_resolution(2)
     assert WaveletModel(2, "generalized", samples).tables is None
+
+
+def test_projection_tables_refused_without_listing_subsets():
+    # Large d: the route is decided from subset counts by size, before any
+    # of the up to 2**d subsets is listed.
+    rng = np.random.default_rng(9)
+
+    def tables(d, k, r, n):
+        samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
+        with mock.patch.object(approx_mc, "combinations", side_effect=AssertionError("listed")):
+            return approx_mc.ProjectionTables.build(samples, k, True)
+
+    # k = d: one subset, but r d = 80 bits.
+    assert tables(40, 40, 2, 10) is None
+    # k < d: r d = 40 bits plus bitlen(#T - 1) = 40 for #T = sum_{t<=20} C(40, t).
+    assert tables(40, 20, 1, 10) is None
+    # 2510 subsets fit the key (48 + 12 bits), but could hold about 4.88M
+    # entries, more than max(n d, TABLE_ENTRY_FLOOR) = 2**22.
+    assert tables(12, 6, 4, 2000) is None
 
 
 # ---------------------------------------------------------------------------
