@@ -19,7 +19,6 @@ from .approx_mc import (
     eval_linear,
     eval_sign,
     fit,
-    match_count,
     reconstruction_value,
 )
 from .bounds import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import check_budget
-from .functions import eval_batch
+from .functions import as_points, eval_batch
 
 
 @dataclass(frozen=True)
@@ -68,25 +68,18 @@ def fit_grid(oracle, d: int, m: int, budget: int | None = None) -> GridModel:
     return GridModel(d, m, values)
 
 
-def eval_grid(model: GridModel, x) -> float:
-    """Midpoint of the corner knowledge for the subcube containing ``x``.
+def eval_grid(model: GridModel, points) -> np.ndarray:
+    """Midpoint of the corner knowledge for the subcube containing each point.
 
     Lower-corner knowledge is the stored value, or -1 when any coordinate of
     the corner lies on the lower boundary; upper-corner knowledge is the
     stored value, or +1 when any coordinate lies on the upper boundary.
+    ``points`` is an (n, d) array; the result has shape (n,).
     """
-    m, d = model.m, model.d
-    if len(x) != d:
-        raise ValueError(f"point has {len(x)} coordinates, model has d={d}")
-    cell = [min(int(float(xj) * m), m - 1) for xj in x]
-    if any(c == 0 for c in cell):
-        lower = -1.0
-    else:
-        lower = float(model.lattice_values[tuple(c - 1 for c in cell)])
-    if any(c == m - 1 for c in cell):
-        upper = 1.0
-    else:
-        upper = float(model.lattice_values[tuple(cell)])
+    m, values = model.m, model.lattice_values
+    cells = np.minimum((as_points(points, model.d) * m).astype(np.int64), m - 1)
+    lower = np.where((cells == 0).any(axis=1), -1.0, values[tuple(np.maximum(cells - 1, 0).T)])
+    upper = np.where((cells == m - 1).any(axis=1), 1.0, values[tuple(np.minimum(cells, m - 2).T)])
     return 0.5 * (lower + upper)
 
 

@@ -32,15 +32,19 @@ with ``c_T = 2**(r|T|) (-1)**(k-|T|) C(d-|T|-1, k-|T|)`` for ``|T| < d``,
 ``c_T = 2**(r d)`` for ``|T| = d`` (at ``k = d`` only the full cell is left),
 and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
 coordinates of ``T``.  Linear and sign models store the nonzero ``c_T S_T``
-in one sorted table (``ProjectionTables``), so a query costs one
-``searchsorted`` over ``#T`` keys.  Where a packed key would not fit in
-int64 or the tables could hold more than ``max(n d, TABLE_ENTRY_FLOOR)``
-entries (a memory limit), they keep the chi route instead: an O(n d) digit
-comparison per query.  Each ``g_i(x)`` of the generalized mode follows from
-integer prefix sums in O(n) after that comparison.  All integer arithmetic
-is exact (Python integers, with a 64-bit fast path when magnitudes provably
-permit).  ``estimate_coefficients`` is
-the explicit coefficient route the identity is checked against.
+in one sorted table (``ProjectionTables``), so a batch of ``m`` queries costs
+one ``searchsorted`` over its ``m #T`` keys.  Where a packed key would not
+fit in int64 or the tables could hold more than ``max(n d,
+TABLE_ENTRY_FLOOR)`` entries (a memory limit), they keep the chi route
+instead: an O(n d) digit comparison per query row.  Each ``g_i(x)`` of the
+generalized mode follows from integer prefix sums in O(n) after that
+comparison.  All integer arithmetic is exact (Python integers, with a 64-bit
+fast path when magnitudes provably permit).  ``estimate_coefficients``, the
+Haar transform of the projected sample histograms, is the explicit
+coefficient route the identity is checked against.
+
+Every evaluation function takes the model and an ``(m, d)`` array of query
+points in [0, 1]^d and returns the ``(m,)`` array of outputs.
 
 Outputs are approximations of the target but carry no monotonicity guarantee
 of their own; only boundedness (outputs in [-1, 1] for the generalized
@@ -51,14 +55,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from typing import Iterable
+from itertools import combinations
 
 import numpy as np
 
 from .budget import check_budget
-from .functions import eval_batch, sign_plus
-from .haar_basis import MultiIndex, cell_of_point, enumerate_indices, index_set_size
+from .functions import as_points, eval_batch
+from .haar_basis import MultiIndex, enumerate_indices, haar_transform, index_set_size
 
 MODES = ("linear", "sign", "generalized")
 
@@ -160,22 +163,6 @@ def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:
     return np.minimum((points * scale).astype(np.int64), scale - 1)
 
 
-def point_keys(x, r: int) -> np.ndarray:
-    """Resolution-r digit keys of a single point."""
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x <= 1.0)).all():  # NaN fails too
-        raise ValueError(f"point {x} outside [0, 1]^d")
-    return _cell_keys(x, r)
-
-
-def match_count(x, sample_keys, r: int) -> int:
-    """Number of coordinates whose resolution-r cells agree between x and a sample."""
-    keys = np.asarray(sample_keys)
-    if len(keys) != len(x):
-        raise ValueError("dimension mismatch between point and digit keys")
-    return int(np.count_nonzero(point_keys(x, r) == keys))
-
-
 def chi_value(b: int, d: int, k: int, r: int) -> int:
     """Contribution table entry for a digit-match count ``b``.
 
@@ -235,53 +222,36 @@ class CoefficientTable:
         return self.values.items()
 
 
-def _support_terms(x, k: int, r: int) -> Iterable[tuple[MultiIndex, float]]:
-    """All (index, basis value) pairs with nonzero basis value at ``x``.
-
-    Per coordinate and level there is exactly one cell containing ``x_j``, so
-    the support enumeration visits ``sum_{l<=k} C(d,l) r**l`` indices instead
-    of the full truncated set.
-    """
-    d = len(x)
-    cells = [[cell_of_point(float(xj), l) for l in range(r + 1)] for xj in x]
-    for l in range(k + 1):
-        for active in combinations(range(d), l):
-            for levels in product(range(r), repeat=l):
-                alphas = [0] * d
-                level_sum = 0
-                negative = False
-                for j, lam in zip(active, levels):
-                    alphas[j] = (1 << lam) + cells[j][lam]
-                    level_sum += lam
-                    if not cells[j][lam + 1] & 1:
-                        negative = not negative
-                value = 2.0 ** (level_sum / 2)
-                yield MultiIndex(tuple(alphas)), -value if negative else value
-
-
 def estimate_coefficients(
     samples: SampleSet, d: int, k: int, r: int, budget: int | None = None
 ) -> CoefficientTable:
     """Sample-mean estimates of every truncated-basis coefficient.
 
-    Each entry is the empirical mean of ``psi_index(X_i) * y_i``.  The
-    accumulation is support-sparse: a sample only touches the indices whose
-    support contains it.
+    Each entry is the empirical mean of ``psi_index(X_i) * y_i``.  The basis
+    functions active on a subset ``T`` of coordinates are constant on the
+    T-projected resolution-r cells, so their estimates are the Haar transform
+    of one histogram per ``T``: the sum of ``y_i`` over each projected cell.
     """
     if samples.n == 0:
         raise ValueError("need at least one sample")
     if samples.d != d:
         raise ValueError(f"samples have d={samples.d}, requested d={d}")
     check_budget(index_set_size(d, k, r).exact, budget, what="coefficient table entries")
-    table = {index: 0.0 for index in enumerate_indices(d, k, r)}
-    for x, y in zip(samples.points, samples.values):
-        if y == 0.0:
-            continue
-        for index, value in _support_terms(x, k, r):
-            table[index] += value * y
-    n = samples.n
-    for index in table:
-        table[index] /= n
+    scale = 1 << r
+    keys = _cell_keys(samples.points, r)
+    by_subset: dict[tuple[int, ...], np.ndarray] = {}
+    table = {}
+    for index in enumerate_indices(d, k, r):
+        active = tuple(j for j, alpha in enumerate(index.alphas) if alpha)
+        if active not in by_subset:
+            t = len(active)
+            # Row-major code of each sample's T-projected cell.
+            codes = keys[:, list(active)] @ scale ** np.arange(t - 1, -1, -1)
+            sums = np.bincount(codes, weights=samples.values, minlength=scale**t)
+            # haar_transform averages over the 2**(r t) cells; the estimate
+            # averages over the n samples instead.
+            by_subset[active] = haar_transform(sums.reshape((scale,) * t), r) * float(scale**t) / samples.n
+        table[index] = float(by_subset[active][tuple(alpha for alpha in index.alphas if alpha)])
     return CoefficientTable(d, k, r, table)
 
 
@@ -311,15 +281,16 @@ def _cell_sums(codes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class ProjectionTables:
-    """``sum_i y_i chi(b_i(x))`` as ``sum_T c_T S_T(x)``, one sorted lookup per query.
+    """``sum_i y_i chi(b_i(x))`` as ``sum_T c_T S_T(x)``, one sorted lookup per batch.
 
     ``S_T(x)`` is the sum of ``y_i`` over the samples that share x's
     resolution-r cell in every coordinate of ``T``.  Row ``t`` of ``pack``
     maps digit keys to the cell code of the ``t``-th subset with ``c_T != 0``
     (``2**(r j)`` for ``j`` in ``T``, 0 elsewhere) and ``offsets[t] = t <<
-    (r d)`` tags it, so ``pack @ keys + offsets`` are the query's keys into
-    ``keys``: every occupied (subset, cell) pair, sorted, led by a sentinel
-    -1 of weight 0.  ``weights`` holds ``c_T S_T`` for each.
+    (r d)`` tags it, so each row of ``digit_keys @ pack.T + offsets`` holds
+    one query's keys into ``keys``: every occupied (subset, cell) pair,
+    sorted, led by a sentinel -1 of weight 0.  ``weights`` holds ``c_T S_T``
+    for each.
     """
 
     pack: np.ndarray
@@ -373,11 +344,11 @@ class ProjectionTables:
             array.flags.writeable = False
         return tables
 
-    def numerator(self, keys: np.ndarray):
-        """``sum_T c_T S_T(x)`` for digit keys of x: a numpy scalar or Python int."""
-        query = self.pack @ keys + self.offsets
+    def numerator(self, keys: np.ndarray) -> np.ndarray:
+        """``sum_T c_T S_T(x)`` for each row of an (m, d) digit-key matrix, in weight dtype."""
+        query = keys @ self.pack.T + self.offsets
         at = np.searchsorted(self.keys, query, side="right") - 1
-        return self.weights[at[self.keys[at] == query]].sum()
+        return np.where(self.keys[at] == query, self.weights[at], 0).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -467,72 +438,80 @@ def fit(oracle, d: int, k: int, r: int, n: int, seed, mode: str) -> WaveletModel
     return WaveletModel(k, mode, samples)
 
 
-def _query_keys(model: WaveletModel, x) -> np.ndarray:
-    keys = point_keys(x, model.r)
-    if keys.shape != (model.d,):
-        raise ValueError(f"point has {keys.size} coordinates, model has d={model.d}")
-    return keys
+def _query_keys(model: WaveletModel, points) -> np.ndarray:
+    """Digit keys of an (m, d) batch of query points, validated once."""
+    return _cell_keys(as_points(points, model.d), model.r)
 
 
-def _chi_at(model: WaveletModel, x) -> np.ndarray:
-    """chi(b_i(x)) for every stored sample, in the model's chi dtype."""
-    return model.chi[(model.samples.digit_keys == _query_keys(model, x)).sum(axis=1)]
+def _chi_at(model: WaveletModel, keys: np.ndarray) -> np.ndarray:
+    """chi(b_i(x)) for every stored sample, from the digit keys of one point x."""
+    return model.chi[(model.samples.digit_keys == keys).sum(axis=1)]
 
 
-def _numerator(model: WaveletModel, x) -> int | float:
-    """``n * h(x)``: an exact integer when every sample value is +-1.
+def _numerators(model: WaveletModel, points) -> np.ndarray:
+    """``n * h(x)`` for every row of an (m, d) batch.
 
     Read off the projection tables when the model has them, else summed
-    over the samples through ``chi``.
+    over the samples through ``chi``, one query row at a time.  When every
+    sample value is +-1 the entries are exact integers (int64, or Python
+    integers where int64 could wrap); floats otherwise.
     """
+    keys = _query_keys(model, points)
     if model.tables is not None:
-        total = model.tables.numerator(_query_keys(model, x))
-    else:
-        total = np.dot(model.y, _chi_at(model, x))
-    return int(total) if model.exact else float(total)
+        return model.tables.numerator(keys)
+    dtype = model.chi.dtype if model.exact else np.float64
+    return np.array([np.dot(model.y, _chi_at(model, row)) for row in keys], dtype=dtype)
 
 
-def reconstruction_value(model: WaveletModel, x) -> float:
-    """Value of the linear reconstruction ``h(x) = (1/n) sum_i y_i chi(b_i(x))``."""
-    return _numerator(model, x) / model.n
+def reconstruction_value(model: WaveletModel, points) -> np.ndarray:
+    """The linear reconstruction ``h(x) = (1/n) sum_i y_i chi(b_i(x))`` at each point."""
+    numerators = _numerators(model, points)
+    if model.exact:
+        # Python's int / int rounds once; an int64 numerator above 2**53
+        # would be rounded to float64 before numpy divides it.
+        return (numerators.astype(object) / model.n).astype(np.float64)
+    return numerators / model.n
 
 
-def eval_linear(model: WaveletModel, x) -> float:
+def eval_linear(model: WaveletModel, points) -> np.ndarray:
     """Linear-mode output: the reconstruction itself."""
     if model.mode != "linear":
         raise ValueError(f"eval_linear requires a linear-mode model, got {model.mode!r}")
-    return reconstruction_value(model, x)
+    return reconstruction_value(model, points)
 
 
-def eval_sign(model: WaveletModel, x) -> float:
+def eval_sign(model: WaveletModel, points) -> np.ndarray:
     """Sign of the linear reconstruction, with sgn(0) = +1.
 
     For sign-valued samples the sign is decided in exact integer arithmetic.
     """
-    return sign_plus(_numerator(model, x))
+    return np.where(_numerators(model, points) >= 0, 1.0, -1.0)
 
 
-def _flip_numerators(model: WaveletModel, x) -> np.ndarray:
-    """Exact integer numerators of n * g_i(x) for i = 0..n.
+def _flip_numerators(model: WaveletModel, keys: np.ndarray) -> np.ndarray:
+    """Exact integer numerators of n * g_i(x) for i = 0..n, from the digit keys of x.
 
     ``g_i`` is the reconstruction with the first ``i`` (value-sorted) samples
     forced to -1 and the remaining ``n - i`` forced to +1, so
     ``n * g_i = S - 2 * T_i`` with ``T_i`` the prefix sums of chi(b).
     """
-    chi_b = _chi_at(model, x)
+    chi_b = _chi_at(model, keys)
     prefix = np.concatenate([np.zeros(1, dtype=chi_b.dtype), np.cumsum(chi_b)])
     return prefix[-1] - 2 * prefix
 
 
-def eval_generalized(model: WaveletModel, x) -> float:
+def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     """Generalized-mode output; always in [-1, 1].
 
     Telescopes the threshold cuts of the sorted values: with sentinels
     ``y_0 = -1`` and ``y_{n+1} = +1`` the output is
-    ``1/2 * sum_i (y_{i+1} - y_i) * sgn(g_i(x))``.  An empty model returns
-    +1 (the sign of the empty reconstruction, with sgn(0) = +1).
+    ``1/2 * sum_i (y_{i+1} - y_i) * sgn(g_i(x))``, formed one query row at a
+    time in O(n) memory.  An empty model returns +1 (the sign of the empty
+    reconstruction, with sgn(0) = +1).
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
-    signs = np.where(_flip_numerators(model, x) >= 0, 1.0, -1.0)
-    return 0.5 * float(np.dot(model.steps, signs))
+    return np.array([
+        0.5 * float(np.dot(model.steps, np.where(_flip_numerators(model, row) >= 0, 1.0, -1.0)))
+        for row in _query_keys(model, points)
+    ], dtype=np.float64)

@@ -1,10 +1,11 @@
 """Monotone test-function families, a monotonicity checker, and oracle helpers.
 
-All oracles are callables mapping a point of ``[0,1]^d`` to a value in
-``[-1, 1]``.  Families constructed here are immutable after construction and
-safe to share across threads.  Each oracle also exposes a ``batch`` method
-taking an ``(n, d)`` array for vectorized evaluation; plain callables without
-``batch`` are accepted everywhere and evaluated pointwise.
+An oracle is a callable mapping an ``(m, d)`` array of points of
+``[0,1]^d`` to the ``(m,)`` array of its values in ``[-1, 1]``; a single
+point is a one-row batch.  Fitted models follow the same protocol through
+``eval_linear``/``eval_sign``/``eval_generalized``/``eval_grid(model,
+points)``.  Families constructed here are immutable after construction and
+safe to share across threads.
 
 Sign convention: ``sgn(0) = +1`` throughout, so sign-valued oracles never
 return zero.
@@ -12,7 +13,6 @@ return zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, FrozenSet
@@ -20,20 +20,27 @@ from typing import Callable, FrozenSet
 import numpy as np
 
 from .budget import check_budget
-from .haar_basis import cell_of_point
-
-
-def sign_plus(v: float) -> float:
-    """Sign with the convention sgn(0) = +1."""
-    return 1.0 if v >= 0.0 else -1.0
 
 
 def eval_batch(oracle, points: np.ndarray) -> np.ndarray:
-    """Evaluate an oracle on an (n, d) array, using its batch path if present."""
-    batch = getattr(oracle, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(points), dtype=float)
-    return np.fromiter((oracle(p) for p in points), dtype=float, count=len(points))
+    """Evaluate an oracle on an (m, d) array; its values must have shape (m,)."""
+    values = np.asarray(oracle(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(
+            f"oracle returned shape {values.shape} for {len(points)} points; "
+            f"expected ({len(points)},)"
+        )
+    return values
+
+
+def as_points(points, d: int) -> np.ndarray:
+    """``points`` as a float (m, d) array inside [0, 1]^d, or ValueError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"points must have shape (m, {d}), got {pts.shape}")
+    if not ((pts >= 0.0) & (pts <= 1.0)).all():  # NaN fails too
+        raise ValueError("points must lie in [0, 1]^d")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,7 @@ class Boxbslash:
         if self.d < 1:
             raise ValueError("d must be positive")
 
-    def __call__(self, x) -> float:
-        return sign_plus(math.fsum(x) - self.d / 2.0)
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points) -> np.ndarray:
         s = np.asarray(points, dtype=float).sum(axis=1) - self.d / 2.0
         return np.where(s >= 0.0, 1.0, -1.0)
 
@@ -99,14 +103,7 @@ class StepFamily:
     def denominator(self) -> int:
         return self.d * (self.m - 1) + 1
 
-    def value_on_cell(self, cell: tuple[int, ...]) -> float:
-        return 2.0 * (sum(cell) + int(self.delta[cell])) / self.denominator - 1.0
-
-    def __call__(self, x) -> float:
-        cell = tuple(min(int(xj * self.m), self.m - 1) for xj in x)
-        return self.value_on_cell(cell)
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         cells = np.minimum((pts * self.m).astype(np.int64), self.m - 1)
         level = cells.sum(axis=1) + self.delta[tuple(cells.T)]
@@ -140,9 +137,8 @@ class LevelSetFunction:
     lies below the vertex; otherwise +1.  Members of ``U`` all have weight
     ``t``, and ``t <= b <= d``.
 
-    ``U`` is stored as a hash set of bit-packed vertices.  A witness query
-    scans whichever enumeration is smaller: the members of ``U`` or the
-    weight-t subvectors of the query vertex.
+    ``U`` is stored as a set of bit-packed vertices; a batch tests every
+    member against all query vertices at once.
     """
 
     d: int
@@ -157,32 +153,7 @@ class LevelSetFunction:
             if u < 0 or u >= (1 << self.d) or u.bit_count() != self.t:
                 raise ValueError(f"member {u:b} does not have weight {self.t}")
 
-    def _has_witness(self, mask: int, weight: int) -> bool:
-        if weight < self.t:
-            return False
-        n_sub = math.comb(weight, self.t)
-        if len(self.members) <= n_sub:
-            return any((mask & u) == u for u in self.members)
-        bits = [j for j in range(self.d) if mask >> j & 1]
-        for combo in combinations(bits, self.t):
-            if sum(1 << j for j in combo) in self.members:
-                return True
-        return False
-
-    def value_on_vertex(self, mask: int) -> float:
-        weight = mask.bit_count()
-        if weight > self.b:
-            return 1.0
-        return 1.0 if self._has_witness(mask, weight) else -1.0
-
-    def __call__(self, x) -> float:
-        mask = 0
-        for j, xj in enumerate(x):
-            if cell_of_point(xj, 1):
-                mask |= 1 << j
-        return self.value_on_vertex(mask)
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         bits = pts >= 0.5
         weights = bits.sum(axis=1)
@@ -220,10 +191,7 @@ class _Thresholded:
         self.oracle = oracle
         self.t = t
 
-    def __call__(self, x) -> float:
-        return sign_plus(self.oracle(x) - self.t)
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points) -> np.ndarray:
         vals = eval_batch(self.oracle, points)
         return np.where(vals >= self.t, 1.0, -1.0)
 
@@ -242,10 +210,7 @@ class Affine:
 
     d: int
 
-    def __call__(self, x) -> float:
-        return 2.0 * math.fsum(x) / self.d - 1.0
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points) -> np.ndarray:
         return 2.0 * np.asarray(points, dtype=float).sum(axis=1) / self.d - 1.0
 
 
@@ -255,14 +220,7 @@ class _Snapped:
         self.d = d
         self.r = r
 
-    def _mid(self, x) -> list[float]:
-        scale = 1 << self.r
-        return [(cell_of_point(xj, self.r) + 0.5) / scale for xj in x]
-
-    def __call__(self, x) -> float:
-        return self.oracle(self._mid(x))
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         scale = 1 << self.r
         cells = np.minimum((pts * scale).astype(np.int64), scale - 1)

@@ -29,6 +29,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 #: Level tag for the constant index alpha = 0 (no dyadic level exists there).
 LEVEL_BOTTOM = None
 
@@ -184,6 +186,29 @@ def psi_d(index: MultiIndex, x) -> float:
             return 0.0
         out *= v
     return out
+
+
+def _haar_transform_matrix(r: int) -> np.ndarray:
+    scale = 1 << r
+    mids = (np.arange(scale) + 0.5) / scale
+    matrix = np.empty((scale, scale))
+    for alpha in range(scale):
+        matrix[alpha] = [psi_1d(alpha, x) for x in mids]
+    return matrix / scale
+
+
+def haar_transform(cell_values: np.ndarray, r: int) -> np.ndarray:
+    """Haar coefficients of a function constant on resolution-r cells.
+
+    ``cell_values`` has one axis of length ``2**r`` per coordinate, entry
+    ``[c_1, ..., c_t]`` being the value on that cell.  Entry ``[alpha_1, ...,
+    alpha_t]`` of the result is the coefficient of the tensor basis function
+    with those indices (every level below r).
+    """
+    matrix = _haar_transform_matrix(r)
+    for axis in range(cell_values.ndim):
+        cell_values = np.moveaxis(np.tensordot(matrix, cell_values, axes=(1, axis)), 0, axis)
+    return cell_values
 
 
 def _validate_dkr(d: int, k: int, r: int) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from .approx_mc import CoefficientTable
 from .budget import check_budget
 from .functions import eval_batch
-from .haar_basis import MultiIndex, enumerate_indices, psi_1d, split_index
+from .haar_basis import MultiIndex, enumerate_indices, haar_transform, psi_1d, split_index
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,6 @@ def exact_coefficient(
     return math.fsum(basis * values) / len(points)
 
 
-def _haar_transform_matrix(r: int) -> np.ndarray:
-    scale = 1 << r
-    mids = (np.arange(scale) + 0.5) / scale
-    matrix = np.empty((scale, scale))
-    for alpha in range(scale):
-        matrix[alpha] = [psi_1d(alpha, x) for x in mids]
-    return matrix / scale
-
-
 def coefficient_tensor(f, d: int, r: int, budget: int | None = None) -> np.ndarray:
     """All exact coefficients with levels below r, as a (2**r,)*d tensor.
 
@@ -137,11 +128,7 @@ def coefficient_tensor(f, d: int, r: int, budget: int | None = None) -> np.ndarr
     function with those one-dimensional indices.  Requires ``f`` constant on
     resolution-r cells.
     """
-    tensor = grid_midpoint_values(f, d, r, budget)
-    matrix = _haar_transform_matrix(r)
-    for axis in range(d):
-        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
-    return tensor
+    return haar_transform(grid_midpoint_values(f, d, r, budget), r)
 
 
 def exact_coefficient_table(

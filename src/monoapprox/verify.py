@@ -115,7 +115,7 @@ def _check_flip_recursion() -> CheckResult:
     model = approx_mc.fit(functions.boxbslash(d), d, k, r, n, rng, "generalized")
     for _ in range(20):
         x = rng.random(d)
-        numerators = approx_mc._flip_numerators(model, x)
+        numerators = approx_mc._flip_numerators(model, approx_mc._cell_keys(x, r))
         g0 = float(numerators[0]) / n
         brute = math.fsum(
             haar_basis.psi_d(index, sx) * haar_basis.psi_d(index, x)
@@ -137,10 +137,10 @@ def _check_sign_collapse() -> CheckResult:
         seed = int(rng.integers(2**31))
         sign_model = approx_mc.fit(oracle, d, 1, 2, 64, seed, "sign")
         gen_model = approx_mc.fit(oracle, d, 1, 2, 64, seed, "generalized")
-        for _ in range(100):
-            x = rng.random(d)
-            if approx_mc.eval_sign(sign_model, x) != approx_mc.eval_generalized(gen_model, x):
-                return False, f"sign/generalized outputs differ at {x}"
+        xs = rng.random((100, d))
+        differ = approx_mc.eval_sign(sign_model, xs) != approx_mc.eval_generalized(gen_model, xs)
+        if differ.any():
+            return False, f"sign/generalized outputs differ at {xs[differ][0]}"
     return True, "generalized output collapses to the sign output on sign-valued data"
 
 
@@ -148,10 +148,10 @@ def _check_generalized_bounded() -> CheckResult:
     rng = np.random.default_rng(13)
     smooth = functions.Affine(3)
     model = approx_mc.fit(smooth, 3, 2, 2, 50, 99, "generalized")
-    for _ in range(200):
-        value = approx_mc.eval_generalized(model, rng.random(3))
-        if not -1.0 <= value <= 1.0:
-            return False, f"output {value} escapes [-1, 1]"
+    values = approx_mc.eval_generalized(model, rng.random((200, 3)))
+    escaped = ~(np.abs(values) <= 1.0)  # NaN escapes too
+    if escaped.any():
+        return False, f"output {values[escaped][0]} escapes [-1, 1]"
     return True, "generalized outputs stay in [-1, 1]"
 
 
@@ -186,7 +186,7 @@ def _check_grid_guarantee() -> CheckResult:
     for bits in product((0, 1), repeat=4):
         truth = functions.step_function(2, 2, np.array(bits).reshape(2, 2))
         model = approx_det.fit_grid(truth, 2, 2)
-        err = metrics.l1_exact_dyadic(truth, lambda x: approx_det.eval_grid(model, x), 2, 1)
+        err = metrics.l1_exact_dyadic(truth, lambda points: approx_det.eval_grid(model, points), 2, 1)
         worst = max(worst, err.value)
         if err.value > approx_det.grid_error_bound(2, 2):
             return False, f"error {err.value} exceeds d/m for bits {bits}"
@@ -197,12 +197,11 @@ def _check_grid_sandwich() -> CheckResult:
     rng = np.random.default_rng(17)
     truth = functions.level_set_function(3, 1, 3, functions.sample_U(3, 1, 0.5, 4))
     model = approx_det.fit_grid(truth, 3, 4)
-    for _ in range(200):
-        x = rng.random(3)
+    xs = rng.random((200, 3))
+    for x, out in zip(xs, approx_det.eval_grid(model, xs)):
         cell = [min(int(xj * 4), 3) for xj in x]
         lower = -1.0 if 0 in cell else float(model.lattice_values[tuple(c - 1 for c in cell)])
         upper = 1.0 if 3 in cell else float(model.lattice_values[tuple(cell)])
-        out = approx_det.eval_grid(model, x)
         if not min(lower, upper) - 1e-12 <= out <= max(lower, upper) + 1e-12:
             return False, f"output escapes corner knowledge at {x}"
     return True, "outputs sandwiched between corner knowledge"
@@ -213,7 +212,7 @@ def _check_grid_rate() -> CheckResult:
     truth = functions.Affine(1)
     for m in (16, 32, 64, 128):
         model = approx_det.fit_grid(truth, 1, m)
-        err = metrics.l1_mc(truth, lambda x: approx_det.eval_grid(model, x), 1, 20000, (2, m))
+        err = metrics.l1_mc(truth, lambda points: approx_det.eval_grid(model, points), 1, 20000, (2, m))
         pts.append(((m - 1) ** 1, err.value))
     slope = metrics.fit_rate(pts)
     return abs(slope + 1.0) <= 0.1, f"d=1 slope {slope:.3f} (want -1 +- 0.1)"
@@ -236,9 +235,9 @@ def _check_threshold_monotone() -> CheckResult:
     rng = np.random.default_rng(23)
     oracle = functions.step_function(2, 4, functions.random_delta(2, 4, 3))
     for _ in range(200):
-        x = rng.random(2)
+        x = rng.random((1, 2))
         t0, t1 = sorted(rng.uniform(-1.2, 1.2, size=2))
-        if functions.threshold(oracle, t0)(x) < functions.threshold(oracle, t1)(x):
+        if functions.threshold(oracle, t0)(x)[0] < functions.threshold(oracle, t1)(x)[0]:
             return False, f"threshold output increased in t at {x}"
     return True, "threshold outputs nonincreasing in t"
 
@@ -250,9 +249,8 @@ def _check_parseval() -> CheckResult:
         values = rng.uniform(-1, 1, size=((1 << r),) * d)
         scale = 1 << r
 
-        def oracle(x, values=values, scale=scale):
-            cell = tuple(min(int(xj * scale), scale - 1) for xj in x)
-            return float(values[cell])
+        def oracle(points, values=values, scale=scale):
+            return values[tuple(np.minimum((points * scale).astype(np.int64), scale - 1).T)]
 
         tensor = metrics.coefficient_tensor(oracle, d, r)
         l2_sq = float((values**2).sum()) / scale**d

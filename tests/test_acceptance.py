@@ -155,9 +155,9 @@ def test_criterion_05_generalized_collapses_to_sign():
         seed = 10_000 + trial
         sign_model = fit(truth, d, k, r, n, seed, "sign")
         gen_model = fit(truth, d, k, r, n, seed, "generalized")
-        for x in rng.random((1000, d)):
-            assert eval_sign(sign_model, x) == eval_generalized(gen_model, x)
-            checked += 1
+        xs = rng.random((1000, d))
+        assert np.array_equal(eval_sign(sign_model, xs), eval_generalized(gen_model, xs))
+        checked += len(xs)
     report(5, f"{checked} probe evaluations, exact sign agreement on 20 fits")
 
 
@@ -189,8 +189,8 @@ def test_criterion_07_parseval():
             scale = 1 << r
             cells = rng.uniform(-1.0, 1.0, size=(scale,) * d)
 
-            def oracle(x, cells=cells, scale=scale):
-                return float(cells[tuple(min(int(v * scale), scale - 1) for v in x)])
+            def oracle(points, cells=cells, scale=scale):
+                return cells[tuple(np.minimum((points * scale).astype(np.int64), scale - 1).T)]
 
             tensor = coefficient_tensor(oracle, d, r)
             l2_squared = float((cells**2).sum()) / scale**d
@@ -229,14 +229,14 @@ def test_criterion_09_grid_guarantee():
     for bits in product((0, 1), repeat=4):
         truth = step_function(2, 2, np.array(bits).reshape(2, 2))
         model = fit_grid(truth, 2, 2)
-        err = l1_exact_dyadic(truth, lambda x: eval_grid(model, x), 2, 1)
+        err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 2, 1)
         if err.value > grid_error_bound(2, 2) + 1e-12:
             violations += 1
     for trial in range(50):
         truth = level_set_function(3, 1, 3, sample_U(3, 1, 0.4, 300 + trial))
         for m in (2, 4):
             model = fit_grid(truth, 3, m)
-            err = l1_exact_dyadic(truth, lambda x: eval_grid(model, x), 3, m.bit_length() - 1)
+            err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 3, m.bit_length() - 1)
             if err.value > grid_error_bound(3, m) + 1e-12:
                 violations += 1
     assert violations == 0
@@ -306,7 +306,7 @@ def test_criterion_12_end_to_end_error_below_bound():
             truth = _end_to_end_truth(d, rep)
             model = fit(truth, d, params.k, params.r, n_used,
                         np.random.SeedSequence((55, d, rep)), "sign")
-            err = l1_mc(truth, lambda x: eval_sign(model, x), d, 1000,
+            err = l1_mc(truth, lambda points: eval_sign(model, points), d, 1000,
                         np.random.SeedSequence((56, d, rep)))
             errors.append(err.value)
         mean_error = float(np.mean(errors))
@@ -338,8 +338,8 @@ def test_criterion_12_formula_n_error_below_exact_tail_bound():
         model = fit(truth, d, params.k, params.r, params.n,
                     np.random.SeedSequence((55, d, rep)), "sign")
         probe_seed = np.random.SeedSequence((56, d, rep))
-        errors.append(l1_mc(truth, lambda x: eval_sign(model, x), d, 1000, probe_seed).value)
-        constant.append(l1_mc(truth, lambda x: 1.0, d, 1000, probe_seed).value)
+        errors.append(l1_mc(truth, lambda points: eval_sign(model, points), d, 1000, probe_seed).value)
+        constant.append(l1_mc(truth, lambda points: np.ones(len(points)), d, 1000, probe_seed).value)
     mean_error, mean_constant = float(np.mean(errors)), float(np.mean(constant))
     assert mean_error <= bound
     assert mean_constant > bound

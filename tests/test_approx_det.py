@@ -32,36 +32,35 @@ def test_fit_grid_budget_and_warning():
     with pytest.raises(BudgetExceededError):
         fit_grid(boxbslash(2), 2, 1000, budget=100)
     with pytest.warns(UserWarning):
-        fit_grid(lambda x: -x[0], 1, 4)
+        fit_grid(lambda x: -x[:, 0], 1, 4)
 
 
 def test_eval_grid_d1_closed_form():
     model = fit_grid(Affine(1), 1, 2)
-    assert eval_grid(model, (0.2,)) == -0.5
-    assert eval_grid(model, (0.7,)) == 0.5
+    assert eval_grid(model, [[0.2], [0.7]]).tolist() == [-0.5, 0.5]
     # Exact error 1/4 (each half contributes (1/m)^2 / 2 = 1/8): midpoint
     # Riemann sum over a fine grid pins it down well below tolerance.
     fine = 1 << 12
     mids = (np.arange(fine) + 0.5) / fine
-    error = np.mean([abs(2 * x - 1 - eval_grid(model, (x,))) for x in mids])
+    error = np.mean(np.abs(2 * mids - 1 - eval_grid(model, mids[:, None])))
     assert error == pytest.approx(0.25, abs=1e-6)
     assert 0.25 <= grid_error_bound(1, 2)
 
 
 def test_eval_grid_boundary_conventions():
-    always_one = fit_grid(lambda x: 1.0, 2, 2)
-    assert eval_grid(always_one, (0.25, 0.25)) == 0.0  # lower corner is boundary -1
-    assert eval_grid(always_one, (0.75, 0.75)) == 1.0  # upper corner is boundary +1
+    always_one = fit_grid(lambda x: np.ones(len(x)), 2, 2)
+    # The lower corner of the first cell is boundary -1, the upper corner of the last +1.
+    assert eval_grid(always_one, [[0.25, 0.25], [0.75, 0.75]]).tolist() == [0.0, 1.0]
 
-    const = fit_grid(lambda x: 0.25, 1, 3)
-    assert eval_grid(const, (0.1,)) == pytest.approx((-1 + 0.25) / 2)
-    assert eval_grid(const, (0.5,)) == pytest.approx(0.25)
-    assert eval_grid(const, (0.9,)) == pytest.approx((0.25 + 1) / 2)
+    const = fit_grid(lambda x: np.full(len(x), 0.25), 1, 3)
+    assert eval_grid(const, [[0.1], [0.5], [0.9]]) == pytest.approx(
+        [(-1 + 0.25) / 2, 0.25, (0.25 + 1) / 2])
 
 
 def test_eval_grid_x_equal_one_uses_top_cell():
     model = fit_grid(Affine(2), 2, 4)
-    assert eval_grid(model, (1.0, 1.0)) == eval_grid(model, (0.99, 0.99))
+    at_one, below = eval_grid(model, [[1.0, 1.0], [0.99, 0.99]])
+    assert at_one == below
 
 
 def test_grid_error_bound_examples():
@@ -83,7 +82,7 @@ def test_grid_guarantee_on_step_family_exhaustive():
     for bits in product((0, 1), repeat=4):
         truth = step_function(2, 2, np.array(bits).reshape(2, 2))
         model = fit_grid(truth, 2, 2)
-        err = l1_exact_dyadic(truth, lambda x: eval_grid(model, x), 2, 1)
+        err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 2, 1)
         assert err.value <= grid_error_bound(2, 2) + 1e-12
 
 
@@ -94,7 +93,7 @@ def test_grid_guarantee_on_level_set_truths():
         for m in (2, 4):
             model = fit_grid(truth, 3, m)
             resolution = m.bit_length() - 1
-            err = l1_exact_dyadic(truth, lambda x: eval_grid(model, x), 3, resolution)
+            err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 3, resolution)
             assert err.value <= grid_error_bound(3, m) + 1e-12
 
 
@@ -102,11 +101,35 @@ def test_grid_output_sandwiched_by_corner_knowledge():
     truth = step_function(2, 4, random_delta(2, 4, 1))
     model = fit_grid(truth, 2, 4)
     rng = np.random.default_rng(5)
-    for x in rng.random((200, 2)):
+    points = rng.random((200, 2))
+    for x, out in zip(points, eval_grid(model, points)):
         cell = [min(int(xj * 4), 3) for xj in x]
         lower = -1.0 if 0 in cell else model.lattice_values[tuple(c - 1 for c in cell)]
         upper = 1.0 if 3 in cell else model.lattice_values[tuple(cell)]
-        assert min(lower, upper) - 1e-12 <= eval_grid(model, x) <= max(lower, upper) + 1e-12
+        assert min(lower, upper) - 1e-12 <= out <= max(lower, upper) + 1e-12
+
+
+def test_eval_grid_batch_matches_corner_rule():
+    # The corner rule point by point, at random points and at coordinates
+    # 0, exactly i/m and 1.0, where the cell index changes.
+    rng = np.random.default_rng(19)
+    for d, m in ((1, 5), (2, 4), (3, 3), (2, 2)):
+        model = fit_grid(step_function(d, m, random_delta(d, m, d * m)), d, m)
+        edges = np.arange(m + 1) / m
+        points = np.concatenate([rng.random((300, d)), rng.choice(edges, (300, d))])
+        for x, out in zip(points, eval_grid(model, points)):
+            cell = [min(int(xj * m), m - 1) for xj in x]
+            lower = -1.0 if 0 in cell else float(model.lattice_values[tuple(c - 1 for c in cell)])
+            upper = 1.0 if m - 1 in cell else float(model.lattice_values[tuple(cell)])
+            assert out == 0.5 * (lower + upper)
+
+
+def test_eval_grid_rejects_malformed_points():
+    model = fit_grid(Affine(2), 2, 4)
+    for bad in ([0.5, 0.5], [[0.5, 0.5, 0.5]], [[np.nan, 0.5]], [[np.inf, 0.5]],
+                [[-0.1, 0.5]], [[0.5, 1.5]]):
+        with pytest.raises(ValueError):
+            eval_grid(model, bad)
 
 
 def test_grid_convergence_rates():
@@ -115,6 +138,6 @@ def test_grid_convergence_rates():
         points = []
         for m in m_grid:
             model = fit_grid(truth, d, m)
-            err = l1_mc(truth, lambda x: eval_grid(model, x), d, 30000, (d, m))
+            err = l1_mc(truth, lambda points: eval_grid(model, points), d, 30000, (d, m))
             points.append(((m - 1) ** d, err.value))
         assert fit_rate(points) == pytest.approx(target, abs=tol)

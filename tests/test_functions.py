@@ -9,6 +9,7 @@ from monoapprox.budget import BudgetExceededError
 from monoapprox.functions import (
     Affine,
     boxbslash,
+    eval_batch,
     family_from_spec,
     is_monotone_on_grid,
     level_set_function,
@@ -22,27 +23,35 @@ from monoapprox.functions import (
 
 def test_boxbslash_examples():
     f2 = boxbslash(2)
-    assert f2((0.9, 0.8)) == 1.0
-    assert f2((0.5, 0.5)) == 1.0  # sgn(0) = +1
-    assert boxbslash(3)((0.1, 0.2, 0.3)) == -1.0
+    assert f2([[0.9, 0.8], [0.5, 0.5]]).tolist() == [1.0, 1.0]  # sgn(0) = +1
+    assert boxbslash(3)([[0.1, 0.2, 0.3]]).tolist() == [-1.0]
 
 
 def test_boxbslash_batch_matches_scalar():
     f = boxbslash(3)
     rng = np.random.default_rng(0)
     points = rng.random((100, 3))
-    assert np.array_equal(f.batch(points), [f(p) for p in points])
+    # The sum rule, point by point: sgn(sum_j x_j - d/2) with sgn(0) = +1.
+    expected = [1.0 if math.fsum(p) - 1.5 >= 0.0 else -1.0 for p in points]
+    assert np.array_equal(f(points), expected)
+
+
+def test_eval_batch_requires_one_value_per_point():
+    points = np.full((3, 2), 0.5)
+    assert eval_batch(boxbslash(2), points).shape == (3,)
+    # Leftover pointwise callables return a row, a scalar or the points.
+    for pointwise in (lambda x: x[0], lambda x: 1.0, lambda x: x):
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            eval_batch(pointwise, points)
 
 
 def test_step_function_examples():
     flat = step_function(1, 2, [0, 0])
-    assert flat((0.2,)) == -1.0
-    assert flat((0.7,)) == 0.0
+    assert flat([[0.2], [0.7]]).tolist() == [-1.0, 0.0]
     lifted = step_function(1, 2, [1, 1])
-    assert lifted((0.2,)) == 0.0
-    assert lifted((0.7,)) == 1.0
+    assert lifted([[0.2], [0.7]]).tolist() == [0.0, 1.0]
     plane = step_function(2, 2, [[0, 0], [0, 0]])
-    assert plane((0.9, 0.9)) == pytest.approx(1 / 3)
+    assert plane([[0.9, 0.9]])[0] == pytest.approx(1 / 3)
 
 
 def test_step_function_monotone_for_every_delta():
@@ -65,16 +74,14 @@ def test_random_delta_reproducible():
 def test_level_set_examples():
     # No witness set: pure weight threshold at b.
     f = level_set_function(3, 1, 2, [])
-    assert f((0.9, 0.9, 0.9)) == 1.0  # weight 3 > b
-    assert f((0.9, 0.9, 0.1)) == -1.0  # weight 2 <= b, no witness
+    # Weight 3 > b gives +1; weight 2 <= b with no witness gives -1.
+    assert f([[0.9, 0.9, 0.9], [0.9, 0.9, 0.1]]).tolist() == [1.0, -1.0]
     # Full witness set with b = d: +1 exactly at weight >= t.
     full = level_set_function(3, 2, 3, [u for u in range(8) if bin(u).count("1") == 2])
-    assert full((0.9, 0.9, 0.1)) == 1.0
-    assert full((0.9, 0.1, 0.1)) == -1.0
+    assert full([[0.9, 0.9, 0.1], [0.9, 0.1, 0.1]]).tolist() == [1.0, -1.0]
     # Single witness not below the point.
     g = level_set_function(3, 1, 3, [(1, 0, 0)])
-    assert g((0.1, 0.9, 0.9)) == -1.0
-    assert g((0.9, 0.1, 0.1)) == 1.0
+    assert g([[0.1, 0.9, 0.9], [0.9, 0.1, 0.1]]).tolist() == [-1.0, 1.0]
 
 
 def test_level_set_rejects_wrong_weight_member():
@@ -86,7 +93,13 @@ def test_level_set_batch_matches_scalar():
     truth = level_set_function(4, 2, 3, sample_U(4, 2, 0.5, 7))
     rng = np.random.default_rng(1)
     points = rng.random((200, 4))
-    assert np.array_equal(truth.batch(points), [truth(p) for p in points])
+    expected = []
+    for p in points:
+        # Brute-force up-set membership of the half-split vertex of p.
+        mask = sum(1 << j for j, v in enumerate(p) if v >= 0.5)
+        witnessed = any(mask & u == u for u in truth.members)
+        expected.append(1.0 if mask.bit_count() > truth.b or witnessed else -1.0)
+    assert np.array_equal(truth(points), expected)
 
 
 def test_level_set_monotone_under_bit_flips():
@@ -94,11 +107,13 @@ def test_level_set_monotone_under_bit_flips():
     for seed in range(5):
         d = 6
         truth = level_set_function(d, 2, 4, sample_U(d, 2, 0.35, seed))
+        # Row ``mask`` is the point of the vertex: 0.75 on its set bits, 0.25 elsewhere.
+        vertices = [[0.75 if mask >> j & 1 else 0.25 for j in range(d)] for mask in range(1 << d)]
+        values = truth(vertices)
         for mask in range(1 << d):
-            value = truth.value_on_vertex(mask)
             for j in range(d):
                 if not mask >> j & 1:
-                    assert truth.value_on_vertex(mask | 1 << j) >= value
+                    assert values[mask | 1 << j] >= values[mask]
 
 
 def test_sample_U_membership_probability():
@@ -108,12 +123,11 @@ def test_sample_U_membership_probability():
 
 
 def test_threshold_examples():
-    assert threshold(lambda x: 0.0, 0.0)((0.5,)) == 1.0  # sgn(0) = +1
+    assert threshold(lambda x: np.zeros(len(x)), 0.0)([[0.5]]).tolist() == [1.0]  # sgn(0) = +1
     ramp = Affine(1)
     cut = threshold(ramp, 0.0)
-    assert cut((0.25,)) == -1.0
-    assert cut((0.5,)) == 1.0
-    assert threshold(ramp, -2.0)((0.1,)) == 1.0
+    assert cut([[0.25], [0.5]]).tolist() == [-1.0, 1.0]
+    assert threshold(ramp, -2.0)([[0.1]]).tolist() == [1.0]
 
 
 @settings(max_examples=50)
@@ -124,12 +138,13 @@ def test_threshold_examples():
 def test_threshold_nonincreasing_in_t(t0, t1, x0, x1):
     low, high = sorted((t0, t1))
     oracle = boxbslash(2)
-    assert threshold(oracle, low)((x0, x1)) >= threshold(oracle, high)((x0, x1))
+    point = [[x0, x1]]
+    assert threshold(oracle, low)(point)[0] >= threshold(oracle, high)(point)[0]
 
 
 def test_is_monotone_on_grid_examples():
     assert is_monotone_on_grid(boxbslash(3), 3, 4)
-    assert not is_monotone_on_grid(lambda x: -x[0], 1, 4)
+    assert not is_monotone_on_grid(lambda x: -x[:, 0], 1, 4)
 
 
 def test_is_monotone_budget():
@@ -139,20 +154,23 @@ def test_is_monotone_budget():
 
 def test_snap_to_grid_is_piecewise_constant_and_monotone():
     snapped = snap_to_grid(boxbslash(2), 2, 2)
-    assert snapped((0.30, 0.10)) == snapped((0.49, 0.24))
+    first, second = snapped([[0.30, 0.10], [0.49, 0.24]])
+    assert first == second
     assert is_monotone_on_grid(snapped, 2, 8)
     rng = np.random.default_rng(3)
     points = rng.random((100, 2))
-    assert np.array_equal(snapped.batch(points), [snapped(p) for p in points])
+    # Evaluation at the midpoint of each point's resolution-2 cell.
+    mids = [[(min(int(v * 4), 3) + 0.5) / 4 for v in p] for p in points]
+    assert np.array_equal(snapped(points), boxbslash(2)(mids))
 
 
 def test_family_from_spec():
-    assert family_from_spec("boxbslash", 2, 0)((0.9, 0.9)) == 1.0
-    assert family_from_spec("affine", 2, 0)((0.5, 0.5)) == 0.0
+    assert family_from_spec("boxbslash", 2, 0)([[0.9, 0.9]]).tolist() == [1.0]
+    assert family_from_spec("affine", 2, 0)([[0.5, 0.5]]).tolist() == [0.0]
     step = family_from_spec("step:m=4", 2, 11)
     assert is_monotone_on_grid(step, 2, 4)
     level = family_from_spec("levelset:t=1,b=2,p=0.5", 3, 11)
-    assert level((0.9, 0.9, 0.9)) == 1.0
+    assert level([[0.9, 0.9, 0.9]]).tolist() == [1.0]
     with pytest.raises(ValueError):
         family_from_spec("unknown", 2, 0)
     with pytest.raises(ValueError):

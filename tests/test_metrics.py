@@ -37,15 +37,15 @@ def test_error_estimate_invariants():
 def test_l1_exact_examples():
     same = boxbslash(2)
     assert l1_exact_dyadic(same, same, 2, 1).value == 0.0
-    err = l1_exact_dyadic(boxbslash(1), lambda x: 1.0, 1, 1)
+    err = l1_exact_dyadic(boxbslash(1), lambda x: np.ones(len(x)), 1, 1)
     assert err.value == pytest.approx(1.0)
     assert err.exact and err.std_error == 0.0
-    assert l1_exact_dyadic(boxbslash(2), lambda x: 0.0, 2, 1).value == pytest.approx(1.0)
+    assert l1_exact_dyadic(boxbslash(2), lambda x: np.zeros(len(x)), 2, 1).value == pytest.approx(1.0)
 
 
 def test_l1_exact_rejects_non_piecewise_input():
     with pytest.raises(ValueError):
-        l1_exact_dyadic(lambda x: x[0], boxbslash(1), 1, 2)
+        l1_exact_dyadic(lambda x: x[:, 0], boxbslash(1), 1, 2)
 
 
 def test_l1_exact_budget():
@@ -67,7 +67,7 @@ def test_l1_mc_examples():
     assert est.value == 0.0 and est.std_error == 0.0
     flipped = l1_mc(boxbslash(2), lambda x: -boxbslash(2)(x), 2, 100, 0)
     assert flipped.value == pytest.approx(2.0)
-    assert l1_mc(lambda x: 1.0, lambda x: 0.0, 2, 100, 0).value == pytest.approx(1.0)
+    assert l1_mc(lambda x: np.ones(len(x)), lambda x: np.zeros(len(x)), 2, 100, 0).value == pytest.approx(1.0)
     with pytest.raises(ValueError):
         l1_mc(same, same, 2, 1, 0)
 
@@ -81,7 +81,7 @@ def test_l1_mc_within_four_std_errors_of_exact():
 
 
 def test_exact_coefficient_examples():
-    const = lambda x: 0.375
+    const = lambda x: np.full(len(x), 0.375)
     assert exact_coefficient(const, MultiIndex.of(0, 0), 2, 2) == pytest.approx(0.375)
     assert exact_coefficient(const, MultiIndex.of(1, 0), 2, 2) == pytest.approx(0.0, abs=1e-15)
     assert exact_coefficient(boxbslash(1), MultiIndex.of(1), 1, 2) == pytest.approx(1.0)
@@ -113,9 +113,8 @@ def test_parseval_at_resolution():
         scale = 1 << r
         cells = rng.uniform(-1.0, 1.0, size=(scale,) * d)
 
-        def oracle(x):
-            key = tuple(min(int(xj * scale), scale - 1) for xj in x)
-            return float(cells[key])
+        def oracle(points):
+            return cells[tuple(np.minimum((points * scale).astype(np.int64), scale - 1).T)]
 
         tensor = coefficient_tensor(oracle, d, r)
         l2_squared = float((cells**2).sum()) / scale**d
@@ -126,7 +125,7 @@ def test_tail_mass_examples():
     truth = snap_to_grid(boxbslash(2), 2, 2)
     assert tail_mass(truth, 2, 2, 2) == 0.0  # k = d leaves nothing out
     single_variable = step_function(1, 4, random_delta(1, 4, 2))
-    lifted = lambda x: single_variable((x[0],))
+    lifted = lambda x: single_variable(x[:, :1])
     assert tail_mass(lifted, 3, 1, 2) == pytest.approx(0.0, abs=1e-15)
     assert tail_mass(truth, 2, 1, 2) <= math.sqrt(2 * 2) / 2
 
