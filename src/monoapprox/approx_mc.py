@@ -31,17 +31,23 @@ expands over coordinate subsets ``T`` with ``|T| <= k``:
 with ``c_T = 2**(r|T|) (-1)**(k-|T|) C(d-|T|-1, k-|T|)`` for ``|T| < d``,
 ``c_T = 2**(r d)`` for ``|T| = d`` (at ``k = d`` only the full cell is left),
 and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
-coordinates of ``T``.  Linear and sign models store the nonzero ``c_T S_T``
-in one sorted table (``ProjectionTables``), so a batch of ``m`` queries costs
-one ``searchsorted`` over its ``m #T`` keys.  Where a packed key would not
+coordinates of ``T``.  Models store the nonzero ``c_T S_T`` in one sorted
+table (``ProjectionTables``), so a batch of ``m`` queries costs one
+``searchsorted`` over its ``m #T`` keys, taken in blocks of bounded size.
+Generalized models also keep the value ranks of the samples in every
+occupied cell: ``n g_i(x)`` is linear in ``i`` between the ranks of the
+samples in x's own cells, so its signs follow from integer prefix sums over
+those breakpoints and one exact floor division per segment (at ``k = d`` a
+single cell of about ``n 2**(-r d)`` samples).  Where a packed key would not
 fit in int64 or the tables could hold more than ``max(n d,
-TABLE_ENTRY_FLOOR)`` entries (a memory limit), they keep the chi route
-instead: an O(n d) digit comparison per query row.  Each ``g_i(x)`` of the
-generalized mode follows from integer prefix sums in O(n) after that
-comparison.  All integer arithmetic is exact (Python integers, with a 64-bit
-fast path when magnitudes provably permit).  ``estimate_coefficients``, the
-Haar transform of the projected sample histograms, is the explicit
-coefficient route the identity is checked against.
+TABLE_ENTRY_FLOOR)`` entries (a memory limit; the rank runs count ``n`` per
+nonempty subset), they keep the chi route instead: an O(n d) digit
+comparison per query row, after which each ``g_i(x)`` follows from integer
+prefix sums in O(n).  All integer arithmetic is exact (Python integers, with
+a 64-bit fast path when magnitudes provably permit).
+``estimate_coefficients``, the Haar transform of the projected sample
+histograms, is the explicit coefficient route the identity is checked
+against.
 
 Every evaluation function takes the model and an ``(m, d)`` array of query
 points in [0, 1]^d and returns the ``(m,)`` array of outputs.
@@ -73,6 +79,13 @@ MODES = ("linear", "sign", "generalized")
 # n = 20k-100k) the tables answered 2000 queries 5-9x faster than the chi
 # route, their build included.
 TABLE_ENTRY_FLOOR = 1 << 22
+
+# Queries are looked up in blocks of about LOOKUP_BLOCK (query, subset) pairs.
+# A pair costs about 41 bytes at once (its key, position, hit mask, masked
+# position and gathered weight), so a block peaks near 2.7 MB however many
+# queries a batch holds.  200 queries of one table (mc-sign-d4) and 500 of
+# 11 tables (mc-linear-d4) are each one block.
+LOOKUP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -268,15 +281,23 @@ def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
     return (1 << (r * t)) * (-1) ** (k - t) * math.comb(d - t - 1, k - t)
 
 
-def _cell_sums(codes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ``codes`` and the sum of ``values`` over each.
+def _cell_sums(codes: np.ndarray, values: np.ndarray, ranked: bool):
+    """Sorted distinct ``codes``, the sum of ``values`` over each and, if ``ranked``, the runs.
 
-    bincount adds in float64; for +-1 values every partial sum is an integer
-    of size at most n < 2**53, so those sums are exact.  The n-sized inverse
-    is freed on return, before the next table is built.
+    The runs are the sample indices grouped by cell, ascending within each
+    cell (a stable sort), and the cell sizes.  bincount adds in float64; for
+    +-1 values every partial sum is an integer of size at most n < 2**53, so
+    those sums are exact.  The n-sized inverse is freed on return, before
+    the next table is built.
     """
     cells, inverse = np.unique(codes, return_inverse=True)
-    return cells, np.bincount(inverse, weights=values, minlength=len(cells))
+    sums = np.bincount(inverse, weights=values, minlength=len(cells))
+    if not ranked:
+        return cells, sums, None, None
+    # numpy radix-sorts 8- and 16-bit integers under kind="stable": 11 ms
+    # for 726k samples in 4096 cells, against 70-90 ms on the int64 inverse.
+    order = np.argsort(inverse.astype(np.min_scalar_type(len(cells))), kind="stable")
+    return cells, sums, order, np.bincount(inverse, minlength=len(cells))
 
 
 @dataclass(frozen=True)
@@ -291,31 +312,43 @@ class ProjectionTables:
     one query's keys into ``keys``: every occupied (subset, cell) pair,
     sorted, led by a sentinel -1 of weight 0.  ``weights`` holds ``c_T S_T``
     for each.
+
+    Tables built for the generalized mode (samples sorted by value) also
+    hold the rank runs: ``ranks[bounds[p]:bounds[p + 1]]`` are the value
+    ranks, ascending, of the samples in the cell of key ``p`` (empty for the
+    sentinel and for ``T = {}``), ``coefs[t]`` is ``c_T`` of subset ``t`` and
+    ``c_empty`` is ``c_{}`` (0 where that subset is absent).
     """
 
     pack: np.ndarray
     offsets: np.ndarray
     keys: np.ndarray
     weights: np.ndarray
+    ranks: np.ndarray | None = None
+    bounds: np.ndarray | None = None
+    coefs: np.ndarray | None = None
+    c_empty: int = 0
 
     @classmethod
-    def build(cls, samples: SampleSet, k: int, exact: bool) -> "ProjectionTables | None":
+    def build(cls, samples: SampleSet, k: int, exact: bool, ranked: bool = False) -> "ProjectionTables | None":
         """Tables of keyed samples, or None where they cannot or may not be built.
 
         None when a packed key would not fit in int64 (``r d + bitlen(#T - 1)
         > 63``) or when the tables could hold more than ``max(n d,
         TABLE_ENTRY_FLOOR)`` entries: table ``T`` holds at most ``min(n,
-        2**(r |T|))``, and at least its row of ``pack``.  Both checks count
-        subsets by size (``c_T`` depends only on ``|T|``), so no subset is
-        listed unless the tables are built.  ``exact`` (every ``|y| = 1``)
-        makes the weights integers.
+        2**(r |T|))``, and at least its row of ``pack``.  ``ranked`` adds the
+        rank runs of the generalized mode, ``n`` entries per nonempty subset,
+        under the same limit.  Both checks count subsets by size (``c_T``
+        depends only on ``|T|``), so no subset is listed unless the tables
+        are built.  ``exact`` (every ``|y| = 1``) makes the weights integers.
         """
         d, r, n = samples.d, samples.resolution, samples.n
         sizes = [(t, c) for t in range(k + 1) if (c := subset_coefficient(t, d, k, r))]
         if r * d + (sum(math.comb(d, t) for t, _ in sizes) - 1).bit_length() > 63:
             return None
+        limit = max(n * d, TABLE_ENTRY_FLOOR)
         entries = sum(math.comb(d, t) * min(max(n, 1), 1 << (r * t)) for t, _ in sizes)
-        if entries > max(n * d, TABLE_ENTRY_FLOOR):
+        if entries > limit or (ranked and n * sum(math.comb(d, t) for t, _ in sizes if t) > limit):
             return None
         subsets = [(subset, c) for t, c in sizes for subset in combinations(range(d), t)]
         # A query adds one weight per subset and |S_T| <= n, so every partial
@@ -330,8 +363,11 @@ class ProjectionTables:
                 pack[t, j] = 1 << (r * j)
         offsets = np.arange(len(subsets), dtype=np.int64) << (r * d)
         keys, weights = [np.full(1, -1, dtype=np.int64)], [np.zeros(1, dtype=dtype)]
-        for t, (_, c) in enumerate(subsets):
-            cells, sums = _cell_sums(samples.digit_keys @ pack[t] + offsets[t], samples.values)
+        # No rank run for the sentinel or for T = {}.
+        ranks, run_sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+        for t, (subset, c) in enumerate(subsets):
+            cells, sums, order, counts = _cell_sums(
+                samples.digit_keys @ pack[t] + offsets[t], samples.values, ranked and bool(subset))
             if exact:
                 sums = sums.astype(np.int64).astype(dtype, copy=False)
                 sums *= c
@@ -339,16 +375,93 @@ class ProjectionTables:
                 sums *= float(c)
             keys.append(cells)
             weights.append(sums)
-        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights))
-        for array in (tables.pack, tables.offsets, tables.keys, tables.weights):
-            array.flags.writeable = False
+            if ranked and subset:
+                ranks.append(order)
+                run_sizes.append(counts)
+            elif ranked:
+                run_sizes.append(np.zeros(len(cells), dtype=np.int64))
+        runs = {}
+        if ranked:
+            # n g_i(x) = A + cum_i - 2 c_{} i (see flip_signs).  |A| <= n
+            # sum_T |c_T| since each cell holds at most n samples, and the
+            # run entries, at most n per subset, put |cum_i| + |2 c_{} i| <=
+            # 2 n sum_T |c_T|; every partial sum is thus at most 3 n sum_T
+            # |c_T| in size.  The crossing index is at most half a level plus
+            # 2, and a segment start at most n + 1, so below 2**63 (which
+            # also bounds n by 2**62) no int64 operation can wrap; otherwise
+            # the coefficients, and all that follows from them, are exact
+            # Python integers.
+            fits = 3 * max(n, 1) * sum(abs(c) for _, c in subsets) < 2**63
+            runs = dict(
+                ranks=np.concatenate(ranks, dtype=np.int32 if n < 2**31 else np.int64),
+                bounds=np.concatenate([[0], np.cumsum(np.concatenate(run_sizes))]),
+                coefs=np.array([c for _, c in subsets], dtype=np.int64 if fits else object),
+                c_empty=subset_coefficient(0, d, k, r),
+            )
+        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights), **runs)
+        for array in (tables.pack, tables.offsets, tables.keys, tables.weights,
+                      tables.ranks, tables.bounds, tables.coefs):
+            if array is not None:
+                array.flags.writeable = False
         return tables
+
+    def positions(self, keys: np.ndarray):
+        """Per block of rows of an (m, d) digit-key matrix, each (row, subset) key's position in ``keys``.
+
+        Yields (rows, #T) position matrices of at most about ``LOOKUP_BLOCK``
+        entries, in row order; a key of an empty cell maps to 0, the
+        sentinel, whose weight is 0 and whose run is empty.
+        """
+        step = max(1, LOOKUP_BLOCK // len(self.offsets))
+        # An empty batch is one empty block, so it still has a dtype.
+        for lo in range(0, max(len(keys), 1), step):
+            query = keys[lo : lo + step] @ self.pack.T + self.offsets
+            at = np.searchsorted(self.keys, query, side="right") - 1
+            yield np.where(self.keys[at] == query, at, 0)
 
     def numerator(self, keys: np.ndarray) -> np.ndarray:
         """``sum_T c_T S_T(x)`` for each row of an (m, d) digit-key matrix, in weight dtype."""
-        query = keys @ self.pack.T + self.offsets
-        at = np.searchsorted(self.keys, query, side="right") - 1
-        return np.where(self.keys[at] == query, self.weights[at], 0).sum(axis=1)
+        return np.concatenate([self.weights[at].sum(axis=1) for at in self.positions(keys)])
+
+    def flip_signs(self, at: np.ndarray, n: int) -> np.ndarray:
+        """``sgn(n g_i(x))`` for i = 0..n as +-1.0, from one query row of ``positions``.
+
+        ``n g_i(x) = sum_T c_T (W_T - 2 #{j < i : X_j ~_T x})``, where ``W_T``
+        counts the samples in x's T-cell.  With ``A = sum_T c_T W_T`` and
+        ``cum_i`` the sum of ``-2 c_T`` over the run entries of nonempty
+        ``T`` with rank below ``i``, ``n g_i = A + cum_i - 2 c_{} i``: linear
+        in ``i`` with slope ``-2 c_{}`` between consecutive breakpoints
+        ``rank + 1``.  Each such segment thus changes sign at most once, at
+        an index found by exact floor division (never when ``c_{} = 0``).
+        The values equal those of ``_flip_numerators``, so the signs do too.
+        """
+        start, stop = self.bounds[at], self.bounds[at + 1]
+        lengths = stop - start
+        # The entries of every run, concatenated: run t's begin at start[t].
+        total = int(lengths.sum())
+        entries = np.arange(total) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
+        ranks = self.ranks[entries]
+        drops = np.repeat(-2 * self.coefs, lengths)
+        if np.count_nonzero(lengths) > 1:
+            # Samples share cells of several subsets: merge the runs.  Tied
+            # ranks bound empty segments, so their order does not matter.
+            order = np.argsort(ranks, kind="stable")
+            ranks, drops = ranks[order], drops[order]
+        # Segment s covers i in [edges[s], edges[s + 1]), where n g_i = levels[s] - 2 c_{} i.
+        levels = self.c_empty * n + np.dot(self.coefs, lengths) + np.concatenate([[0], np.cumsum(drops)])
+        edges = np.concatenate([[0], ranks + 1, [n + 1]])
+        sizes = np.diff(edges)
+        twice = 2 * self.c_empty
+        if twice == 0:
+            lead = np.where(levels >= 0, sizes, 0)
+        else:
+            # The first index whose sign differs from the segment's lead:
+            # levels - twice i >= 0 up to floor(levels / twice) for c_{} > 0,
+            # and from ceil(levels / twice) on for c_{} < 0.
+            cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
+            lead = np.clip(cross - edges[:-1], 0, sizes).astype(np.int64)
+        sign = -1.0 if twice < 0 else 1.0
+        return np.repeat(np.tile([sign, -sign], len(sizes)), np.stack([lead, sizes - lead], axis=1).ravel())
 
 
 @dataclass(frozen=True)
@@ -362,8 +475,9 @@ class WaveletModel:
 
     * ``chi``, the table of the chi identity for ``k``;
     * ``exact``: every sample value is +-1, so numerators are integers;
-    * linear and sign modes: ``tables``, the projection sums, or None where
-      they cannot or may not be built (see ``ProjectionTables.build``);
+    * ``tables``, the projection sums (with the rank runs in the generalized
+      mode), or None where they cannot or may not be built (see
+      ``ProjectionTables.build``);
     * without tables: ``y``, the sample values (int64 when ``exact``) that
       the chi route sums ``h`` with;
     * generalized mode: ``steps``, the value increments ``diff([-1, y, +1])``
@@ -399,12 +513,11 @@ class WaveletModel:
         chi.flags.writeable = False
         values = self.samples.values
         exact = bool(np.all(np.abs(values) == 1.0))
-        tables = y = steps = None
+        y = steps = None
         if self.mode == "generalized":
             steps = np.diff(np.concatenate([[-1.0], values, [1.0]]))
             steps.flags.writeable = False
-        else:
-            tables = ProjectionTables.build(self.samples, self.k, exact)
+        tables = ProjectionTables.build(self.samples, self.k, exact, ranked=self.mode == "generalized")
         if tables is None:
             y = values.astype(np.int64) if exact else values
             y.flags.writeable = False
@@ -506,12 +619,17 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     Telescopes the threshold cuts of the sorted values: with sentinels
     ``y_0 = -1`` and ``y_{n+1} = +1`` the output is
     ``1/2 * sum_i (y_{i+1} - y_i) * sgn(g_i(x))``, formed one query row at a
-    time in O(n) memory.  An empty model returns +1 (the sign of the empty
-    reconstruction, with sgn(0) = +1).
+    time in O(n) memory.  The signs come from the breakpoints of the rank
+    runs in the query's cells (``ProjectionTables.flip_signs``) when the
+    model has tables, else from ``_flip_numerators`` over every sample.  An
+    empty model returns +1 (the sign of the empty reconstruction, with
+    sgn(0) = +1).
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
-    return np.array([
-        0.5 * float(np.dot(model.steps, np.where(_flip_numerators(model, row) >= 0, 1.0, -1.0)))
-        for row in _query_keys(model, points)
-    ], dtype=np.float64)
+    keys = _query_keys(model, points)
+    if model.tables is None:
+        signs = (np.where(_flip_numerators(model, row) >= 0, 1.0, -1.0) for row in keys)
+    else:
+        signs = (model.tables.flip_signs(at, model.n) for block in model.tables.positions(keys) for at in block)
+    return np.array([0.5 * float(np.dot(model.steps, s)) for s in signs], dtype=np.float64)

@@ -1,4 +1,7 @@
 import math
+import copy
+import tracemalloc
+from dataclasses import replace
 from itertools import product
 from unittest import mock
 
@@ -279,6 +282,59 @@ def test_int64_and_object_routes_agree():
             assert np.array_equal(2 * _flip_numerators(gen64, keys), _flip_numerators(gen_obj, keys)[::2])
 
 
+def _flip_signs(model, queries):
+    """The +-1 threshold-cut signs of every query row, from ``_flip_numerators``: the reference."""
+    return [np.where(_flip_numerators(model, keys) >= 0, 1.0, -1.0) for keys in _cell_keys(queries, model.r)]
+
+
+def _breakpoint_signs(model, queries):
+    """The same signs from the rank runs of the model's tables, in one batch."""
+    return [model.tables.flip_signs(at, model.n)
+            for block in model.tables.positions(_query_keys(model, queries)) for at in block]
+
+
+def test_breakpoint_int64_and_object_routes_agree():
+    # k = d = 4, r = 13: one table, c_T = 2**52, so the breakpoint guard
+    # 3 n 2**52 < 2**63 takes int64 up to n = 682.  Duplicating every
+    # sample (values stay sorted) doubles n g_{2i} and crosses the guard.
+    d, k, r = 4, 4, 13
+    n = (2**63 - 1) // (3 * 2 ** (r * d))
+    assert n == 682
+    rng = np.random.default_rng(22)
+    base = rng.random((6, d))
+    points = base[rng.integers(0, len(base), n)]
+    queries = np.concatenate([rng.random((3, d)), base])
+    for values in (rng.choice([-1.0, 1.0], n), rng.uniform(-1.0, 1.0, n)):
+        small = SampleSet(points, values).with_resolution(r).sorted()
+        double = SampleSet(np.repeat(small.points, 2, axis=0), np.repeat(small.values, 2)).with_resolution(r).sorted()
+        gen64, gen_obj = WaveletModel(k, "generalized", small), WaveletModel(k, "generalized", double)
+        assert gen64.tables.coefs.dtype == np.int64 and gen_obj.tables.coefs.dtype == object
+        for model in (gen64, gen_obj):
+            for got, expected in zip(_breakpoint_signs(model, queries), _flip_signs(model, queries)):
+                assert np.array_equal(got, expected)
+        for got64, got_obj in zip(_breakpoint_signs(gen64, queries), _breakpoint_signs(gen_obj, queries)):
+            assert np.array_equal(got64, got_obj[::2])
+        assert eval_generalized(gen64, queries) == pytest.approx(eval_generalized(gen_obj, queries), abs=1e-12)
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2), (4, 2), (3, 0)])
+def test_breakpoint_object_route_with_empty_subset_slope(d, k):
+    # c_{} != 0 shapes cross the int64 guard only past n ~ 10**9; the same
+    # tables with Python-integer coefficients must give the same signs.
+    rng = np.random.default_rng(d * 10 + k)
+    n = 300
+    points = rng.random((40, d))[rng.integers(0, 40, n)]
+    samples = SampleSet(points, rng.uniform(-1.0, 1.0, n)).with_resolution(2).sorted()
+    model = WaveletModel(k, "generalized", samples)
+    assert model.tables.c_empty != 0 and model.tables.coefs.dtype == np.int64
+    wide = copy.copy(model)
+    object.__setattr__(wide, "tables", replace(model.tables, coefs=model.tables.coefs.astype(object)))
+    queries = np.concatenate([rng.random((6, d)), points[:4]])
+    for got64, got_obj, expected in zip(_breakpoint_signs(model, queries), _breakpoint_signs(wide, queries),
+                                        _flip_signs(model, queries)):
+        assert np.array_equal(got64, expected) and np.array_equal(got_obj, expected)
+
+
 def test_int64_numerators_above_2_53_divide_exactly():
     # An int64 numerator above 2**53 loses digits when numpy converts it to
     # float64 before dividing; h must be int(numerator) / n, rounded once,
@@ -314,9 +370,11 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
     # points, tied values and coordinates equal to 1.0.  A zero entry floor
     # makes small shapes whose tables could hold more than n d entries take
     # the chi route; they are compared all the same.  The queries go in as
-    # one batch and every row is checked against the per-row reference.
+    # one batch, looked up in blocks of 1, 7 or LOOKUP_BLOCK pairs, and every
+    # row is checked against the per-row reference.
     k = data.draw(st.integers(0, d))
     floor = data.draw(st.sampled_from([0, approx_mc.TABLE_ENTRY_FLOOR]))
+    block = data.draw(st.sampled_from([1, 7, approx_mc.LOOKUP_BLOCK]))
     rng = np.random.default_rng(seed)
     base = rng.random((max(n // 2, 1), d))
     base[rng.random(base.shape) < 0.2] = 1.0
@@ -327,14 +385,23 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
         model = WaveletModel(k, mode, samples.sorted() if mode == "generalized" else samples)
     queries = np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))])
     query_keys = _cell_keys(queries, r)
+    # Small shapes always fit the real floor.
+    assert floor == 0 or model.tables is not None
     if mode == "generalized":
-        # Each output is the threshold-cut sum over that row's flip numerators.
+        # Each output is the threshold-cut sum over that row's flip
+        # numerators; with the real floor the model reads rank runs, with a
+        # nonzero slope c_{} = (-1)**k C(d - 1, k) exactly when k < d.
+        assert floor == 0 or model.tables.ranks is not None
+        if model.tables is not None:
+            assert (model.tables.c_empty != 0) == (k < d)
         expected = [0.5 * float(np.dot(model.steps, np.where(_flip_numerators(model, keys) >= 0, 1.0, -1.0)))
                     for keys in query_keys]
-        assert eval_generalized(model, queries).tolist() == expected
+        with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
+            assert eval_generalized(model, queries).tolist() == expected
         return
     chi_max = max(abs(c) for c in chi_table(d, k, r))
-    got = _numerators(model, queries)
+    with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
+        got = _numerators(model, queries)
     assert got.shape == (len(queries),)
     for row, keys in zip(got, query_keys):
         expected = _chi_route(model, keys)
@@ -349,9 +416,9 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
 def test_projection_tables_route_choice():
     rng = np.random.default_rng(8)
 
-    def model(d, k, r, n):
+    def model(d, k, r, n, mode="sign"):
         samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
-        return WaveletModel(k, "sign", samples)
+        return WaveletModel(k, mode, samples.sorted() if mode == "generalized" else samples)
 
     # k = d keeps only the full subset: one table of at most n cells.
     assert len(model(4, 4, 7, 300).tables.offsets) == 1
@@ -362,9 +429,23 @@ def test_projection_tables_route_choice():
     # 93 tables could hold 236673 cells: more than n d = 160000, but within
     # the entry floor, so they are built.
     assert len(model(8, 3, 4, 20000).tables.offsets) == 93
-    # Generalized models read chi over every sample and build no tables.
-    samples = SampleSet(np.full((3, 2), 0.5), np.ones(3), sorted_by_value=True).with_resolution(2)
-    assert WaveletModel(2, "generalized", samples).tables is None
+    # Generalized models add n rank entries per nonempty subset.  k = d =
+    # 2, r = 6 (mc-gen-d2's shape): one run per occupied cell.
+    tables = model(2, 2, 6, 3000, "generalized").tables
+    assert len(tables.offsets) == 1 and tables.c_empty == 0
+    assert len(tables.ranks) == 3000 and len(tables.bounds) == len(tables.keys) + 1
+    # 92 nonempty subsets hold 92 * 20000 = 1.84M rank entries, within the
+    # entry floor; the chi route only where they would pass it.
+    assert model(8, 3, 4, 20000, "generalized").tables.ranks is not None
+    with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", 0):
+        # 6 rank runs of n entries each, more than n d: the chi route, while
+        # a sign model of the same samples builds its tables.
+        assert model(3, 2, 1, 100, "generalized").tables is None
+        assert model(3, 2, 1, 100).tables is not None
+        # k = d keeps one run of n entries, never more than n d.
+        assert model(3, 3, 1, 100, "generalized").tables.ranks is not None
+    # Linear and sign tables keep no rank runs.
+    assert model(2, 2, 6, 3000).tables.ranks is None
 
 
 def test_projection_tables_refused_without_listing_subsets():
@@ -372,10 +453,10 @@ def test_projection_tables_refused_without_listing_subsets():
     # of the up to 2**d subsets is listed.
     rng = np.random.default_rng(9)
 
-    def tables(d, k, r, n):
+    def tables(d, k, r, n, ranked=False):
         samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
         with mock.patch.object(approx_mc, "combinations", side_effect=AssertionError("listed")):
-            return approx_mc.ProjectionTables.build(samples, k, True)
+            return approx_mc.ProjectionTables.build(samples, k, True, ranked)
 
     # k = d: one subset, but r d = 80 bits.
     assert tables(40, 40, 2, 10) is None
@@ -384,6 +465,35 @@ def test_projection_tables_refused_without_listing_subsets():
     # 2510 subsets fit the key (48 + 12 bits), but could hold about 4.88M
     # entries, more than max(n d, TABLE_ENTRY_FLOOR) = 2**22.
     assert tables(12, 6, 4, 2000) is None
+    # Generalized: the same two checks on the key ...
+    assert tables(40, 40, 2, 10, ranked=True) is None
+    # ... and 92 rank runs of n = 50000 entries, 4.6M, more than max(n d,
+    # TABLE_ENTRY_FLOOR) = 2**22, though the 236673 cells alone would fit.
+    assert tables(8, 3, 4, 50000, ranked=True) is None
+
+
+def test_blocked_lookup_bounds_memory():
+    # d = 8, k = 3, r = 4: 93 tables, so LOOKUP_BLOCK pairs are 704 query
+    # rows and 20000 queries take 29 blocks.  Looked up all at once, their
+    # key, position and hit matrices peaked at 62.7 MB (tracemalloc).
+    rng = np.random.default_rng(10)
+    n, d = 20000, 8
+    samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(4)
+    tables = WaveletModel(3, "sign", samples).tables
+    keys = _cell_keys(rng.random((20000, d)), 4)
+    assert approx_mc.LOOKUP_BLOCK // len(tables.offsets) < len(keys)
+    tracemalloc.start()
+    try:
+        got = tables.numerator(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    # The unblocked per-row reference: every key of a row against the table.
+    for row, keys_row in zip(got, keys):
+        query = tables.pack @ keys_row + tables.offsets
+        at = np.searchsorted(tables.keys, query, side="right") - 1
+        assert row == np.where(tables.keys[at] == query, tables.weights[at], 0).sum()
 
 
 # ---------------------------------------------------------------------------
