@@ -7,14 +7,18 @@ expansion with every coefficient replaced by its sample mean.
 * ``linear``: return ``h`` itself.
 * ``sign``: return ``sgn(h)``, the natural output for sign-valued targets.
 * ``generalized``: for targets with values in [-1, 1], average the sign
-  outputs of every threshold cut of the data.  Sorting the samples by value
-  collapses the average to a finite sum: with sorted values ``y_1 <= ... <=
-  y_n`` and sentinels ``y_0 = -1``, ``y_{n+1} = +1``, the output at ``x`` is
+  outputs of every threshold cut of the data.  In value order ``y_1 <= ...
+  <= y_n``, with sentinels ``y_0 = -1`` and ``y_{n+1} = +1``, the average is
+  the finite sum
 
-      1/2 * sum_{i=0}^{n} (y_{i+1} - y_i) * sgn(g_i(x)),
+      1/2 * sum_{i=0}^{n} (y_{i+1} - y_i) * s_i,    s_i = sgn(g_i(x)),
 
-  where ``g_i`` is the linear reconstruction computed from the first ``i``
-  values forced to -1 and the rest to +1.
+  where ``g_i`` is the linear reconstruction computed from the ``i``
+  smallest values forced to -1 and the rest to +1.  Summed by parts it is
+  ``(s_0 + s_n)/2 + sum_f y_f s_{f-1}`` over the flips ``f`` (``s_f !=
+  s_{f-1}``), which ``math.fsum`` rounds correctly.  The output is thus the
+  exact sum rounded once, whatever the order of tied values, and the model
+  keeps its samples in draw order with one value permutation.
 
 The key computational fact: the reconstruction of a single sample depends on
 the query point only through the count ``b`` of coordinates whose first ``r``
@@ -36,7 +40,7 @@ table (``ProjectionTables``), so a batch of ``m`` queries costs one
 ``searchsorted`` over its ``m #T`` keys, taken in blocks of bounded size.
 Generalized models also keep the value ranks of the samples in every
 occupied cell: ``n g_i(x)`` is linear in ``i`` between the ranks of the
-samples in x's own cells, so its signs follow from integer prefix sums over
+samples in x's own cells, so its flips follow from integer prefix sums over
 those breakpoints and one exact floor division per segment (at ``k = d`` a
 single cell of about ``n 2**(-r d)`` samples).  Where a packed key would not
 fit in int64 or the tables could hold more than ``max(n d,
@@ -87,21 +91,26 @@ TABLE_ENTRY_FLOOR = 1 << 22
 # 11 tables (mc-linear-d4) are each one block.
 LOOKUP_BLOCK = 1 << 16
 
+# A subset T is binned by dense code where its 2**(r |T|) cells number at
+# most DENSE_CELLS_PER_SAMPLE * max(n, 1): one np.bincount over the codes
+# (2-3 ms at mc-gen-d2's 4096 cells and 726k samples) instead of np.unique
+# with its n-sized inverse (40-50 ms).
+DENSE_CELLS_PER_SAMPLE = 1
+
 
 @dataclass(frozen=True)
 class SampleSet:
     """Evaluation points in [0,1]^d with values in [-1,1].
 
     Once a resolution ``r`` is fixed, ``digit_keys[i][j]`` caches the index of
-    the resolution-``r`` dyadic cell containing ``points[i][j]``.  Arrays are
-    frozen after construction.
+    the resolution-``r`` dyadic cell containing ``points[i][j]``, in ``[0,
+    2**r)``.  Arrays are frozen after construction.
     """
 
     points: np.ndarray
     values: np.ndarray
     resolution: int | None = None
     digit_keys: np.ndarray | None = None
-    sorted_by_value: bool = False
 
     def __post_init__(self) -> None:
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -112,13 +121,15 @@ class SampleSet:
             raise ValueError("sample points must lie in [0, 1]^d")
         if values.size and (np.abs(values).max() > 1.0 or not np.isfinite(values).all()):
             raise ValueError("sample values must lie in [-1, 1]")
-        if self.sorted_by_value and values.size and np.any(np.diff(values) < 0):
-            raise ValueError("sorted flag set but values are not nondecreasing")
         keys = self.digit_keys
         if keys is not None:
             keys = np.asarray(keys, dtype=np.int64)
             if keys.shape != points.shape:
                 raise ValueError("digit_keys shape must match points shape")
+            if self.resolution is None or self.resolution < 1:
+                raise ValueError("digit_keys need a positive resolution")
+            if keys.size and (keys.min() < 0 or int(keys.max()) >= 1 << self.resolution):
+                raise ValueError(f"digit_keys must lie in [0, 2**{self.resolution})")
             keys.flags.writeable = False
         points.flags.writeable = False
         values.flags.writeable = False
@@ -140,15 +151,13 @@ class SampleSet:
             raise ValueError("resolution must be positive")
         if self.resolution == r and self.digit_keys is not None:
             return self
-        return SampleSet(self.points, self.values, r, _cell_keys(self.points, r), self.sorted_by_value)
+        return SampleSet(self.points, self.values, r, _cell_keys(self.points, r))
 
     def sorted(self) -> "SampleSet":
-        """Stable sort of the (point, value) pairs by value."""
-        if self.sorted_by_value:
-            return self
+        """The (point, value) pairs, stably sorted by value."""
         order = np.argsort(self.values, kind="stable")
         keys = self.digit_keys[order] if self.digit_keys is not None else None
-        return SampleSet(self.points[order], self.values[order], self.resolution, keys, True)
+        return SampleSet(self.points[order], self.values[order], self.resolution, keys)
 
 
 def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
@@ -281,23 +290,43 @@ def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
     return (1 << (r * t)) * (-1) ** (k - t) * math.comb(d - t - 1, k - t)
 
 
-def _cell_sums(codes: np.ndarray, values: np.ndarray, ranked: bool):
-    """Sorted distinct ``codes``, the sum of ``values`` over each and, if ``ranked``, the runs.
+def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, order):
+    """Occupied T-cells, the sum of ``values`` over each and, given ``order``, the runs.
 
-    The runs are the sample indices grouped by cell, ascending within each
-    cell (a stable sort), and the cell sizes.  bincount adds in float64; for
-    +-1 values every partial sum is an integer of size at most n < 2**53, so
-    those sums are exact.  The n-sized inverse is freed on return, before
-    the next table is built.
+    Cells come as sorted packed codes (digit ``j`` at bit ``r j``).  Where T
+    has few cells (``DENSE_CELLS_PER_SAMPLE``), bincount bins T's digits in
+    consecutive ``r``-bit slots, which sort as the packed codes do; else
+    ``np.unique`` indexes the occupied cells.  Both add in sample order, so
+    the float64 sums carry the same bits (for +-1 values, integers of size
+    at most n < 2**53: exact).  Given the value permutation ``order``, the
+    runs are the value ranks grouped by cell, ascending within each, and the
+    cell sizes.  The n-sized temporaries are freed on return.
     """
-    cells, inverse = np.unique(codes, return_inverse=True)
-    sums = np.bincount(inverse, weights=values, minlength=len(cells))
-    if not ranked:
+    t = len(subset)
+    slots = np.zeros(digit_keys.shape[1], dtype=np.int64)
+    span = 1 << (r * t)
+    if span <= DENSE_CELLS_PER_SAMPLE * max(len(values), 1):
+        slots[list(subset)] = 1 << (r * np.arange(t, dtype=np.int64))
+        codes = digit_keys @ slots
+        counts = np.bincount(codes, minlength=span)
+        occupied = np.flatnonzero(counts)
+        counts = counts[occupied]
+        sums = np.bincount(codes, weights=values, minlength=span)[occupied]
+        cells = np.zeros(len(occupied), dtype=np.int64)
+        for slot, j in enumerate(subset):
+            cells += ((occupied >> (r * slot)) & ((1 << r) - 1)) << (r * j)
+    else:
+        slots[list(subset)] = 1 << (r * np.array(subset, dtype=np.int64))
+        cells, codes = np.unique(digit_keys @ slots, return_inverse=True)
+        sums = np.bincount(codes, weights=values, minlength=len(cells))
+        counts = np.bincount(codes, minlength=len(cells)) if order is not None else None
+        span = len(cells)
+    if order is None:
         return cells, sums, None, None
     # numpy radix-sorts 8- and 16-bit integers under kind="stable": 11 ms
-    # for 726k samples in 4096 cells, against 70-90 ms on the int64 inverse.
-    order = np.argsort(inverse.astype(np.min_scalar_type(len(cells))), kind="stable")
-    return cells, sums, order, np.bincount(inverse, minlength=len(cells))
+    # for 726k samples in 4096 cells, against 70-90 ms on int64 codes.
+    ranks = np.argsort(codes.astype(np.min_scalar_type(span - 1))[order], kind="stable")
+    return cells, sums, ranks, counts
 
 
 @dataclass(frozen=True)
@@ -313,10 +342,10 @@ class ProjectionTables:
     sorted, led by a sentinel -1 of weight 0.  ``weights`` holds ``c_T S_T``
     for each.
 
-    Tables built for the generalized mode (samples sorted by value) also
-    hold the rank runs: ``ranks[bounds[p]:bounds[p + 1]]`` are the value
-    ranks, ascending, of the samples in the cell of key ``p`` (empty for the
-    sentinel and for ``T = {}``), ``coefs[t]`` is ``c_T`` of subset ``t`` and
+    Tables built for the generalized mode also hold the rank runs:
+    ``ranks[bounds[p]:bounds[p + 1]]`` are the value ranks, ascending, of
+    the samples in the cell of key ``p`` (empty for the sentinel and for
+    ``T = {}``), ``coefs[t]`` is ``c_T`` of subset ``t`` and
     ``c_empty`` is ``c_{}`` (0 where that subset is absent).
     """
 
@@ -330,17 +359,17 @@ class ProjectionTables:
     c_empty: int = 0
 
     @classmethod
-    def build(cls, samples: SampleSet, k: int, exact: bool, ranked: bool = False) -> "ProjectionTables | None":
+    def build(cls, samples: SampleSet, k: int, exact: bool, order=None) -> "ProjectionTables | None":
         """Tables of keyed samples, or None where they cannot or may not be built.
 
         None when a packed key would not fit in int64 (``r d + bitlen(#T - 1)
         > 63``) or when the tables could hold more than ``max(n d,
         TABLE_ENTRY_FLOOR)`` entries: table ``T`` holds at most ``min(n,
-        2**(r |T|))``, and at least its row of ``pack``.  ``ranked`` adds the
-        rank runs of the generalized mode, ``n`` entries per nonempty subset,
-        under the same limit.  Both checks count subsets by size (``c_T``
-        depends only on ``|T|``), so no subset is listed unless the tables
-        are built.  ``exact`` (every ``|y| = 1``) makes the weights integers.
+        2**(r |T|))``, and at least its row of ``pack``.  ``order``, the
+        value permutation of the samples, adds the rank runs of the
+        generalized mode, ``n`` entries per nonempty subset, under the same
+        limit.  Both checks count subsets by size (``c_T`` depends only on
+        ``|T|``), so no subset is listed unless the tables are built.  ``exact`` (every ``|y| = 1``) makes the weights integers.
         """
         d, r, n = samples.d, samples.resolution, samples.n
         sizes = [(t, c) for t in range(k + 1) if (c := subset_coefficient(t, d, k, r))]
@@ -348,7 +377,7 @@ class ProjectionTables:
             return None
         limit = max(n * d, TABLE_ENTRY_FLOOR)
         entries = sum(math.comb(d, t) * min(max(n, 1), 1 << (r * t)) for t, _ in sizes)
-        if entries > limit or (ranked and n * sum(math.comb(d, t) for t, _ in sizes if t) > limit):
+        if entries > limit or (order is not None and n * sum(math.comb(d, t) for t, _ in sizes if t) > limit):
             return None
         subsets = [(subset, c) for t, c in sizes for subset in combinations(range(d), t)]
         # A query adds one weight per subset and |S_T| <= n, so every partial
@@ -366,8 +395,9 @@ class ProjectionTables:
         # No rank run for the sentinel or for T = {}.
         ranks, run_sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
         for t, (subset, c) in enumerate(subsets):
-            cells, sums, order, counts = _cell_sums(
-                samples.digit_keys @ pack[t] + offsets[t], samples.values, ranked and bool(subset))
+            cells, sums, cell_ranks, counts = _cell_sums(
+                samples.digit_keys, subset, r, samples.values, order if subset else None)
+            cells += offsets[t]
             if exact:
                 sums = sums.astype(np.int64).astype(dtype, copy=False)
                 sums *= c
@@ -375,13 +405,13 @@ class ProjectionTables:
                 sums *= float(c)
             keys.append(cells)
             weights.append(sums)
-            if ranked and subset:
-                ranks.append(order)
+            if cell_ranks is not None:
+                ranks.append(cell_ranks)
                 run_sizes.append(counts)
-            elif ranked:
+            elif order is not None:
                 run_sizes.append(np.zeros(len(cells), dtype=np.int64))
         runs = {}
-        if ranked:
+        if order is not None:
             # n g_i(x) = A + cum_i - 2 c_{} i (see flip_signs).  |A| <= n
             # sum_T |c_T| since each cell holds at most n samples, and the
             # run entries, at most n per subset, put |cum_i| + |2 c_{} i| <=
@@ -423,8 +453,11 @@ class ProjectionTables:
         """``sum_T c_T S_T(x)`` for each row of an (m, d) digit-key matrix, in weight dtype."""
         return np.concatenate([self.weights[at].sum(axis=1) for at in self.positions(keys)])
 
-    def flip_signs(self, at: np.ndarray, n: int) -> np.ndarray:
-        """``sgn(n g_i(x))`` for i = 0..n as +-1.0, from one query row of ``positions``.
+    def flip_signs(self, at: np.ndarray, n: int):
+        """The flips of ``s_i = sgn(n g_i(x))``, i = 0..n, from one query row of ``positions``.
+
+        Returns ``s_0`` and ``s_n`` (+-1.0), the flips ``f`` in 1..n, where
+        ``s_f != s_{f-1}``, ascending, and ``s_{f-1}`` at each (see ``_flips``).
 
         ``n g_i(x) = sum_T c_T (W_T - 2 #{j < i : X_j ~_T x})``, where ``W_T``
         counts the samples in x's T-cell.  With ``A = sum_T c_T W_T`` and
@@ -433,7 +466,7 @@ class ProjectionTables:
         in ``i`` with slope ``-2 c_{}`` between consecutive breakpoints
         ``rank + 1``.  Each such segment thus changes sign at most once, at
         an index found by exact floor division (never when ``c_{} = 0``).
-        The values equal those of ``_flip_numerators``, so the signs do too.
+        The values equal those of ``_flip_numerators``, so the flips do too.
         """
         start, stop = self.bounds[at], self.bounds[at + 1]
         lengths = stop - start
@@ -461,7 +494,18 @@ class ProjectionTables:
             cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
             lead = np.clip(cross - edges[:-1], 0, sizes).astype(np.int64)
         sign = -1.0 if twice < 0 else 1.0
-        return np.repeat(np.tile([sign, -sign], len(sizes)), np.stack([lead, sizes - lead], axis=1).ravel())
+        # Each segment is a run of `lead` signs `sign`, then one of -sign;
+        # the flips are where the nonempty runs change sign.
+        spans = np.stack([lead, sizes - lead], axis=1).ravel()
+        kept = spans > 0
+        s_0, s_n, flips, before = _flips(np.tile([sign, -sign], len(sizes))[kept])
+        return s_0, s_n, (np.cumsum(spans) - spans)[kept][flips], before
+
+
+def _flips(signs: np.ndarray):
+    """``s_0``, ``s_n``, the flips ``f`` (``s_f != s_{f-1}``) and ``s_{f-1}`` of a +-1 vector ``s``."""
+    flips = np.flatnonzero(signs[1:] != signs[:-1]) + 1
+    return signs[0], signs[-1], flips, signs[flips - 1]
 
 
 @dataclass(frozen=True)
@@ -469,9 +513,9 @@ class WaveletModel:
     """A fitted approximant: digit-keyed samples plus what evaluation reads.
 
     ``d``, ``r`` and ``n`` are read off the samples, which must carry digit
-    keys; the resolution of those keys is the model's ``r``.  The generalized
-    mode additionally requires the samples sorted by value.  Everything else
-    is built here and cannot be passed in:
+    keys; the resolution of those keys is the model's ``r``.  Samples may
+    come in any order.  Everything else is built here and cannot be passed
+    in:
 
     * ``chi``, the table of the chi identity for ``k``;
     * ``exact``: every sample value is +-1, so numerators are integers;
@@ -480,8 +524,9 @@ class WaveletModel:
       ``ProjectionTables.build``);
     * without tables: ``y``, the sample values (int64 when ``exact``) that
       the chi route sums ``h`` with;
-    * generalized mode: ``steps``, the value increments ``diff([-1, y, +1])``
-      of the threshold-cut sum.
+    * generalized mode: ``order``, the value permutation ``argsort(values)``
+      of the samples.  It need not be stable: the output is the exact
+      threshold-cut sum rounded once, which tied values cannot change.
 
     Models are immutable and thread-safe.
     """
@@ -493,15 +538,13 @@ class WaveletModel:
     exact: bool = field(init=False)
     tables: ProjectionTables | None = field(init=False, repr=False)
     y: np.ndarray | None = field(init=False, repr=False)
-    steps: np.ndarray | None = field(init=False, repr=False)
+    order: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.samples.digit_keys is None:
             raise ValueError("samples must carry digit keys")
-        if self.mode == "generalized" and not self.samples.sorted_by_value:
-            raise RuntimeError("generalized mode requires value-sorted samples")
         table = chi_table(self.d, self.k, self.r)
         # Every integer a query forms is at most 3 n max|chi| in size: each
         # partial sum of a sign numerator sum_i y_i chi(b_i) (|y_i| = 1) and
@@ -513,15 +556,15 @@ class WaveletModel:
         chi.flags.writeable = False
         values = self.samples.values
         exact = bool(np.all(np.abs(values) == 1.0))
-        y = steps = None
+        y = order = None
         if self.mode == "generalized":
-            steps = np.diff(np.concatenate([[-1.0], values, [1.0]]))
-            steps.flags.writeable = False
-        tables = ProjectionTables.build(self.samples, self.k, exact, ranked=self.mode == "generalized")
+            order = np.argsort(values)
+            order.flags.writeable = False
+        tables = ProjectionTables.build(self.samples, self.k, exact, order)
         if tables is None:
             y = values.astype(np.int64) if exact else values
             y.flags.writeable = False
-        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("y", y), ("steps", steps)):
+        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("y", y), ("order", order)):
             object.__setattr__(self, name, value)
 
     @property
@@ -540,15 +583,11 @@ class WaveletModel:
 def fit(oracle, d: int, k: int, r: int, n: int, seed, mode: str) -> WaveletModel:
     """Draw one batch of samples and build the requested model.
 
-    Every mode attaches resolution-r digit keys; the generalized mode also
-    sorts the samples by value (O(n log n)).
+    Every mode attaches resolution-r digit keys; samples stay in draw order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    samples = draw_samples(d, n, oracle, seed).with_resolution(r)
-    if mode == "generalized":
-        samples = samples.sorted()
-    return WaveletModel(k, mode, samples)
+    return WaveletModel(k, mode, draw_samples(d, n, oracle, seed).with_resolution(r))
 
 
 def _query_keys(model: WaveletModel, points) -> np.ndarray:
@@ -604,11 +643,12 @@ def eval_sign(model: WaveletModel, points) -> np.ndarray:
 def _flip_numerators(model: WaveletModel, keys: np.ndarray) -> np.ndarray:
     """Exact integer numerators of n * g_i(x) for i = 0..n, from the digit keys of x.
 
-    ``g_i`` is the reconstruction with the first ``i`` (value-sorted) samples
-    forced to -1 and the remaining ``n - i`` forced to +1, so
-    ``n * g_i = S - 2 * T_i`` with ``T_i`` the prefix sums of chi(b).
+    ``g_i`` is the reconstruction with the ``i`` first samples of the value
+    permutation forced to -1 and the remaining ``n - i`` forced to +1, so
+    ``n * g_i = S - 2 * T_i`` with ``T_i`` the prefix sums of chi(b) in
+    value order.
     """
-    chi_b = _chi_at(model, keys)
+    chi_b = _chi_at(model, keys)[model.order]
     prefix = np.concatenate([np.zeros(1, dtype=chi_b.dtype), np.cumsum(chi_b)])
     return prefix[-1] - 2 * prefix
 
@@ -616,20 +656,24 @@ def _flip_numerators(model: WaveletModel, keys: np.ndarray) -> np.ndarray:
 def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     """Generalized-mode output; always in [-1, 1].
 
-    Telescopes the threshold cuts of the sorted values: with sentinels
-    ``y_0 = -1`` and ``y_{n+1} = +1`` the output is
-    ``1/2 * sum_i (y_{i+1} - y_i) * sgn(g_i(x))``, formed one query row at a
-    time in O(n) memory.  The signs come from the breakpoints of the rank
-    runs in the query's cells (``ProjectionTables.flip_signs``) when the
-    model has tables, else from ``_flip_numerators`` over every sample.  An
-    empty model returns +1 (the sign of the empty reconstruction, with
-    sgn(0) = +1).
+    The threshold-cut sum ``1/2 * sum_i (y_{i+1} - y_i) * s_i`` over the
+    values in value order, with sentinels ``y_0 = -1`` and ``y_{n+1} = +1``
+    and ``s_i = sgn(g_i(x))``, telescopes to ``(s_0 + s_n)/2 + sum_f y_f
+    s_{f-1}`` over the flips ``f`` of ``s``; ``math.fsum`` returns it
+    correctly rounded.  The flips come from the breakpoints of the rank runs
+    in the query's cells (``ProjectionTables.flip_signs``) when the model
+    has tables, else from ``_flip_numerators`` over every sample, one query
+    row at a time in O(n) memory; both give the same flips, so the same
+    output.  An empty model returns +1 (the sign of the empty
+    reconstruction, with sgn(0) = +1).
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
     keys = _query_keys(model, points)
     if model.tables is None:
-        signs = (np.where(_flip_numerators(model, row) >= 0, 1.0, -1.0) for row in keys)
+        flips = (_flips(np.where(_flip_numerators(model, row) >= 0, 1.0, -1.0)) for row in keys)
     else:
-        signs = (model.tables.flip_signs(at, model.n) for block in model.tables.positions(keys) for at in block)
-    return np.array([0.5 * float(np.dot(model.steps, s)) for s in signs], dtype=np.float64)
+        flips = (model.tables.flip_signs(at, model.n) for block in model.tables.positions(keys) for at in block)
+    values, order = model.samples.values, model.order
+    return np.array([math.fsum([(s_0 + s_n) / 2, *(values[order[f - 1]] * before)])
+                     for s_0, s_n, f, before in flips], dtype=np.float64)

@@ -83,7 +83,10 @@ def ub_error_breakdown(p: McParams) -> UbErrorBound:
     resolution_term = 5.0 * p.d / 2.0**p.r
     tail_term = 4.0 * math.sqrt(p.d * p.r) / (p.k + 1)
     log_set_bound = p.k * (1.0 + math.log(p.d / p.k) + math.log(2.0) * p.r)
-    estimation_term = 4.0 * _exp_or_inf(log_set_bound) / p.n
+    try:
+        estimation_term = 4.0 * math.exp(log_set_bound) / p.n
+    except OverflowError:  # #A or n past the float range
+        estimation_term = 4.0 * _exp_or_inf(log_set_bound - math.log(p.n))
     return UbErrorBound(resolution_term, tail_term, estimation_term)
 
 
@@ -96,7 +99,8 @@ def choose_params(eps: float, d: int) -> McParams:
     """Parameter choices that push each error-bound term below eps/3.
 
     ``r = ceil(log2(15 d / eps))``, ``k = min(floor(12 sqrt(d r) / eps), d)``,
-    ``n = ceil((12/eps) exp(k (1 + log(d/k) + r log 2)))``.
+    ``n = ceil((12/eps) exp(k (1 + log(d/k) + r log 2)))``.  Past the float
+    range ``n`` is formed in log space: its leading 53 bits, then zeros.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -104,7 +108,13 @@ def choose_params(eps: float, d: int) -> McParams:
         raise ValueError("d must be positive")
     r = math.ceil(math.log2(15.0 * d / eps))
     k = min(int(12.0 * math.sqrt(d * r) / eps), d)
-    n = math.ceil(12.0 / eps * math.exp(k * (1.0 + math.log(d / k) + math.log(2.0) * r)))
+    log_set_bound = k * (1.0 + math.log(d / k) + math.log(2.0) * r)
+    try:
+        n = math.ceil(12.0 / eps * math.exp(log_set_bound))
+    except OverflowError:
+        log2_n = (math.log(12.0 / eps) + log_set_bound) / math.log(2.0)
+        shift = math.floor(log2_n) - 60
+        n = math.ceil(2.0 ** (log2_n - shift)) << shift
     return McParams(d, k, r, n, eps)
 
 

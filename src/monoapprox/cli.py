@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -182,6 +183,9 @@ def cmd_approximate(cfg: ExperimentConfig) -> list[dict]:
         params = _mc_params(cfg)
         bound = ub_error_breakdown(params).total
         n_used = min(params.n, cfg.n_cap) if cfg.n_cap else params.n
+        if n_used * cfg.d > sys.maxsize:
+            raise _UsageError(
+                f"n = 10^{math.log10(n_used):.1f} samples do not fit in one array; cap them with --n-cap")
         evaluate = _mc_eval(cfg.mode)
         for rep in range(cfg.replications):
             truth = family_from_spec(cfg.family, cfg.d, _seed(cfg, rep, 1))
@@ -452,7 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_verify(cfg)
     try:
         if cfg.subcommand == "approximate":
-            _emit(cfg, cmd_approximate(cfg))
+            rows = cmd_approximate(cfg)
+            # JSON also records the parameters, so a capped fit shows the formula's n.
+            _emit(cfg, rows, {"params": asdict(_mc_params(cfg))} if cfg.algo == "mc" else None)
         elif cfg.subcommand == "convergence":
             _emit(cfg, cmd_convergence(cfg))
         elif cfg.subcommand == "bounds":
@@ -461,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(f"monoapprox: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -2,6 +2,7 @@ import math
 import copy
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -66,9 +67,9 @@ def test_sample_set_digit_keys_and_sorting():
         for j in range(2):
             assert samples.digit_keys[i, j] == cell_of_point(samples.points[i, j], 3)
     by_value = samples.sorted()
-    assert by_value.sorted_by_value
     assert np.all(np.diff(by_value.values) >= 0)
     assert by_value.resolution == 3
+    assert np.array_equal(by_value.digit_keys, _cell_keys(by_value.points, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,20 @@ def test_sample_set_validation():
     with pytest.raises(ValueError):
         SampleSet(np.array([[0.5]]), np.array([2.0]))
     with pytest.raises(ValueError):
-        SampleSet(np.array([[0.5], [0.6]]), np.array([0.5, -0.5]), sorted_by_value=True)
-    with pytest.raises(ValueError):
         SampleSet(np.array([[0.5]]), np.array([0.0, 1.0]))
+
+
+def test_sample_set_rejects_bad_digit_keys():
+    # Keys outside [0, 2**r) would be packed into another cell's code, and
+    # keys without a resolution cannot be checked at all.
+    points, values = np.array([[0.1, 0.6], [0.9, 0.3]]), np.array([1.0, -1.0])
+    for keys in ([[0, 9], [-3, 1]], [[0, 4], [3, 1]], [[-1, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            SampleSet(points, values, resolution=2, digit_keys=keys)
+    with pytest.raises(ValueError):
+        SampleSet(points, values, digit_keys=[[0, 2], [3, 1]])
+    keyed = SampleSet(points, values, resolution=2, digit_keys=[[0, 2], [3, 1]])
+    assert np.array_equal(keyed.digit_keys, keyed.with_resolution(2).digit_keys)
 
 
 def test_sample_set_rejects_non_finite_points():
@@ -251,7 +263,7 @@ def test_object_route_keeps_sums_exact():
     point = np.full((1, d), 0.3)
     samples = SampleSet(np.tile(point, (n, 1)), np.ones(n)).with_resolution(r)
     sign = WaveletModel(k, "sign", samples)
-    generalized = WaveletModel(k, "generalized", samples.sorted())
+    generalized = WaveletModel(k, "generalized", samples)
     assert sign.chi.dtype == object and chi_value(d, d, k, r) == 2**56
     assert eval_sign(sign, point) == 1.0
     assert eval_generalized(generalized, point) == 1.0
@@ -287,10 +299,26 @@ def _flip_signs(model, queries):
     return [np.where(_flip_numerators(model, keys) >= 0, 1.0, -1.0) for keys in _cell_keys(queries, model.r)]
 
 
+def _rebuilt_signs(flips, n):
+    """The +-1 vector s_0..s_n rebuilt from ``(s_0, s_n, f, s_{f-1})``, checking s_n and s_{f-1}."""
+    s_0, s_n, at, before = flips
+    assert np.all(np.diff(at) > 0) and np.all((1 <= at) & (at <= n))
+    signs = s_0 * (-1.0) ** np.searchsorted(at, np.arange(n + 1), side="right")
+    assert signs[-1] == s_n and np.array_equal(signs[at - 1], before)
+    return signs
+
+
 def _breakpoint_signs(model, queries):
-    """The same signs from the rank runs of the model's tables, in one batch."""
-    return [model.tables.flip_signs(at, model.n)
+    """The same signs, rebuilt from the flips the rank runs of the model's tables give, in one batch."""
+    return [_rebuilt_signs(model.tables.flip_signs(at, model.n), model.n)
             for block in model.tables.positions(_query_keys(model, queries)) for at in block]
+
+
+def _telescoped_reference(model, signs):
+    """``(s_0 + s_n)/2 + sum_f y_f s_{f-1}`` over the flips of a +-1 vector, summed with fsum."""
+    at = np.flatnonzero(signs[1:] != signs[:-1]) + 1
+    y = np.sort(model.samples.values)
+    return math.fsum([(signs[0] + signs[-1]) / 2, *(y[at - 1] * signs[at - 1])])
 
 
 def test_breakpoint_int64_and_object_routes_agree():
@@ -382,7 +410,7 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
     values = rng.choice([-1.0, 1.0], n) if sign_valued else rng.uniform(-1.0, 1.0, n)
     samples = SampleSet(points, values).with_resolution(r)
     with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", floor):
-        model = WaveletModel(k, mode, samples.sorted() if mode == "generalized" else samples)
+        model = WaveletModel(k, mode, samples)
     queries = np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))])
     query_keys = _cell_keys(queries, r)
     # Small shapes always fit the real floor.
@@ -394,10 +422,13 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
         assert floor == 0 or model.tables.ranks is not None
         if model.tables is not None:
             assert (model.tables.c_empty != 0) == (k < d)
-        expected = [0.5 * float(np.dot(model.steps, np.where(_flip_numerators(model, keys) >= 0, 1.0, -1.0)))
-                    for keys in query_keys]
+        reference = _flip_signs(model, queries)
+        expected = [_telescoped_reference(model, signs) for signs in reference]
         with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
             assert eval_generalized(model, queries).tolist() == expected
+            if model.tables is not None:
+                for got, signs in zip(_breakpoint_signs(model, queries), reference):
+                    assert np.array_equal(got, signs)
         return
     chi_max = max(abs(c) for c in chi_table(d, k, r))
     with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
@@ -413,12 +444,50 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
         assert eval_sign(model, np.full((1, d), 0.5)).tolist() == [1.0]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 120), st.booleans(),
+       st.sampled_from(["linear", "sign", "generalized"]), st.integers(0, 2**32 - 1), st.data())
+def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
+    # Subsets with at most n cells are binned by dense code; with the
+    # threshold at 0 every subset goes through np.unique instead.  Both
+    # must give the same tables, bit for bit.
+    k = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(seed)
+    points = rng.random((max(n // 3, 1), d))[rng.integers(0, max(n // 3, 1), n)]
+    values = rng.choice([-1.0, 1.0], n) if sign_valued else np.round(rng.uniform(-1.0, 1.0, n), 1)
+    samples = SampleSet(points, values).with_resolution(r)
+    dense = WaveletModel(k, mode, samples).tables
+    with mock.patch.object(approx_mc, "DENSE_CELLS_PER_SAMPLE", 0):
+        unique = WaveletModel(k, mode, samples).tables
+    for name in ("pack", "offsets", "keys", "weights", "ranks", "bounds", "coefs"):
+        got, expected = getattr(dense, name), getattr(unique, name)
+        assert (got is None) == (expected is None) == (name in ("ranks", "bounds", "coefs") and mode != "generalized")
+        if got is not None:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_dense_route_choice():
+    # mc-gen-d2's and mc-linear-d4's subsets have at most n cells and skip
+    # np.unique; mc-sign-d4's 2**28 cells keep it.
+    rng = np.random.default_rng(11)
+
+    def unique_calls(d, k, r, n, mode):
+        samples = SampleSet(rng.random((n, d)), rng.uniform(-1.0, 1.0, n)).with_resolution(r)
+        with mock.patch("numpy.unique", wraps=np.unique) as unique:
+            WaveletModel(k, mode, samples)
+        return unique.call_count
+
+    assert unique_calls(2, 2, 6, 5000, "generalized") == 0
+    assert unique_calls(4, 2, 4, 4096, "linear") == 0
+    assert unique_calls(4, 4, 7, 2000, "sign") == 1
+
+
 def test_projection_tables_route_choice():
     rng = np.random.default_rng(8)
 
     def model(d, k, r, n, mode="sign"):
         samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
-        return WaveletModel(k, mode, samples.sorted() if mode == "generalized" else samples)
+        return WaveletModel(k, mode, samples)
 
     # k = d keeps only the full subset: one table of at most n cells.
     assert len(model(4, 4, 7, 300).tables.offsets) == 1
@@ -456,7 +525,7 @@ def test_projection_tables_refused_without_listing_subsets():
     def tables(d, k, r, n, ranked=False):
         samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
         with mock.patch.object(approx_mc, "combinations", side_effect=AssertionError("listed")):
-            return approx_mc.ProjectionTables.build(samples, k, True, ranked)
+            return approx_mc.ProjectionTables.build(samples, k, True, np.argsort(samples.values) if ranked else None)
 
     # k = d: one subset, but r d = 80 bits.
     assert tables(40, 40, 2, 10) is None
@@ -591,23 +660,15 @@ def test_generalized_all_positive_samples():
     # Every value +1: in a cell matched by every sample the output is +1.
     points = np.full((5, 2), 0.1)
     values = np.ones(5)
-    samples = SampleSet(points, values, sorted_by_value=True).with_resolution(2)
+    samples = SampleSet(points, values).with_resolution(2)
     model = WaveletModel(1, "generalized", samples)
     assert eval_generalized(model, [[0.05, 0.05]]).tolist() == [1.0]
 
 
 def test_generalized_empty_information_returns_plus_one():
-    samples = SampleSet(
-        np.empty((0, 2)), np.empty(0), sorted_by_value=True
-    ).with_resolution(1)
+    samples = SampleSet(np.empty((0, 2)), np.empty(0)).with_resolution(1)
     assert eval_generalized(WaveletModel(1, "generalized", samples), [[0.3, 0.8]]).tolist() == [1.0]
     assert eval_sign(WaveletModel(1, "sign", samples), [[0.3, 0.8]]).tolist() == [1.0]
-
-
-def test_generalized_requires_sorted_samples():
-    samples = draw_samples(2, 10, Affine(2), 0).with_resolution(1)
-    with pytest.raises(RuntimeError):
-        WaveletModel(1, "generalized", samples)
 
 
 def test_generalized_collapses_to_sign_on_sign_valued_data():
@@ -691,7 +752,7 @@ def test_generalized_matches_direct_threshold_average():
     queries = rng.random((20, d))
     for x, got in zip(queries, eval_generalized(model, queries)):
         kernel = [exact_pair_kernel(indices, sx, x) for sx in points]
-        breaks = np.concatenate([[-1.0], values, [1.0]])
+        breaks = np.concatenate([[-1.0], np.sort(values), [1.0]])
         direct = 0.0
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             if hi <= lo:
@@ -721,15 +782,53 @@ def test_single_sample_kernel_depends_only_on_digit_match():
                 assert kernel == pytest.approx(-1.0, abs=1e-9)
 
 
+def _exact_threshold_cut_sum(samples, k, x):
+    """``1/2 sum_i (y_{i+1} - y_i) sgn(g_i(x))`` in exact rationals, rounded once to float."""
+    order = np.argsort(samples.values, kind="stable")
+    chi = chi_table(samples.d, k, samples.resolution)
+    weights = [chi[b] for b in (samples.digit_keys[order] == _cell_keys(x, samples.resolution)).sum(axis=1)]
+    ys = [Fraction(-1), *(Fraction(float(v)) for v in samples.values[order]), Fraction(1)]
+    total, prefix, whole = Fraction(0), 0, sum(weights)
+    for i in range(samples.n + 1):
+        total += (ys[i + 1] - ys[i]) * (1 if whole - 2 * prefix >= 0 else -1)
+        prefix += weights[i] if i < samples.n else 0
+    return float(total / 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 60), st.sampled_from(["tied", "uniform", "sign"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
+    # The output is the exact rational threshold-cut sum, correctly rounded,
+    # on the rank runs and on the chi route (entry floor 0; k = d shapes
+    # still fit it and have their tables dropped).  Samples in draw order
+    # and presorted by value give == outputs.  Covers n = 1, tied values and
+    # c_{} != 0 (k < d).
+    k = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(seed)
+    points = rng.random((max(n // 2, 1), d))[rng.integers(0, max(n // 2, 1), n)]
+    values = {"tied": np.round(rng.uniform(-1.0, 1.0, n), 1), "uniform": rng.uniform(-1.0, 1.0, n),
+              "sign": rng.choice([-1.0, 1.0], n)}[kind]
+    samples = SampleSet(points, values).with_resolution(r)
+    queries = np.concatenate([rng.random((4, d)), points[:3]])
+    expected = [_exact_threshold_cut_sum(samples, k, x) for x in queries]
+    for given_samples in (samples, samples.sorted()):
+        tables = WaveletModel(k, "generalized", given_samples)
+        with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", 0):
+            chi = WaveletModel(k, "generalized", given_samples)
+        object.__setattr__(chi, "tables", None)
+        assert tables.tables is not None and (tables.tables.c_empty != 0) == (k < d)
+        assert eval_generalized(tables, queries).tolist() == expected
+        assert eval_generalized(chi, queries).tolist() == expected
+
+
 def test_generalized_ties_do_not_matter():
     # Duplicate values: tied differences vanish, so permuting tied samples
     # cannot change the output.
     points = np.array([[0.1, 0.1], [0.6, 0.6], [0.9, 0.2], [0.2, 0.8]])
     values = np.array([-0.5, 0.5, 0.5, 1.0])
-    base = SampleSet(points, values, sorted_by_value=True).with_resolution(2)
-    swapped = SampleSet(
-        points[[0, 2, 1, 3]], values, sorted_by_value=True
-    ).with_resolution(2)
+    base = SampleSet(points, values).with_resolution(2)
+    swapped = SampleSet(points[[0, 2, 1, 3]], values).with_resolution(2)
     m1 = WaveletModel(2, "generalized", base)
     m2 = WaveletModel(2, "generalized", swapped)
     points = np.random.default_rng(12).random((50, 2))

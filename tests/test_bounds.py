@@ -64,12 +64,17 @@ def test_choose_params_k_clamps_to_d():
 
 
 def test_choose_params_terms_below_eps_thirds():
+    # From d = 76 at eps = 0.5 the formula's n is past the float range; it
+    # is formed in log space and keeps float precision, so the estimation
+    # term is eps/3 up to rounding.
     for eps in (0.3, 0.5, 0.8):
-        for d in (1, 2, 5):
+        for d in (1, 2, 5, 76, 144):
             p = choose_params(eps, d)
             b = ub_error_breakdown(p)
             assert b.resolution_term <= eps / 3 + 1e-12
             assert b.estimation_term <= eps / 3 + 1e-12
+            if p.n > 2**53:
+                assert b.estimation_term == pytest.approx(eps / 3, rel=1e-12)
             if p.k < d:
                 assert b.tail_term <= eps / 3 + 1e-12
 

@@ -178,3 +178,19 @@ def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_formula_n_past_the_float_range(capsys):
+    # At d = 144, eps = 0.5 the formula asks for about 10**627 samples, past
+    # the float range.  Capped, the fit runs and JSON reports that n; uncapped,
+    # the run is refused in one line.
+    argv = ["approximate", "--algo", "mc", "--d", "144", "--eps", "0.5", "--family", "boxbslash",
+            "--n-probe", "20"]
+    code, out = run_cli(capsys, *argv, "--n-cap", "50", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["rows"][0]["n_used"] == 50
+    assert 10**627 < payload["params"]["n"] < 10**628
+    code = main(argv + ["--n-cap", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("monoapprox: error: ") and len(captured.err.strip().splitlines()) == 1
