@@ -8,7 +8,6 @@ bound showing how fast the sample demand grows with the dimension.
 
 from .approx_det import GridModel, eval_grid, fit_grid, grid_error_bound
 from .approx_mc import (
-    CoefficientTable,
     SampleSet,
     WaveletModel,
     chi_table,
@@ -55,13 +54,11 @@ from .functions import (
     threshold,
 )
 from .haar_basis import (
-    DyadicCell,
     LEVEL_BOTTOM,
     MultiIndex,
     cell_of_point,
     enumerate_indices,
     index_set_size,
-    interval_of,
     psi_1d,
     psi_d,
     split_index,
@@ -71,7 +68,6 @@ from .metrics import (
     bakhvalov_step_error,
     coefficient_tensor,
     exact_coefficient,
-    exact_coefficient_table,
     fit_rate,
     l1_exact_dyadic,
     l1_mc,

@@ -215,38 +215,9 @@ def chi_table(d: int, k: int, r: int) -> tuple[int, ...]:
     return tuple(chi_value(b, d, k, r) for b in range(d + 1))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Estimated (or exactly computed) coefficients over a truncated index set.
-
-    Keys are exactly the indices with at most ``k`` active coordinates and all
-    levels below ``r``; absent mass is represented by explicit zeros.
-    """
-
-    d: int
-    k: int
-    r: int
-    values: dict[MultiIndex, float] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        expected = index_set_size(self.d, self.k, self.r).exact
-        if len(self.values) != expected:
-            raise ValueError(
-                f"table has {len(self.values)} entries, index set has {expected}"
-            )
-        if MultiIndex((0,) * self.d) not in self.values:
-            raise ValueError("table is missing the constant index")
-
-    def __getitem__(self, index: MultiIndex) -> float:
-        return self.values[index]
-
-    def items(self):
-        return self.values.items()
-
-
 def estimate_coefficients(
     samples: SampleSet, d: int, k: int, r: int, budget: int | None = None
-) -> CoefficientTable:
+) -> dict[MultiIndex, float]:
     """Sample-mean estimates of every truncated-basis coefficient.
 
     Each entry is the empirical mean of ``psi_index(X_i) * y_i``.  The basis
@@ -274,7 +245,7 @@ def estimate_coefficients(
             # averages over the n samples instead.
             by_subset[active] = haar_transform(sums.reshape((scale,) * t), r) * float(scale**t) / samples.n
         table[index] = float(by_subset[active][tuple(alpha for alpha in index.alphas if alpha)])
-    return CoefficientTable(d, k, r, table)
+    return table
 
 
 def subset_coefficient(t: int, d: int, k: int, r: int) -> int:

@@ -297,11 +297,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    try:
-        results = run_checks(cfg.only or None)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    results = run_checks(cfg.only)
     failed = 0
     for name, ok, seconds, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -327,6 +323,16 @@ def _float(text: str) -> float:
 
 def _float_list(text: str) -> list[float]:
     return [_float(v) for v in text.split(",") if v]
+
+
+def _check_names(text: str) -> list[str]:
+    names = [v for v in text.split(",") if v]
+    if not names:
+        raise _UsageError("--only names no check; see `monoapprox verify --list`")
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise _UsageError(f"unknown check {', '.join(unknown)}; see `monoapprox verify --list`")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the property-check suite")
     ver.add_argument("--config", help="file of key=value lines mirroring flags")
-    ver.add_argument("--only", type=lambda s: [v for v in s.split(",") if v], default=[])
+    ver.add_argument("--only", type=_check_names, default=[])
     ver.add_argument("--list", action="store_true", dest="list_checks")
     return parser
 

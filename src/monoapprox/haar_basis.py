@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
@@ -46,30 +45,6 @@ def split_index(alpha: int) -> tuple[int | None, int]:
         return LEVEL_BOTTOM, 0
     level = alpha.bit_length() - 1
     return level, alpha - (1 << level)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A dyadic interval, half-open unless it ends at 1."""
-
-    lo: float
-    hi: float
-    closed_right: bool
-
-    def __contains__(self, x: float) -> bool:
-        if self.closed_right:
-            return self.lo <= x <= self.hi
-        return self.lo <= x < self.hi
-
-
-def interval_of(level: int, shift: int) -> Interval:
-    """Support interval of the level/shift pair; see the module docstring."""
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    if not 0 <= shift < (1 << level):
-        raise ValueError(f"shift {shift} out of range for level {level}")
-    width = 2.0**-level
-    return Interval(shift * width, (shift + 1) * width, shift == (1 << level) - 1)
 
 
 def cell_of_point(x: float, level: int) -> int:
@@ -119,34 +94,6 @@ class MultiIndex:
     def support_volume(self) -> float:
         """Volume of the support, ``2**-level_sum``; always in (0, 1]."""
         return 2.0**-self.level_sum
-
-
-@dataclass(frozen=True)
-class DyadicCell:
-    """An axis-aligned dyadic box: one cell index per coordinate at its level."""
-
-    levels: tuple[int, ...]
-    cells: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != len(self.cells):
-            raise ValueError("levels and cells must have equal length")
-        for level, cell in zip(self.levels, self.cells):
-            if level < 0 or not 0 <= cell < (1 << level):
-                raise ValueError(f"cell {cell} invalid at level {level}")
-
-    @classmethod
-    def containing(cls, x, levels: tuple[int, ...]) -> "DyadicCell":
-        return cls(levels, tuple(cell_of_point(xj, l) for xj, l in zip(x, levels)))
-
-    @property
-    def volume(self) -> Fraction:
-        return Fraction(1, 1 << sum(self.levels))
-
-    def __contains__(self, x) -> bool:
-        return all(
-            cell_of_point(xj, l) == c for xj, l, c in zip(x, self.levels, self.cells)
-        )
 
 
 def psi_1d(alpha: int, x: float) -> float:

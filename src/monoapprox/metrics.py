@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_mc import CoefficientTable
 from .budget import check_budget
 from .functions import eval_batch
-from .haar_basis import MultiIndex, enumerate_indices, haar_transform, psi_1d, split_index
+from .haar_basis import MultiIndex, haar_transform, psi_1d, split_index
 
 
 @dataclass(frozen=True)
@@ -129,15 +128,6 @@ def coefficient_tensor(f, d: int, r: int, budget: int | None = None) -> np.ndarr
     resolution-r cells.
     """
     return haar_transform(grid_midpoint_values(f, d, r, budget), r)
-
-
-def exact_coefficient_table(
-    f, d: int, k: int, r: int, budget: int | None = None
-) -> CoefficientTable:
-    """Coefficient table filled with exact coefficients instead of estimates."""
-    tensor = coefficient_tensor(f, d, r, budget)
-    values = {index: float(tensor[index.alphas]) for index in enumerate_indices(d, k, r)}
-    return CoefficientTable(d, k, r, values)
 
 
 def tail_mass(f, d: int, k: int, r: int, budget: int | None = None) -> float:

@@ -1,54 +1,39 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: the whole check registry, plus the end-to-end criteria.
+
+Criteria 1-9 and 11 are entries of the ``monoapprox verify`` registry
+(``monoapprox.verify.CHECKS``): each numbered test runs its entry and prints
+an ``ACCEPTANCE NN: PASS`` line, so every criterion keeps a test id of its
+own, and ``test_registry_check`` runs every other entry, so the suite runs
+each check once.  Criterion 10 goes through
+``cli.cmd_convergence`` and criterion 12 fits end to end; neither has a
+registry entry.  ``test_planted_fault_fails_its_check`` shows that the
+checks can fail.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report including timings.
 """
 
-import math
+import dataclasses
 import time
-from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from monoapprox.approx_det import eval_grid, fit_grid, grid_error_bound
-from monoapprox.approx_mc import (
-    chi_value,
-    draw_samples,
-    estimate_coefficients,
-    eval_generalized,
-    eval_sign,
-    fit,
-)
-from monoapprox.bounds import (
-    BERRY_ESSEEN_UPPER,
-    choose_params,
-    default_lb_params,
-    lb_curve,
-    lb_epshat,
-    n_det_curse,
-    ub_error,
-    ub_error_breakdown,
-)
+from monoapprox import approx_det, approx_mc, bounds, haar_basis, metrics
+from monoapprox.approx_mc import eval_sign, fit
+from monoapprox.bounds import choose_params, ub_error, ub_error_breakdown
 from monoapprox.cli import ExperimentConfig, cmd_convergence
 from monoapprox.functions import (
-    boxbslash,
+    as_points,
     level_set_function,
     random_delta,
     sample_U,
-    snap_to_grid,
     step_function,
     threshold,
 )
-from monoapprox.haar_basis import MultiIndex, cell_of_point, enumerate_indices
-from monoapprox.metrics import (
-    bakhvalov_step_error,
-    coefficient_tensor,
-    exact_coefficient,
-    l1_exact_dyadic,
-    l1_mc,
-    tail_mass,
-)
+from monoapprox.metrics import l1_mc
+from monoapprox.verify import CHECKS
 
 #: Sample cap for the end-to-end run; the parameter formula requests around
 #: 7e5 samples at (eps=0.5, d=2) and 4e11 at (eps=0.5, d=4), the latter far
@@ -56,191 +41,62 @@ from monoapprox.metrics import (
 #: compared against is the one for the formula parameters.
 END_TO_END_SAMPLE_CAP = 200_000
 
+#: The numbered criteria that are registry checks.
+CRITERIA = {
+    "certificate": 1, "lb-numbers": 2, "curse": 3, "chi-table": 4, "sign-collapse": 5,
+    "tail-mass": 6, "parseval": 7, "estimator": 8, "grid-guarantee": 9, "bakhvalov": 11,
+}
+
 
 def report(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number:02d}: PASS - {text}")
 
 
-def test_criterion_01_certificate_reference_value():
+def accept(name: str, within: float | None = None) -> None:
+    """Run one registry check as its numbered criterion, optionally under a wall-time limit."""
     start = time.perf_counter()
-    params = default_lb_params()
-    cert = lb_epshat(params, 100)
+    ok, detail = CHECKS[name]()
     elapsed = time.perf_counter() - start
-    assert abs(cert.value - 0.0666667) <= 1e-3
-    assert params.c0 == BERRY_ESSEEN_UPPER == 0.4748
-    assert elapsed < 1.0
-    report(1, f"epshat(d=100) = {cert.value:.9f} (C0 = {params.c0}, {elapsed * 1e3:.1f} ms)")
+    assert ok, detail
+    if within is not None:
+        assert elapsed < within
+    report(CRITERIA[name], f"{detail.splitlines()[0]} ({elapsed:.2f} s)")
+
+
+def test_criterion_01_certificate_reference_value():
+    accept("certificate", within=1.0)
 
 
 def test_criterion_02_lower_bound_curve_values():
-    start = time.perf_counter()
-    params = default_lb_params()
-    at_100 = lb_curve(params, 1 / 15, 100)
-    at_400 = lb_curve(params, 1 / 15, 400)
-    elapsed = time.perf_counter() - start
-    assert at_100.valid and at_100.n_lower == pytest.approx(108.0, rel=1e-12)
-    expected_400 = 108.0 * math.exp(10.0)
-    assert at_400.valid
-    assert abs(at_400.n_lower - expected_400) <= 32 * np.spacing(expected_400)
-    assert elapsed < 1.0
-    report(2, f"n_lower = {at_100.n_lower:.6f} at d=100, {at_400.n_lower:.6e} at d=400")
+    accept("lb-numbers", within=1.0)
 
 
 def test_criterion_03_deterministic_curse_floor():
-    for d in range(1, 31):
-        assert n_det_curse(0.5, d) == float(2 ** (d - 1))
-    report(3, "n_det_curse(1/2, d) = 2**(d-1) exactly for d = 1..30")
-
-
-def _psi_half(alpha: int, z: float, cache={}) -> int:
-    key = (alpha, z)
-    if key not in cache:
-        level = alpha.bit_length() - 1
-        shift = alpha - (1 << level)
-        child = cell_of_point(z, level + 1)
-        if child == 2 * shift + 1:
-            cache[key] = 1
-        elif child == 2 * shift:
-            cache[key] = -1
-        else:
-            cache[key] = 0
-    return cache[key]
-
-
-def _brute_pair_sum(indices, sample, x) -> int:
-    total = 0
-    for index in indices:
-        term = 1
-        for alpha, sj, xj in zip(index.alphas, sample, x):
-            if alpha == 0:
-                continue
-            term *= _psi_half(alpha, sj) * _psi_half(alpha, xj) * (1 << (alpha.bit_length() - 1))
-            if term == 0:
-                break
-        total += term
-    return total
+    accept("curse")
 
 
 def test_criterion_04_chi_equals_brute_force_exhaustively():
-    start = time.perf_counter()
-    checked = 0
-    for d in range(1, 5):
-        for r in range(1, 4):
-            for k in range(0, d + 1):
-                indices = list(enumerate_indices(d, k, r))
-                table = [chi_value(b, d, k, r) for b in range(d + 1)]
-                for pattern in product((True, False), repeat=d):
-                    sample = [0.1] * d
-                    x = [0.1 if matched else 0.9 for matched in pattern]
-                    b = sum(pattern)
-                    assert table[b] == _brute_pair_sum(indices, sample, x)
-                    checked += 1
-    elapsed = time.perf_counter() - start
-    assert elapsed < 30.0
-    report(4, f"{checked} (d, r, k, match-pattern) cases, exact integer equality ({elapsed:.1f} s)")
+    accept("chi-table", within=30.0)
 
 
 def test_criterion_05_generalized_collapses_to_sign():
-    rng = np.random.default_rng(1234)
-    checked = 0
-    for trial in range(20):
-        d = 2 + trial % 5  # dimensions 2..6
-        if trial % 2:
-            truth = boxbslash(d)
-        else:
-            truth = level_set_function(d, 1, d, sample_U(d, 1, 0.4, 100 + trial))
-        k = 1 + trial % 2
-        r = 1 + trial % 2
-        n = 50 + 37 * trial
-        seed = 10_000 + trial
-        sign_model = fit(truth, d, k, r, n, seed, "sign")
-        gen_model = fit(truth, d, k, r, n, seed, "generalized")
-        xs = rng.random((1000, d))
-        assert np.array_equal(eval_sign(sign_model, xs), eval_generalized(gen_model, xs))
-        checked += len(xs)
-    report(5, f"{checked} probe evaluations, exact sign agreement on 20 fits")
+    accept("sign-collapse")
 
 
 def test_criterion_06_tail_mass_bound():
-    rng = np.random.default_rng(4321)
-    violations = 0
-    for trial in range(100):
-        d = int(rng.integers(2, 4))
-        r = int(rng.integers(1, 3))
-        if trial % 2:
-            m = 2 if r == 1 else int(rng.choice([2, 4]))
-            bits = rng.integers(0, 2, size=(m,) * d)
-            truth = step_function(d, m, bits)
-        else:
-            t = int(rng.integers(1, d + 1))
-            truth = level_set_function(d, t, d, sample_U(d, t, 0.5, 200 + trial))
-        for k in range(0, d + 1):
-            if tail_mass(truth, d, k, r) > math.sqrt(d * r) / (k + 1):
-                violations += 1
-    assert violations == 0
-    report(6, "tail mass <= sqrt(dr)/(k+1) on 100 random functions, all k, zero violations")
+    accept("tail-mass")
 
 
 def test_criterion_07_parseval():
-    rng = np.random.default_rng(86)
-    worst = 0.0
-    for d in (1, 2, 3):
-        for r in (1, 2):
-            scale = 1 << r
-            cells = rng.uniform(-1.0, 1.0, size=(scale,) * d)
-
-            def oracle(points, cells=cells, scale=scale):
-                return cells[tuple(np.minimum((points * scale).astype(np.int64), scale - 1).T)]
-
-            tensor = coefficient_tensor(oracle, d, r)
-            l2_squared = float((cells**2).sum()) / scale**d
-            worst = max(worst, abs(float((tensor**2).sum()) - l2_squared))
-    assert worst <= 1e-10
-    report(7, f"coefficient mass equals the exact squared L2 norm (worst gap {worst:.2e})")
+    accept("parseval")
 
 
 def test_criterion_08_estimator_statistics():
-    d, r, k, n, replications = 3, 2, 2, 256, 500
-    truth = snap_to_grid(boxbslash(d), d, r)
-    chosen = [
-        MultiIndex.of(0, 0, 0),
-        MultiIndex.of(1, 0, 0),
-        MultiIndex.of(0, 2, 0),
-        MultiIndex.of(3, 0, 0),
-        MultiIndex.of(1, 1, 0),
-    ]
-    exact = {index: exact_coefficient(truth, index, d, r) for index in chosen}
-    estimates = {index: np.empty(replications) for index in chosen}
-    for rep in range(replications):
-        samples = draw_samples(d, n, truth, np.random.SeedSequence((777, rep)))
-        table = estimate_coefficients(samples, d, k, r)
-        for index in chosen:
-            estimates[index][rep] = table[index]
-    for index in chosen:
-        values = estimates[index]
-        std_error = values.std(ddof=1) / math.sqrt(replications)
-        assert abs(values.mean() - exact[index]) <= 4 * std_error
-        assert values.var(ddof=1) <= 1.2 / n
-    report(8, f"5 coefficients over {replications} replications: unbiased within 4 SE, variance <= 1.2/n")
+    accept("estimator")
 
 
 def test_criterion_09_grid_guarantee():
-    violations = 0
-    for bits in product((0, 1), repeat=4):
-        truth = step_function(2, 2, np.array(bits).reshape(2, 2))
-        model = fit_grid(truth, 2, 2)
-        err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 2, 1)
-        if err.value > grid_error_bound(2, 2) + 1e-12:
-            violations += 1
-    for trial in range(50):
-        truth = level_set_function(3, 1, 3, sample_U(3, 1, 0.4, 300 + trial))
-        for m in (2, 4):
-            model = fit_grid(truth, 3, m)
-            err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 3, m.bit_length() - 1)
-            if err.value > grid_error_bound(3, m) + 1e-12:
-                violations += 1
-    assert violations == 0
-    report(9, "exact L1 error <= d/m on every tested monotone truth (116 fits)")
+    accept("grid-guarantee")
 
 
 def test_criterion_10_deterministic_convergence_rates():
@@ -259,30 +115,48 @@ def test_criterion_10_deterministic_convergence_rates():
 
 
 def test_criterion_11_bakhvalov_average_error_equality():
-    d = m = 2
-    denominator = d * (m - 1) + 1
-    cells = list(product(range(m), repeat=d))
-    subsets = [[], [(0, 0)], [(0, 1)], [(0, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)], cells]
-    for sampled in subsets:
-        j = len(set(map(tuple, sampled)))
-        closed = bakhvalov_step_error(d, m, sampled)
-        assert closed == pytest.approx((1 - j / m**d) / denominator, abs=1e-15)
-        # Independent route: enumerate all perturbations, integrate the exact
-        # error of the optimal midpoint-on-unseen-cells algorithm.
-        total = 0.0
-        revealed = set(map(tuple, sampled))
-        for bits in product((0, 1), repeat=len(cells)):
-            delta = dict(zip(cells, bits))
-            err = 0.0
-            for cell in cells:
-                if cell in revealed:
-                    continue
-                value = 2.0 * (sum(cell) + delta[cell]) / denominator - 1.0
-                midpoint = (2.0 * sum(cell) + 1.0) / denominator - 1.0
-                err += abs(value - midpoint) / m**d
-            total += err
-        assert abs(closed - total / 2 ** len(cells)) <= 1e-12
-    report(11, "closed form equals the brute-force average over all 16 perturbations")
+    accept("bakhvalov")
+
+
+@pytest.mark.parametrize("name", [name for name in CHECKS if name not in CRITERIA])
+def test_registry_check(name):
+    ok, detail = CHECKS[name]()
+    assert ok, detail
+
+
+def _upper_corner(model, points):
+    """``eval_grid`` answering the upper-corner knowledge instead of the midpoint."""
+    m, values = model.m, model.lattice_values
+    cells = np.minimum((as_points(points, model.d) * m).astype(np.int64), m - 1)
+    return np.where((cells == m - 1).any(axis=1), 1.0, values[tuple(np.minimum(cells, m - 2).T)])
+
+
+def _altered(function, change):
+    """``function`` with ``change`` applied to its result."""
+    return lambda *args, **kwargs: change(function(*args, **kwargs))
+
+
+# One planted fault per row: (check, module, attribute, replacement).
+FAULTS = [
+    ("orthonormality", haar_basis, "psi_d", _altered(haar_basis.psi_d, lambda v: 1.01 * v)),
+    ("index-count", haar_basis, "index_set_size",
+     _altered(haar_basis.index_set_size, lambda size: size._replace(exact=size.exact + 1))),
+    ("chi-table", approx_mc, "chi_value", _altered(approx_mc.chi_value, lambda v: v + 1)),
+    ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),
+    ("grid-guarantee", approx_det, "eval_grid", _upper_corner),
+    ("parseval", metrics, "coefficient_tensor", _altered(metrics.coefficient_tensor, lambda v: 1.001 * v)),
+    ("bakhvalov", metrics, "bakhvalov_step_error", _altered(metrics.bakhvalov_step_error, lambda v: v + 1e-9)),
+    ("curse", bounds, "n_det_curse", _altered(bounds.n_det_curse, lambda v: 2 * v)),
+    ("certificate", bounds, "lb_epshat",
+     _altered(bounds.lb_epshat, lambda cert: dataclasses.replace(cert, value=0.07))),
+]
+
+
+@pytest.mark.parametrize("name, module, attribute, fault", FAULTS, ids=[row[0] for row in FAULTS])
+def test_planted_fault_fails_its_check(name, module, attribute, fault):
+    with mock.patch.object(module, attribute, fault):
+        ok, _ = CHECKS[name]()
+    assert ok is False
 
 
 def _end_to_end_truth(d: int, rep: int):

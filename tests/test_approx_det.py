@@ -1,19 +1,9 @@
-from itertools import product
-
 import numpy as np
 import pytest
 
 from monoapprox.approx_det import GridModel, eval_grid, fit_grid, grid_error_bound
 from monoapprox.budget import BudgetExceededError
-from monoapprox.functions import (
-    Affine,
-    boxbslash,
-    level_set_function,
-    sample_U,
-    step_function,
-    random_delta,
-)
-from monoapprox.metrics import fit_rate, l1_exact_dyadic, l1_mc
+from monoapprox.functions import Affine, boxbslash, random_delta, step_function
 
 
 def test_fit_grid_examples():
@@ -78,37 +68,6 @@ def test_grid_model_validation():
         GridModel(2, 3, np.zeros((2, 3)))
 
 
-def test_grid_guarantee_on_step_family_exhaustive():
-    for bits in product((0, 1), repeat=4):
-        truth = step_function(2, 2, np.array(bits).reshape(2, 2))
-        model = fit_grid(truth, 2, 2)
-        err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 2, 1)
-        assert err.value <= grid_error_bound(2, 2) + 1e-12
-
-
-def test_grid_guarantee_on_level_set_truths():
-    rng = np.random.default_rng(2024)
-    for trial in range(20):
-        truth = level_set_function(3, 1, 3, sample_U(3, 1, 0.4, trial))
-        for m in (2, 4):
-            model = fit_grid(truth, 3, m)
-            resolution = m.bit_length() - 1
-            err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 3, resolution)
-            assert err.value <= grid_error_bound(3, m) + 1e-12
-
-
-def test_grid_output_sandwiched_by_corner_knowledge():
-    truth = step_function(2, 4, random_delta(2, 4, 1))
-    model = fit_grid(truth, 2, 4)
-    rng = np.random.default_rng(5)
-    points = rng.random((200, 2))
-    for x, out in zip(points, eval_grid(model, points)):
-        cell = [min(int(xj * 4), 3) for xj in x]
-        lower = -1.0 if 0 in cell else model.lattice_values[tuple(c - 1 for c in cell)]
-        upper = 1.0 if 3 in cell else model.lattice_values[tuple(cell)]
-        assert min(lower, upper) - 1e-12 <= out <= max(lower, upper) + 1e-12
-
-
 def test_eval_grid_batch_matches_corner_rule():
     # The corner rule point by point, at random points and at coordinates
     # 0, exactly i/m and 1.0, where the cell index changes.
@@ -130,14 +89,3 @@ def test_eval_grid_rejects_malformed_points():
                 [[-0.1, 0.5]], [[0.5, 1.5]]):
         with pytest.raises(ValueError):
             eval_grid(model, bad)
-
-
-def test_grid_convergence_rates():
-    for d, m_grid, target, tol in ((1, (16, 32, 64, 128), -1.0, 0.15), (2, (16, 32, 64, 128), -0.5, 0.15)):
-        truth = Affine(d)
-        points = []
-        for m in m_grid:
-            model = fit_grid(truth, d, m)
-            err = l1_mc(truth, lambda points: eval_grid(model, points), d, 30000, (d, m))
-            points.append(((m - 1) ** d, err.value))
-        assert fit_rate(points) == pytest.approx(target, abs=tol)

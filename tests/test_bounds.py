@@ -261,16 +261,6 @@ def test_lb_curve_rejects_failed_certificate():
         lb_curve(broken, 1 / 15, 100)
 
 
-def test_upper_bound_never_crosses_lower_bound():
-    params = default_lb_params()
-    for d in (100, 200, 400, 900):
-        low = params.eps0 * math.sqrt(params.d0 / d)
-        for eps in np.linspace(low, params.eps0, 9):
-            lower = lb_curve(params, float(eps), d)
-            upper = n_ran_upper_breakdown(float(eps), d)
-            assert min(upper.log_stochastic_branch, upper.log_deterministic_branch) >= lower.log_n_lower
-
-
 def test_lb_params_validation():
     with pytest.raises(ValueError):
         LbParams(0.1, 0.4, 1.5, 0.7, 1e-3, 0.25)  # alpha0 > 0

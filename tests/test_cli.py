@@ -118,8 +118,10 @@ def test_verify_only_named_check(capsys):
 
 
 def test_verify_unknown_check(capsys):
-    code = main(["verify", "--only", "not-a-check"])
-    assert code == 2
+    code = main(["verify", "--only", "tail-mass,not-a-check"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "monoapprox: error: unknown check not-a-check; see `monoapprox verify --list`\n"
 
 
 def test_verify_list(capsys):
@@ -167,10 +169,11 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         _MC + ["--k", "3", "--r", "1", "--n", "8"],
         _MC + ["--eps", "0"],
         ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", "16,32"],
+        ["verify", "--only", ","],
     ],
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
-         "two-grid-sizes"],
+         "two-grid-sizes", "verify-only-names-no-check"],
 )
 def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
     code = main(argv)

@@ -1,5 +1,4 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from monoapprox.metrics import (
     bakhvalov_step_error,
     coefficient_tensor,
     exact_coefficient,
-    exact_coefficient_table,
     fit_rate,
     l1_exact_dyadic,
     l1_mc,
@@ -72,14 +70,6 @@ def test_l1_mc_examples():
         l1_mc(same, same, 2, 1, 0)
 
 
-def test_l1_mc_within_four_std_errors_of_exact():
-    f = step_function(2, 2, random_delta(2, 2, 4))
-    g = level_set_function(2, 1, 2, sample_U(2, 1, 0.5, 5))
-    exact = l1_exact_dyadic(f, g, 2, 1).value
-    est = l1_mc(f, g, 2, 40000, 6)
-    assert abs(est.value - exact) <= 4 * max(est.std_error, 1e-12)
-
-
 def test_exact_coefficient_examples():
     const = lambda x: np.full(len(x), 0.375)
     assert exact_coefficient(const, MultiIndex.of(0, 0), 2, 2) == pytest.approx(0.375)
@@ -101,26 +91,6 @@ def test_coefficient_tensor_matches_pointwise_exact_coefficient():
         )
 
 
-def test_exact_coefficient_table_keys():
-    truth = step_function(2, 2, random_delta(2, 2, 0))
-    table = exact_coefficient_table(truth, 2, 1, 1)
-    assert {index for index, _ in table.items()} == set(enumerate_indices(2, 1, 1))
-
-
-def test_parseval_at_resolution():
-    rng = np.random.default_rng(77)
-    for d, r in ((1, 3), (2, 2), (3, 2)):
-        scale = 1 << r
-        cells = rng.uniform(-1.0, 1.0, size=(scale,) * d)
-
-        def oracle(points):
-            return cells[tuple(np.minimum((points * scale).astype(np.int64), scale - 1).T)]
-
-        tensor = coefficient_tensor(oracle, d, r)
-        l2_squared = float((cells**2).sum()) / scale**d
-        assert float((tensor**2).sum()) == pytest.approx(l2_squared, abs=1e-10)
-
-
 def test_tail_mass_examples():
     truth = snap_to_grid(boxbslash(2), 2, 2)
     assert tail_mass(truth, 2, 2, 2) == 0.0  # k = d leaves nothing out
@@ -128,19 +98,6 @@ def test_tail_mass_examples():
     lifted = lambda x: single_variable(x[:, :1])
     assert tail_mass(lifted, 3, 1, 2) == pytest.approx(0.0, abs=1e-15)
     assert tail_mass(truth, 2, 1, 2) <= math.sqrt(2 * 2) / 2
-
-
-def test_tail_mass_bound_over_families():
-    rng = np.random.default_rng(11)
-    for trial in range(30):
-        d = int(rng.integers(2, 4))
-        r = int(rng.integers(1, 3))
-        if trial % 2:
-            truth = step_function(d, 2, random_delta(d, 2, trial))
-        else:
-            truth = level_set_function(d, 1, d, sample_U(d, 1, 0.5, trial))
-        for k in range(d + 1):
-            assert tail_mass(truth, d, k, r) <= math.sqrt(d * r) / (k + 1)
 
 
 def test_single_variable_coefficients_of_monotone_functions_are_nonnegative():
@@ -169,38 +126,6 @@ def test_bakhvalov_examples():
     assert bakhvalov_step_error(2, 2, [(0, 1), (0, 1)]) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         bakhvalov_step_error(2, 2, [(0, 5)])
-
-
-def brute_force_average_error(d, m, sampled):
-    """Average exact error of the best algorithm over all perturbations.
-
-    For each assignment of bits the optimal output copies revealed cells and
-    takes the midpoint of the two candidate values elsewhere; its error is
-    integrated exactly cell by cell.
-    """
-    sampled = set(map(tuple, sampled))
-    denominator = d * (m - 1) + 1
-    cells = list(product(range(m), repeat=d))
-    total = 0.0
-    assignments = list(product((0, 1), repeat=len(cells)))
-    for bits in assignments:
-        delta = dict(zip(cells, bits))
-        err = 0.0
-        for cell in cells:
-            value = 2.0 * (sum(cell) + delta[cell]) / denominator - 1.0
-            if cell in sampled:
-                continue
-            midpoint = (2.0 * sum(cell) + 1.0) / denominator - 1.0
-            err += abs(value - midpoint) / m**d
-        total += err
-    return total / len(assignments)
-
-
-def test_bakhvalov_matches_brute_force_average():
-    for sampled in ([], [(0, 0)], [(1, 0), (0, 1)], [(0, 0), (1, 1), (0, 1)]):
-        closed = bakhvalov_step_error(2, 2, sampled)
-        brute = brute_force_average_error(2, 2, sampled)
-        assert abs(closed - brute) <= 1e-12
 
 
 def test_fit_rate_examples():
