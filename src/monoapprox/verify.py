@@ -5,7 +5,8 @@ enumeration, exact integer arithmetic, closed forms) and compares it against
 the library implementation, returning ``(ok, detail)``.  The registry backs
 ``monoapprox verify``, and the acceptance suite runs every entry, so a check
 runs at one scale: the sizes, seeds and tolerances the tests hold the library
-to.  ``pair_kernel`` is the exact reference kernel the tests import as well.
+to.  ``pair_kernel`` and ``brute_average_error`` are the exact references the
+tests import as well.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def _check_tail_mass() -> CheckResult:
     return True, f"tail mass <= sqrt(dr)/(k+1) on {count} random monotone functions, every k"
 
 
-def _brute_average_error(d: int, m: int, sampled) -> float:
+def brute_average_error(d: int, m: int, sampled) -> float:
     """Average exact error of the best algorithm over all perturbations.
 
     For each assignment of bits the optimal output copies revealed cells and
@@ -338,7 +339,7 @@ def _check_bakhvalov() -> CheckResult:
         closed = metrics.bakhvalov_step_error(d, m, sampled)
         if abs(closed - (1 - len(set(sampled)) / m**d) / (d * (m - 1) + 1)) > 1e-15:
             return False, f"closed form mismatch for {sampled}"
-        if abs(closed - _brute_average_error(d, m, sampled)) > 1e-12:
+        if abs(closed - brute_average_error(d, m, sampled)) > 1e-12:
             return False, f"brute-force average mismatch for {sampled}"
     return True, f"closed form equals the brute-force average over all {2 ** len(cells)} perturbations"
 

@@ -1,9 +1,19 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from monoapprox.approx_det import GridModel, eval_grid, fit_grid, grid_error_bound
 from monoapprox.budget import BudgetExceededError
-from monoapprox.functions import Affine, boxbslash, random_delta, step_function
+from monoapprox.functions import (
+    Affine,
+    boxbslash,
+    level_set_function,
+    random_delta,
+    sample_U,
+    step_function,
+)
+from monoapprox.metrics import l1_exact_dyadic
 
 
 def test_fit_grid_examples():
@@ -66,6 +76,24 @@ def test_grid_model_validation():
         GridModel(1, 2, np.array([2.0]))
     with pytest.raises(ValueError):
         GridModel(2, 3, np.zeros((2, 3)))
+
+
+def test_grid_guarantee_on_step_family_exhaustive():
+    for bits in product((0, 1), repeat=4):
+        truth = step_function(2, 2, np.array(bits).reshape(2, 2))
+        model = fit_grid(truth, 2, 2)
+        err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 2, 1)
+        assert err.value <= grid_error_bound(2, 2) + 1e-12
+
+
+def test_grid_guarantee_on_level_set_truths():
+    for trial in range(20):
+        truth = level_set_function(3, 1, 3, sample_U(3, 1, 0.4, trial))
+        for m in (2, 4):
+            model = fit_grid(truth, 3, m)
+            resolution = m.bit_length() - 1
+            err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 3, resolution)
+            assert err.value <= grid_error_bound(3, m) + 1e-12
 
 
 def test_eval_grid_batch_matches_corner_rule():

@@ -601,6 +601,22 @@ def test_chi_value_examples():
     for d in (1, 2, 3):
         for r in (1, 2):
             assert chi_value(d, d, d, r) == 2 ** (r * d)
+            assert chi_value(d, d, d, r) == brute_chi(d, d, d, r)
+
+
+def brute_chi(b, d, k, r):
+    """Exact integer sum of psi(X) psi(x) over the index set for a pair whose
+    digit keys agree in exactly the first b coordinates."""
+    x = [0.1] * b + [0.9] * (d - b)
+    return pair_kernel(list(enumerate_indices(d, k, r)), [0.1] * d, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_chi_value_matches_brute_force(d, r, data):
+    k = data.draw(st.integers(0, d))
+    b = data.draw(st.integers(0, d))
+    assert chi_value(b, d, k, r) == brute_chi(b, d, k, r)
 
 
 def test_chi_table_contents():

@@ -23,6 +23,7 @@ from monoapprox.metrics import (
     l1_mc,
     tail_mass,
 )
+from monoapprox.verify import brute_average_error
 
 
 def test_error_estimate_invariants():
@@ -91,6 +92,20 @@ def test_coefficient_tensor_matches_pointwise_exact_coefficient():
         )
 
 
+def test_parseval_at_resolution():
+    rng = np.random.default_rng(77)
+    for d, r in ((1, 3), (2, 2), (3, 2)):
+        scale = 1 << r
+        cells = rng.uniform(-1.0, 1.0, size=(scale,) * d)
+
+        def oracle(points):
+            return cells[tuple(np.minimum((points * scale).astype(np.int64), scale - 1).T)]
+
+        tensor = coefficient_tensor(oracle, d, r)
+        l2_squared = float((cells**2).sum()) / scale**d
+        assert float((tensor**2).sum()) == pytest.approx(l2_squared, abs=1e-10)
+
+
 def test_tail_mass_examples():
     truth = snap_to_grid(boxbslash(2), 2, 2)
     assert tail_mass(truth, 2, 2, 2) == 0.0  # k = d leaves nothing out
@@ -98,6 +113,19 @@ def test_tail_mass_examples():
     lifted = lambda x: single_variable(x[:, :1])
     assert tail_mass(lifted, 3, 1, 2) == pytest.approx(0.0, abs=1e-15)
     assert tail_mass(truth, 2, 1, 2) <= math.sqrt(2 * 2) / 2
+
+
+def test_tail_mass_bound_over_families():
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        d = int(rng.integers(2, 4))
+        r = int(rng.integers(1, 3))
+        if trial % 2:
+            truth = step_function(d, 2, random_delta(d, 2, trial))
+        else:
+            truth = level_set_function(d, 1, d, sample_U(d, 1, 0.5, trial))
+        for k in range(d + 1):
+            assert tail_mass(truth, d, k, r) <= math.sqrt(d * r) / (k + 1)
 
 
 def test_single_variable_coefficients_of_monotone_functions_are_nonnegative():
@@ -126,6 +154,13 @@ def test_bakhvalov_examples():
     assert bakhvalov_step_error(2, 2, [(0, 1), (0, 1)]) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         bakhvalov_step_error(2, 2, [(0, 5)])
+
+
+def test_bakhvalov_matches_brute_force_average():
+    for sampled in ([], [(0, 0)], [(1, 0), (0, 1)], [(0, 0), (1, 1), (0, 1)]):
+        closed = bakhvalov_step_error(2, 2, sampled)
+        brute = brute_average_error(2, 2, sampled)
+        assert abs(closed - brute) <= 1e-12
 
 
 def test_fit_rate_examples():
