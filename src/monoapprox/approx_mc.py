@@ -78,10 +78,14 @@ MODES = ("linear", "sign", "generalized")
 # Projection tables may hold max(n d, TABLE_ENTRY_FLOOR) entries: as many as
 # the n d digit keys, and never fewer than 2**22.  A build peaks at about 32
 # bytes per entry (key, weight and the concatenated copy; 30.6-33 B measured
-# at 0.23M-3.8M entries), so the floor admits about 130 MB.  The limit is on
-# memory alone: at every shape measured past n d (d = 8-10, k = 3-4, r = 4-5,
-# n = 20k-100k) the tables answered 2000 queries 5-9x faster than the chi
-# route, their build included.
+# at 0.23M-3.8M entries), so the floor admits about 130 MB.  The limit bounds
+# memory and is no speed rule: within it tables usually win, but not always.
+# With many subsets and a small n a query pays one lookup per subset and the
+# chi route only n digit rows.  On 2 CPUs (numpy 2.4), for 2000 sign queries,
+# build included: d = 8, k = 3, r = 4, n = 20000 took 0.06 s with tables
+# against 2.03 s on the chi route, but d = 12, k = 5, r = 3, n = 2000 (1586
+# subsets) took 0.23 s to build and 1.41 s to query, against 0.21 s in all
+# on the chi route.
 TABLE_ENTRY_FLOOR = 1 << 22
 
 # Queries are looked up in blocks of about LOOKUP_BLOCK (query, subset) pairs.
@@ -104,13 +108,14 @@ class SampleSet:
 
     Once a resolution ``r`` is fixed, ``digit_keys[i][j]`` caches the index of
     the resolution-``r`` dyadic cell containing ``points[i][j]``, in ``[0,
-    2**r)``.  Arrays are frozen after construction.
+    2**r)``.  The keys are always computed from the points, never passed in.
+    Arrays are frozen after construction.
     """
 
     points: np.ndarray
     values: np.ndarray
     resolution: int | None = None
-    digit_keys: np.ndarray | None = None
+    digit_keys: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -121,21 +126,16 @@ class SampleSet:
             raise ValueError("sample points must lie in [0, 1]^d")
         if values.size and (np.abs(values).max() > 1.0 or not np.isfinite(values).all()):
             raise ValueError("sample values must lie in [-1, 1]")
-        keys = self.digit_keys
-        if keys is not None:
-            keys = np.asarray(keys, dtype=np.int64)
-            if keys.shape != points.shape:
-                raise ValueError("digit_keys shape must match points shape")
-            if self.resolution is None or self.resolution < 1:
-                raise ValueError("digit_keys need a positive resolution")
-            if keys.size and (keys.min() < 0 or int(keys.max()) >= 1 << self.resolution):
-                raise ValueError(f"digit_keys must lie in [0, 2**{self.resolution})")
-            keys.flags.writeable = False
         points.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "digit_keys", keys)
+        if self.resolution is not None:
+            if self.resolution < 1:
+                raise ValueError("resolution must be positive")
+            keys = _cell_keys(points, self.resolution)
+            keys.flags.writeable = False
+            object.__setattr__(self, "digit_keys", keys)
 
     @property
     def n(self) -> int:
@@ -146,18 +146,13 @@ class SampleSet:
         return self.points.shape[1]
 
     def with_resolution(self, r: int) -> "SampleSet":
-        """Attach resolution-r digit keys (recomputing if r differs)."""
-        if r < 1:
-            raise ValueError("resolution must be positive")
-        if self.resolution == r and self.digit_keys is not None:
-            return self
-        return SampleSet(self.points, self.values, r, _cell_keys(self.points, r))
+        """The same samples with resolution-r digit keys (recomputed if r differs)."""
+        return self if self.resolution == r else SampleSet(self.points, self.values, r)
 
     def sorted(self) -> "SampleSet":
         """The (point, value) pairs, stably sorted by value."""
         order = np.argsort(self.values, kind="stable")
-        keys = self.digit_keys[order] if self.digit_keys is not None else None
-        return SampleSet(self.points[order], self.values[order], self.resolution, keys)
+        return SampleSet(self.points[order], self.values[order], self.resolution)
 
 
 def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
@@ -169,10 +164,7 @@ def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
         raise ValueError("d and n must be positive")
     rng = np.random.default_rng(seed)
     points = rng.random((n, d))
-    values = eval_batch(oracle, points)
-    if np.abs(values).max() > 1.0 or not np.isfinite(values).all():
-        raise ValueError("oracle returned a value outside [-1, 1]")
-    return SampleSet(points, values)
+    return SampleSet(points, eval_batch(oracle, points))
 
 
 def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:

@@ -5,9 +5,17 @@ empirical error against its bound; ``convergence`` sweeps a size grid and fits
 a log-log rate; ``bounds`` tabulates the complexity bounds on an (eps, d)
 grid; ``verify`` runs the property-check suite.  Output is CSV or JSON on
 stdout or a file; identical (config, seed) pairs produce byte-identical
-output.  Errors are measured by ``l1_mc`` on one batch of probe points: the
-fitted model is evaluated by its ``eval_*`` function in two calls, the first
-probe alone and then the rest (see ``_probe_eval``).
+output.  Both algorithms run through one scoring function, ``_score``: det
+fits the grid at ``m = size``, mc the wavelet model at ``n = size``, and the
+error is measured by ``l1_mc`` on one batch of probe points, the fitted model
+evaluated by its ``eval_*`` function in two calls, the first probe alone and
+then the rest (see ``_probe_eval``).
+
+Every malformed input (an unknown flag or a bad value, a ``--family`` the
+family parser rejects, det without ``--m``, mc without ``--eps`` or all of
+``--k --r --n``) prints one ``monoapprox: error:`` line to stderr and exits
+2; a budget violation exits 1.  Flag defaults are those of
+``ExperimentConfig``; only ``convergence --replications`` defaults to 4.
 
 Seeds: replication ``i`` of a run with master seed ``s`` derives its
 randomness from ``numpy.random.SeedSequence((s, i, stream))`` where stream 0
@@ -28,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .approx_det import eval_grid, fit_grid, grid_error_bound
-from .approx_mc import eval_generalized, eval_linear, eval_sign, fit
+from .approx_mc import MODES, eval_generalized, eval_linear, eval_sign, fit
 from .bounds import (
     BERRY_ESSEEN_UPPER,
     DEFAULT_UPPER_C,
@@ -124,14 +132,6 @@ def _emit(cfg: ExperimentConfig, rows: list[dict], extra: dict | None = None) ->
         sys.stdout.write(text)
 
 
-def _mc_eval(mode: str):
-    """The batch evaluation function of a wavelet mode.
-
-    Looked up on every call, so a replaced module attribute takes effect.
-    """
-    return {"linear": eval_linear, "sign": eval_sign, "generalized": eval_generalized}[mode]
-
-
 def _probe_eval(evaluate, model):
     """The callable ``l1_mc`` evaluates ``model`` through.
 
@@ -148,71 +148,68 @@ def _probe_eval(evaluate, model):
     return evaluate_probes
 
 
+class _UsageError(Exception):
+    """A malformed command line; reported in one line with exit status 2."""
+
+
 def _mc_params(cfg: ExperimentConfig) -> McParams:
     if cfg.eps is not None:
         return choose_params(cfg.eps, cfg.d)
     if cfg.k is None or cfg.r is None or cfg.n is None:
-        raise SystemExit("mc runs need either --eps or all of --k, --r, --n")
-    return McParams(cfg.d, cfg.k, cfg.r, cfg.n, cfg.eps if cfg.eps else 0.5)
+        raise _UsageError("mc runs need either --eps or all of --k, --r, --n")
+    return McParams(cfg.d, cfg.k, cfg.r, cfg.n, 0.5)
+
+
+def _truth(cfg: ExperimentConfig, replication: int):
+    """The family member of a replication; a malformed ``--family`` is a usage error."""
+    try:
+        return family_from_spec(cfg.family, cfg.d, _seed(cfg, replication, 1))
+    except ValueError as exc:
+        raise _UsageError(f"--family {cfg.family!r}: {exc}") from None
+
+
+def _score(cfg: ExperimentConfig, truth, size: int, slot: int, params: McParams | None = None):
+    """The ``l1_mc`` error of one fit on ``truth``.
+
+    det fits the grid at ``m = size``; mc fits the wavelet model of
+    ``params.k`` and ``params.r`` at ``n = size``.  ``slot`` is the
+    replication index of the fit and probe seeds.  The fit and evaluation
+    functions are looked up on every call, so a replaced module attribute
+    takes effect.
+    """
+    if cfg.algo == "det":
+        model, evaluate = fit_grid(truth, cfg.d, size, cfg.budget_cells), eval_grid
+    else:
+        model = fit(truth, cfg.d, params.k, params.r, size, _seed(cfg, slot, 0), cfg.mode)
+        evaluate = {"linear": eval_linear, "sign": eval_sign, "generalized": eval_generalized}[cfg.mode]
+    return l1_mc(truth, _probe_eval(evaluate, model), cfg.d, cfg.n_probe, _seed(cfg, slot, 2))
+
+
+def _std_error(errors: list[float]) -> float:
+    return float(np.std(errors, ddof=1) / np.sqrt(len(errors))) if len(errors) > 1 else 0.0
 
 
 def cmd_approximate(cfg: ExperimentConfig) -> list[dict]:
-    if not cfg.family:
-        raise SystemExit(2)
-    rows = []
-    errors = []
+    params = None
     if cfg.algo == "det":
         if cfg.m is None:
-            raise SystemExit("det runs need --m")
-        bound = grid_error_bound(cfg.d, cfg.m)
-        for rep in range(cfg.replications):
-            truth = family_from_spec(cfg.family, cfg.d, _seed(cfg, rep, 1))
-            model = fit_grid(truth, cfg.d, cfg.m, cfg.budget_cells)
-            err = l1_mc(truth, _probe_eval(eval_grid, model), cfg.d, cfg.n_probe, _seed(cfg, rep, 2))
-            errors.append(err.value)
-            rows.append(
-                {
-                    "replication": rep,
-                    "n_used": (cfg.m - 1) ** cfg.d,
-                    "error": err.value,
-                    "std_error": err.std_error,
-                    "bound": bound,
-                }
-            )
-    elif cfg.algo == "mc":
+            raise _UsageError("det runs need --m")
+        size, n_used, bound = cfg.m, (cfg.m - 1) ** cfg.d, grid_error_bound(cfg.d, cfg.m)
+    else:
         params = _mc_params(cfg)
         bound = ub_error_breakdown(params).total
-        n_used = min(params.n, cfg.n_cap) if cfg.n_cap else params.n
+        size = n_used = min(params.n, cfg.n_cap) if cfg.n_cap else params.n
         if n_used * cfg.d > sys.maxsize:
             raise _UsageError(
                 f"n = 10^{math.log10(n_used):.1f} samples do not fit in one array; cap them with --n-cap")
-        evaluate = _mc_eval(cfg.mode)
-        for rep in range(cfg.replications):
-            truth = family_from_spec(cfg.family, cfg.d, _seed(cfg, rep, 1))
-            model = fit(truth, cfg.d, params.k, params.r, n_used, _seed(cfg, rep, 0), cfg.mode)
-            err = l1_mc(truth, _probe_eval(evaluate, model), cfg.d, cfg.n_probe, _seed(cfg, rep, 2))
-            errors.append(err.value)
-            rows.append(
-                {
-                    "replication": rep,
-                    "n_used": n_used,
-                    "error": err.value,
-                    "std_error": err.std_error,
-                    "bound": bound,
-                }
-            )
-    else:
-        raise SystemExit("--algo must be det or mc")
-    mean = float(np.mean(errors))
-    rows.append(
-        {
-            "replication": "mean",
-            "n_used": rows[-1]["n_used"],
-            "error": mean,
-            "std_error": float(np.std(errors, ddof=1) / np.sqrt(len(errors))) if len(errors) > 1 else 0.0,
-            "bound": bound,
-        }
-    )
+    rows = []
+    for rep in range(cfg.replications):
+        err = _score(cfg, _truth(cfg, rep), size, rep, params)
+        rows.append({"replication": rep, "n_used": n_used, "error": err.value, "std_error": err.std_error,
+                     "bound": bound})
+    errors = [row["error"] for row in rows]
+    rows.append({"replication": "mean", "n_used": n_used, "error": float(np.mean(errors)),
+                 "std_error": _std_error(errors), "bound": bound})
     return rows
 
 
@@ -222,40 +219,23 @@ _DEFAULT_M_GRIDS = {1: [16, 32, 64, 128, 256], 2: [16, 32, 64, 128]}
 
 
 def cmd_convergence(cfg: ExperimentConfig) -> list[dict]:
-    if not cfg.family:
-        raise SystemExit(2)
     rows = []
-    points = []
     if cfg.algo == "det":
-        m_grid = cfg.m_grid or _DEFAULT_M_GRIDS.get(cfg.d, [2, 4, 8])
-        truth = family_from_spec(cfg.family, cfg.d, _seed(cfg, 0, 1))
-        for m in m_grid:
-            model = fit_grid(truth, cfg.d, m, cfg.budget_cells)
-            err = l1_mc(truth, _probe_eval(eval_grid, model), cfg.d, cfg.n_probe, _seed(cfg, m, 2))
-            n = (m - 1) ** cfg.d
-            points.append((n, err.value))
-            rows.append(
-                {"n": n, "error": err.value, "std_error": err.std_error, "bound": grid_error_bound(cfg.d, m)}
-            )
-    elif cfg.algo == "mc":
-        if cfg.k is None or cfg.r is None:
-            raise SystemExit("mc convergence needs --k and --r")
-        n_grid = cfg.n_grid or [64, 256, 1024, 4096]
-        evaluate = _mc_eval(cfg.mode)
-        for n in n_grid:
-            errs = []
-            for rep in range(cfg.replications):
-                truth = family_from_spec(cfg.family, cfg.d, _seed(cfg, rep, 1))
-                model = fit(truth, cfg.d, cfg.k, cfg.r, n, _seed(cfg, n * cfg.replications + rep, 0), cfg.mode)
-                probe_seed = _seed(cfg, n * cfg.replications + rep, 2)
-                errs.append(l1_mc(truth, _probe_eval(evaluate, model), cfg.d, cfg.n_probe, probe_seed).value)
-            mean = float(np.mean(errs))
-            std = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
-            bound = ub_error_breakdown(McParams(cfg.d, cfg.k, cfg.r, n, cfg.eps or 0.5)).total
-            points.append((n, mean))
-            rows.append({"n": n, "error": mean, "std_error": std, "bound": bound})
+        truth = _truth(cfg, 0)
+        for m in cfg.m_grid or _DEFAULT_M_GRIDS.get(cfg.d, [2, 4, 8]):
+            err = _score(cfg, truth, m, m)
+            rows.append({"n": (m - 1) ** cfg.d, "error": err.value, "std_error": err.std_error,
+                         "bound": grid_error_bound(cfg.d, m)})
     else:
-        raise SystemExit("--algo must be det or mc")
+        if cfg.k is None or cfg.r is None:
+            raise _UsageError("mc convergence needs --k and --r")
+        for n in cfg.n_grid or [64, 256, 1024, 4096]:
+            params = McParams(cfg.d, cfg.k, cfg.r, n, cfg.eps or 0.5)
+            errs = [_score(cfg, _truth(cfg, rep), n, n * cfg.replications + rep, params).value
+                    for rep in range(cfg.replications)]
+            rows.append({"n": n, "error": float(np.mean(errs)), "std_error": _std_error(errs),
+                         "bound": ub_error_breakdown(params).total})
+    points = [(row["n"], row["error"]) for row in rows]
     # A zero error (target reproduced exactly) makes the log-log fit undefined.
     slope = fit_rate(points) if all(e > 0 for _, e in points) else None
     rows.append({"n": "slope", "error": slope, "std_error": None, "bound": None})
@@ -335,17 +315,25 @@ def _check_names(text: str) -> list[str]:
     return names
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``_UsageError`` instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="monoapprox", description=__doc__)
+    """The command line; an omitted flag leaves its ``ExperimentConfig`` default."""
+    parser = _Parser(prog="monoapprox", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="file of key=value lines mirroring flags")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--budget-cells", type=int, default=None)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+        p.add_argument("--out")
+        p.add_argument("--budget-cells", type=int)
 
     approx = sub.add_parser("approximate", help="fit one algorithm, report error vs bound")
     common(approx)
@@ -357,43 +345,38 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--k", type=int)
     approx.add_argument("--r", type=int)
     approx.add_argument("--n", type=int)
-    approx.add_argument("--mode", choices=("linear", "sign", "generalized"), default="generalized")
-    approx.add_argument("--replications", type=int, default=1)
-    approx.add_argument("--n-probe", type=int, default=2000)
-    approx.add_argument("--n-cap", type=int, default=200_000,
-                        help="cap on the sample size of mc fits (0 disables)")
+    approx.add_argument("--mode", choices=MODES)
+    approx.add_argument("--replications", type=int)
+    approx.add_argument("--n-probe", type=int)
+    approx.add_argument("--n-cap", type=int, help="cap on the sample size of mc fits (0 disables)")
 
     conv = sub.add_parser("convergence", help="size sweep with fitted log-log slope")
     common(conv)
     conv.add_argument("--algo", choices=("det", "mc"), required=True)
     conv.add_argument("--d", type=int, required=True)
     conv.add_argument("--family", required=True)
-    conv.add_argument("--m-grid", type=_int_list, default=[])
-    conv.add_argument("--n-grid", type=_int_list, default=[])
+    conv.add_argument("--m-grid", type=_int_list)
+    conv.add_argument("--n-grid", type=_int_list)
     conv.add_argument("--k", type=int)
     conv.add_argument("--r", type=int)
     conv.add_argument("--eps", type=float)
-    conv.add_argument("--mode", choices=("linear", "sign", "generalized"), default="generalized")
+    conv.add_argument("--mode", choices=MODES)
     conv.add_argument("--replications", type=int, default=4)
-    conv.add_argument("--n-probe", type=int, default=2000)
+    conv.add_argument("--n-probe", type=int)
 
     bnd = sub.add_parser("bounds", help="tabulate complexity bounds on an (eps, d) grid")
     common(bnd)
-    bnd.add_argument("--eps-grid", type=_float_list, default=[])
-    bnd.add_argument("--d-grid", type=_int_list, default=[])
-    bnd.add_argument("--det-branch", choices=("theorem", "proof"), default="theorem")
-    bnd.add_argument("--c0", type=float, default=BERRY_ESSEEN_UPPER)
-    bnd.add_argument("--upper-c", type=float, default=DEFAULT_UPPER_C)
+    bnd.add_argument("--eps-grid", type=_float_list)
+    bnd.add_argument("--d-grid", type=_int_list)
+    bnd.add_argument("--det-branch", choices=("theorem", "proof"))
+    bnd.add_argument("--c0", type=float)
+    bnd.add_argument("--upper-c", type=float)
 
     ver = sub.add_parser("verify", help="run the property-check suite")
     ver.add_argument("--config", help="file of key=value lines mirroring flags")
-    ver.add_argument("--only", type=_check_names, default=[])
+    ver.add_argument("--only", type=_check_names)
     ver.add_argument("--list", action="store_true", dest="list_checks")
     return parser
-
-
-class _UsageError(Exception):
-    """A malformed command line; reported in one line with exit status 2."""
 
 
 # The smallest value of each numeric flag a run can produce a row for; grid
@@ -450,26 +433,20 @@ def main(argv: list[str] | None = None) -> int:
         known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
         cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in known and v is not None})
         _check_flags(cfg)
-    except _UsageError as exc:
-        print(f"monoapprox: error: {exc}", file=sys.stderr)
-        return 2
-
-    if cfg.subcommand == "verify":
-        if getattr(args, "list_checks", False):
-            for name in CHECKS:
-                print(name)
-            return 0
-        return cmd_verify(cfg)
-    try:
+        if cfg.subcommand == "verify":
+            if args.list_checks:
+                for name in CHECKS:
+                    print(name)
+                return 0
+            return cmd_verify(cfg)
         if cfg.subcommand == "approximate":
             rows = cmd_approximate(cfg)
             # JSON also records the parameters, so a capped fit shows the formula's n.
             _emit(cfg, rows, {"params": asdict(_mc_params(cfg))} if cfg.algo == "mc" else None)
         elif cfg.subcommand == "convergence":
             _emit(cfg, cmd_convergence(cfg))
-        elif cfg.subcommand == "bounds":
-            rows, extra = cmd_bounds(cfg)
-            _emit(cfg, rows, extra)
+        else:
+            _emit(cfg, *cmd_bounds(cfg))
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1

@@ -273,10 +273,10 @@ def family_from_spec(spec: str, d: int, seed) -> Callable:
             if not value:
                 raise ValueError(f"malformed family argument {item!r}")
             args[key.strip()] = value.strip()
-    if name == "boxbslash":
-        return boxbslash(d)
-    if name == "affine":
-        return Affine(d)
+    if name in ("boxbslash", "affine"):
+        if args:
+            raise ValueError(f"{name} takes no arguments, got {sorted(args)}")
+        return boxbslash(d) if name == "boxbslash" else Affine(d)
     if name == "step":
         m = int(args.pop("m", "2"))
         if args:

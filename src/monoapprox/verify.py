@@ -475,10 +475,17 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
 
 
 def run_checks(only: list[str] | None = None):
-    """Run the named checks (all by default); returns (name, ok, seconds, detail) tuples."""
+    """Run the named checks (all by default); returns (name, ok, seconds, detail) tuples.
+
+    A check that raises fails with the exception as its detail, and the
+    remaining checks still run.
+    """
     results = []
     for name in only or CHECKS:
         start = time.perf_counter()
-        ok, detail = CHECKS[name]()
+        try:
+            ok, detail = CHECKS[name]()
+        except Exception as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append((name, ok, time.perf_counter() - start, detail))
     return results

@@ -135,16 +135,21 @@ def test_sample_set_validation():
 
 
 def test_sample_set_rejects_bad_digit_keys():
-    # Keys outside [0, 2**r) would be packed into another cell's code, and
-    # keys without a resolution cannot be checked at all.
-    points, values = np.array([[0.1, 0.6], [0.9, 0.3]]), np.array([1.0, -1.0])
-    for keys in ([[0, 9], [-3, 1]], [[0, 4], [3, 1]], [[-1, 0], [0, 0]]):
-        with pytest.raises(ValueError):
-            SampleSet(points, values, resolution=2, digit_keys=keys)
+    # Keys passed in could name another cell than the point's own (keys
+    # [[3.9, 3.2]] for the point (0.1, 0.1) once fitted a model answering 16
+    # at (0.9, 0.9)), so they cannot be passed; they follow from the points.
+    points, values = np.array([[0.1, 0.1], [0.9, 0.3]]), np.array([1.0, -1.0])
+    with pytest.raises(TypeError):
+        SampleSet(points, values, resolution=2, digit_keys=[[3, 3], [3, 1]])
+    assert SampleSet(points, values).digit_keys is None
+    for r in (1, 2, 5):
+        keyed = SampleSet(points, values, resolution=r)
+        assert np.array_equal(keyed.digit_keys, _cell_keys(points, r))
+        assert np.array_equal(keyed.with_resolution(r).digit_keys, _cell_keys(points, r))
+        assert np.array_equal(keyed.with_resolution(r + 1).digit_keys, _cell_keys(points, r + 1))
+        assert np.array_equal(keyed.sorted().digit_keys, _cell_keys(points[::-1], r))
     with pytest.raises(ValueError):
-        SampleSet(points, values, digit_keys=[[0, 2], [3, 1]])
-    keyed = SampleSet(points, values, resolution=2, digit_keys=[[0, 2], [3, 1]])
-    assert np.array_equal(keyed.digit_keys, keyed.with_resolution(2).digit_keys)
+        SampleSet(points, values, resolution=0)
 
 
 def test_sample_set_rejects_non_finite_points():

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -40,9 +41,10 @@ def test_approximate_mc_runs_and_reports_bound(capsys):
 
 
 def test_approximate_missing_family_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["approximate", "--algo", "det", "--d", "2", "--m", "4"])
-    assert excinfo.value.code == 2
+    code = main(["approximate", "--algo", "det", "--d", "2", "--m", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "monoapprox: error: the following arguments are required: --family\n"
 
 
 def test_identical_config_and_seed_give_identical_output(capsys, tmp_path):
@@ -124,6 +126,17 @@ def test_verify_unknown_check(capsys):
     assert captured.err == "monoapprox: error: unknown check not-a-check; see `monoapprox verify --list`\n"
 
 
+def test_verify_check_that_raises_is_a_fail(capsys):
+    # A check that raises fails with the exception named, and the rest still run.
+    with mock.patch("monoapprox.haar_basis.index_set_size", side_effect=RecursionError("too deep")):
+        code, out = run_cli(capsys, "verify", "--only", "index-count,certificate")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("index-count: FAIL") and lines[1] == "  RecursionError: too deep"
+    assert any(line.startswith("certificate: PASS") for line in lines)
+    assert lines[-1] == "1/2 checks passed"
+
+
 def test_verify_list(capsys):
     code, out = run_cli(capsys, "verify", "--list")
     assert code == 0
@@ -170,16 +183,34 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         _MC + ["--eps", "0"],
         ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", "16,32"],
         ["verify", "--only", ","],
+        _DET[:-1] + ["bogus"],
+        _DET[:-1] + ["step:m=x"],
+        _DET[:-1] + ["levelset:q=1"],
+        _DET[:-1] + ["step:m=0"],
+        _DET[:-1] + ["affine:x=1"],
+        _DET[:-1] + [""],
+        ["approximate", "--algo", "det", "--d", "2", "--family", "affine"],
+        _MC,
+        _MC + ["--k", "1", "--r", "1"],
+        ["convergence", "--algo", "mc", "--d", "2", "--family", "affine", "--k", "1"],
+        ["approximate", "--algo", "det", "--d", "x", "--m", "4", "--family", "affine"],
+        _DET + ["--bogus-flag", "1"],
+        ["approximate", "--algo", "det", "--d", "2", "--m", "4"],
     ],
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
-         "two-grid-sizes", "verify-only-names-no-check"],
+         "two-grid-sizes", "verify-only-names-no-check", "family-unknown",
+         "family-bad-int", "family-unknown-argument", "family-m-0", "family-argument-of-affine",
+         "family-empty",
+         "det-without-m", "mc-without-eps", "mc-without-n", "mc-convergence-without-r",
+         "d-not-an-int", "unknown-flag", "missing-family"],
 )
 def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert captured.err.startswith("monoapprox: error: ")
     assert len(captured.err.strip().splitlines()) == 1
 
 
