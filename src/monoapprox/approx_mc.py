@@ -42,13 +42,11 @@ Generalized models also keep the value ranks of the samples in every
 occupied cell: ``n g_i(x)`` is linear in ``i`` between the ranks of the
 samples in x's own cells, so its flips follow from integer prefix sums over
 those breakpoints and one exact floor division per segment (at ``k = d`` a
-single cell of about ``n 2**(-r d)`` samples).  Where a packed key would not
-fit in int64 or the tables could hold more than ``max(n d,
-TABLE_ENTRY_FLOOR)`` entries (a memory limit; the rank runs count ``n`` per
-nonempty subset), they keep the chi route instead: an O(n d) digit
-comparison per query row, after which each ``g_i(x)`` follows from integer
-prefix sums in O(n).  All integer arithmetic is exact (Python integers, with
-a 64-bit fast path when magnitudes provably permit).
+single cell of about ``n 2**(-r d)`` samples).  Where the tables may not be
+built (``ProjectionTables.build``), models keep the chi route instead: an
+O(n d) digit comparison per query row, after which each ``g_i(x)`` follows
+from integer prefix sums in O(n).  All integer arithmetic is exact (Python
+integers, with a 64-bit fast path when magnitudes provably permit).
 ``estimate_coefficients``, the Haar transform of the projected sample
 histograms, is the explicit coefficient route the identity is checked
 against.
@@ -63,6 +61,7 @@ estimator) is structural.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -97,8 +96,8 @@ LOOKUP_BLOCK = 1 << 16
 
 # A subset T is binned by dense code where its 2**(r |T|) cells number at
 # most DENSE_CELLS_PER_SAMPLE * max(n, 1): one np.bincount over the codes
-# (2-3 ms at mc-gen-d2's 4096 cells and 726k samples) instead of np.unique
-# with its n-sized inverse (40-50 ms).
+# (2-7 ms at mc-gen-d2's 4096 cells and 726k samples) instead of the sorted
+# pairs (24 ms) or np.unique with its n-sized inverse (40-50 ms).
 DENSE_CELLS_PER_SAMPLE = 1
 
 
@@ -108,8 +107,9 @@ class SampleSet:
 
     Once a resolution ``r`` is fixed, ``digit_keys[i][j]`` caches the index of
     the resolution-``r`` dyadic cell containing ``points[i][j]``, in ``[0,
-    2**r)``.  The keys are always computed from the points, never passed in.
-    Arrays are frozen after construction.
+    2**r)``, uint8 for r <= 8 and uint16 for r <= 16.  The keys are always
+    computed from the points, never passed in.  Arrays are frozen after
+    construction.
     """
 
     points: np.ndarray
@@ -131,11 +131,16 @@ class SampleSet:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
         if self.resolution is not None:
-            if self.resolution < 1:
-                raise ValueError("resolution must be positive")
-            keys = _cell_keys(points, self.resolution)
-            keys.flags.writeable = False
-            object.__setattr__(self, "digit_keys", keys)
+            self._keyed(self.resolution)
+
+    def _keyed(self, r: int) -> "SampleSet":
+        if r < 1:
+            raise ValueError("resolution must be positive")
+        keys = _cell_keys(self.points, r)
+        keys.flags.writeable = False
+        object.__setattr__(self, "resolution", r)
+        object.__setattr__(self, "digit_keys", keys)
+        return self
 
     @property
     def n(self) -> int:
@@ -146,8 +151,8 @@ class SampleSet:
         return self.points.shape[1]
 
     def with_resolution(self, r: int) -> "SampleSet":
-        """The same samples with resolution-r digit keys (recomputed if r differs)."""
-        return self if self.resolution == r else SampleSet(self.points, self.values, r)
+        """The same samples with resolution-r digit keys (recomputed if r differs, not revalidated)."""
+        return self if self.resolution == r else copy.copy(self)._keyed(r)
 
     def sorted(self) -> "SampleSet":
         """The (point, value) pairs, stably sorted by value."""
@@ -171,10 +176,22 @@ def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:
     """Resolution-r cell index ``min(floor(x * 2**r), 2**r - 1)`` of every coordinate.
 
     The minimum puts ``x = 1`` in the last (right-closed) cell, as
-    ``haar_basis.cell_of_point`` does.
+    ``haar_basis.cell_of_point`` does.  uint8/uint16 keys are clamped before
+    the cast, so ``x = 1`` cannot wrap to 0; int64 keys after it, exactly.
     """
     scale = 1 << r
-    return np.minimum((points * scale).astype(np.int64), scale - 1)
+    if r > 16:
+        return np.minimum((points * scale).astype(np.int64), scale - 1)
+    cells = points * scale
+    return np.minimum(cells, scale - 1, out=cells).astype(np.uint8 if r <= 8 else np.uint16)
+
+
+def _subset_codes(digit_keys: np.ndarray, subset, shifts) -> np.ndarray:
+    """int64 codes with digit ``subset[s]`` at bit ``shifts[s]``, or-ed in one key column at a time."""
+    codes = np.zeros(len(digit_keys), dtype=np.int64)
+    for j, shift in zip(subset, shifts):
+        codes |= np.left_shift(digit_keys[:, j], shift, dtype=np.int64)
+    return codes
 
 
 def chi_value(b: int, d: int, k: int, r: int) -> int:
@@ -231,7 +248,7 @@ def estimate_coefficients(
         if active not in by_subset:
             t = len(active)
             # Row-major code of each sample's T-projected cell.
-            codes = keys[:, list(active)] @ scale ** np.arange(t - 1, -1, -1)
+            codes = _subset_codes(keys, active, [r * (t - 1 - s) for s in range(t)])
             sums = np.bincount(codes, weights=samples.values, minlength=scale**t)
             # haar_transform averages over the 2**(r t) cells; the estimate
             # averages over the n samples instead.
@@ -253,34 +270,52 @@ def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
     return (1 << (r * t)) * (-1) ** (k - t) * math.comb(d - t - 1, k - t)
 
 
+def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
+    """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense, pairs or unique."""
+    if 1 << (r * len(subset)) <= DENSE_CELLS_PER_SAMPLE * max(n, 1):
+        return "dense"
+    return "pairs" if r * (max(subset, default=-1) + 1) + (max(n, 1) - 1).bit_length() <= 63 else "unique"
+
+
 def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, order):
     """Occupied T-cells, the sum of ``values`` over each and, given ``order``, the runs.
 
     Cells come as sorted packed codes (digit ``j`` at bit ``r j``).  Where T
-    has few cells (``DENSE_CELLS_PER_SAMPLE``), bincount bins T's digits in
-    consecutive ``r``-bit slots, which sort as the packed codes do; else
-    ``np.unique`` indexes the occupied cells.  Both add in sample order, so
-    the float64 sums carry the same bits (for +-1 values, integers of size
-    at most n < 2**53: exact).  Given the value permutation ``order``, the
-    runs are the value ranks grouped by cell, ascending within each, and the
-    cell sizes.  The n-sized temporaries are freed on return.
+    has few cells, bincount bins T's digits in consecutive ``r``-bit slots,
+    which sort as the packed codes do; else one ``np.sort`` of ``code << b |
+    i`` (``i < 2**b`` the sample index) yields the cells, and their ranks go
+    back to each ``i`` (``np.unique`` past 63 bits).  All add in sample
+    order, so the float64 sums carry the same bits (for +-1 values, integers
+    of size at most n < 2**53: exact).  Given the value permutation
+    ``order``, the runs are the value ranks grouped by cell, ascending within
+    each, and the cell sizes.  The n-sized temporaries are freed on return.
     """
-    t = len(subset)
-    slots = np.zeros(digit_keys.shape[1], dtype=np.int64)
-    span = 1 << (r * t)
-    if span <= DENSE_CELLS_PER_SAMPLE * max(len(values), 1):
-        slots[list(subset)] = 1 << (r * np.arange(t, dtype=np.int64))
-        codes = digit_keys @ slots
+    t, n = len(subset), len(values)
+    route = _cell_route(subset, r, n)
+    if route == "dense":
+        span = 1 << (r * t)
+        codes = _subset_codes(digit_keys, subset, [r * s for s in range(t)])
         counts = np.bincount(codes, minlength=span)
         occupied = np.flatnonzero(counts)
         counts = counts[occupied]
         sums = np.bincount(codes, weights=values, minlength=span)[occupied]
-        cells = np.zeros(len(occupied), dtype=np.int64)
-        for slot, j in enumerate(subset):
-            cells += ((occupied >> (r * slot)) & ((1 << r) - 1)) << (r * j)
+        digits = (occupied[:, None] >> (r * np.arange(t))) & ((1 << r) - 1)
+        cells = _subset_codes(digits, range(t), [r * j for j in subset])
     else:
-        slots[list(subset)] = 1 << (r * np.array(subset, dtype=np.int64))
-        cells, codes = np.unique(digit_keys @ slots, return_inverse=True)
+        codes = _subset_codes(digit_keys, subset, [r * j for j in subset])
+        if route == "unique":
+            cells, codes = np.unique(codes, return_inverse=True)
+        else:
+            bits = (max(n, 1) - 1).bit_length()
+            codes <<= bits
+            codes |= np.arange(n)
+            codes.sort()
+            index = codes & ((1 << bits) - 1)
+            codes >>= bits
+            first = np.ones(n, dtype=bool)
+            np.not_equal(codes[1:], codes[:-1], out=first[1:])
+            cells = codes[first]
+            codes[index] = np.cumsum(first) - 1
         sums = np.bincount(codes, weights=values, minlength=len(cells))
         counts = np.bincount(codes, minlength=len(cells)) if order is not None else None
         span = len(cells)

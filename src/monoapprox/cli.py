@@ -163,7 +163,7 @@ def _mc_params(cfg: ExperimentConfig) -> McParams:
 def _truth(cfg: ExperimentConfig, replication: int):
     """The family member of a replication; a malformed ``--family`` is a usage error."""
     try:
-        return family_from_spec(cfg.family, cfg.d, _seed(cfg, replication, 1))
+        return family_from_spec(cfg.family, cfg.d, _seed(cfg, replication, 1), cfg.budget_cells)
     except ValueError as exc:
         raise _UsageError(f"--family {cfg.family!r}: {exc}") from None
 
@@ -324,7 +324,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """The command line; an omitted flag leaves its ``ExperimentConfig`` default."""
-    parser = _Parser(prog="monoapprox", description=__doc__)
+    parser = _Parser(prog="monoapprox", description="L1 approximation of monotone functions on [0,1]^d.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

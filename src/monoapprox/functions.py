@@ -13,6 +13,7 @@ return zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, FrozenSet
@@ -258,12 +259,12 @@ def is_monotone_on_grid(oracle, d: int, resolution: int, budget: int | None = No
     return True
 
 
-def family_from_spec(spec: str, d: int, seed) -> Callable:
+def family_from_spec(spec: str, d: int, seed, budget: int | None = None) -> Callable:
     """Build an oracle from a CLI family string.
 
     Formats: ``boxbslash``; ``affine``; ``step:m=4``;
     ``levelset:t=2,b=4,p=0.3``.  Random family members are drawn
-    deterministically from ``seed``.
+    deterministically from ``seed``, their enumerations within ``budget``.
     """
     name, _, argstr = spec.partition(":")
     args: dict[str, str] = {}
@@ -281,6 +282,7 @@ def family_from_spec(spec: str, d: int, seed) -> Callable:
         m = int(args.pop("m", "2"))
         if args:
             raise ValueError(f"unknown step arguments {sorted(args)}")
+        check_budget(m**d, budget, what="perturbation bits")
         return step_function(d, m, random_delta(d, m, seed))
     if name == "levelset":
         t = int(args.pop("t", "1"))
@@ -288,5 +290,6 @@ def family_from_spec(spec: str, d: int, seed) -> Callable:
         p = float(args.pop("p", "0.5"))
         if args:
             raise ValueError(f"unknown levelset arguments {sorted(args)}")
+        check_budget(math.comb(d, t), budget, what="weight-t vertices")
         return level_set_function(d, t, b, sample_U(d, t, p, seed))
     raise ValueError(f"unknown family {name!r}")

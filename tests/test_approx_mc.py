@@ -147,6 +147,7 @@ def test_sample_set_rejects_bad_digit_keys():
         assert np.array_equal(keyed.digit_keys, _cell_keys(points, r))
         assert np.array_equal(keyed.with_resolution(r).digit_keys, _cell_keys(points, r))
         assert np.array_equal(keyed.with_resolution(r + 1).digit_keys, _cell_keys(points, r + 1))
+        assert keyed.with_resolution(r + 1).points is keyed.points  # validated once, shared
         assert np.array_equal(keyed.sorted().digit_keys, _cell_keys(points[::-1], r))
     with pytest.raises(ValueError):
         SampleSet(points, values, resolution=0)
@@ -448,7 +449,7 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
        st.sampled_from(["linear", "sign", "generalized"]), st.integers(0, 2**32 - 1), st.data())
 def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
     # Subsets with at most n cells are binned by dense code; with the
-    # threshold at 0 every subset goes through np.unique instead.  Both
+    # threshold at 0 every subset takes the sorted pairs instead.  Both
     # must give the same tables, bit for bit.
     k = data.draw(st.integers(0, d))
     rng = np.random.default_rng(seed)
@@ -466,19 +467,109 @@ def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
 
 
 def test_dense_route_choice():
-    # mc-gen-d2's and mc-linear-d4's subsets have at most n cells and skip
-    # np.unique; mc-sign-d4's 2**28 cells keep it.
+    # mc-gen-d2's and mc-linear-d4's subsets have at most n cells and are
+    # binned by dense code; mc-sign-d4's 2**28 cells take the sorted pairs.
+    # np.unique is left where the pair would pass 63 bits: d = k = 8, r =
+    # 7 packs 56 bits, and n = 1000 needs 10 more for the sample index.
     rng = np.random.default_rng(11)
 
-    def unique_calls(d, k, r, n, mode):
+    def routes(d, k, r, n, mode):
         samples = SampleSet(rng.random((n, d)), rng.uniform(-1.0, 1.0, n)).with_resolution(r)
-        with mock.patch("numpy.unique", wraps=np.unique) as unique:
+        with mock.patch.object(approx_mc, "_cell_route", wraps=approx_mc._cell_route) as route:
             WaveletModel(k, mode, samples)
-        return unique.call_count
+        return {approx_mc._cell_route(*call.args) for call in route.call_args_list}
 
-    assert unique_calls(2, 2, 6, 5000, "generalized") == 0
-    assert unique_calls(4, 2, 4, 4096, "linear") == 0
-    assert unique_calls(4, 4, 7, 2000, "sign") == 1
+    assert routes(2, 2, 6, 5000, "generalized") == {"dense"}
+    assert routes(4, 2, 4, 4096, "linear") == {"dense"}
+    assert routes(4, 4, 7, 2000, "sign") == {"pairs"}
+    assert routes(8, 8, 7, 1000, "sign") == {"unique"}
+
+
+def _unique_cell_sums(digit_keys, subset, r, values, order):
+    """The sparse build the sorted pairs replaced: np.unique with its inverse, then bincount."""
+    slots = np.zeros(digit_keys.shape[1], dtype=np.int64)
+    slots[list(subset)] = 1 << (r * np.array(subset, dtype=np.int64))
+    cells, inverse = np.unique(digit_keys.astype(np.int64) @ slots, return_inverse=True)
+    sums = np.bincount(inverse, weights=values, minlength=len(cells))
+    if order is None:
+        return cells, sums, None, None
+    counts = np.bincount(inverse, minlength=len(cells))
+    return cells, sums, np.argsort(inverse[order], kind="stable"), counts
+
+
+def _assert_sparse_build_matches_reference(points, values, subset, r, generalized):
+    keys = _cell_keys(points, r)
+    order = np.argsort(values) if generalized else None
+    n = len(values)
+    with mock.patch.object(approx_mc, "DENSE_CELLS_PER_SAMPLE", 0):
+        route = approx_mc._cell_route(subset, r, n)
+        got = approx_mc._cell_sums(keys, subset, r, values, order)
+    pair_bits = r * (max(subset, default=-1) + 1) + (max(n, 1) - 1).bit_length()
+    assert route == ("pairs" if pair_bits <= 63 else "unique")
+    for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values, order)):
+        assert (part is None) == (expected is None)
+        if expected is not None:  # bit for bit, float sums included
+            assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
+
+
+# (d, r) shapes: r = 8, 9 and 16 give uint8/uint16 keys; (8, 7) past n = 128
+# and (7, 9) with coordinate 6 pass the 63-bit pair width and take np.unique.
+_SPARSE_SHAPES = [(1, 1), (2, 3), (3, 2), (4, 7), (3, 8), (2, 16), (8, 7), (7, 9)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SPARSE_SHAPES), st.integers(0, 300), st.sampled_from(["sign", "uniform", "tied"]),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_sorted_pair_build_matches_unique_reference(shape, n, kind, one_cell, generalized, seed, data):
+    d, r = shape
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, d - 1)))))
+    rng = np.random.default_rng(seed)
+    points = np.tile(rng.random((1, d)), (n, 1)) if one_cell else rng.random((n, d))
+    values = {"sign": lambda: rng.choice([-1.0, 1.0], n), "uniform": lambda: rng.uniform(-1.0, 1.0, n),
+              "tied": lambda: np.round(rng.uniform(-1.0, 1.0, n), 1)}[kind]()
+    _assert_sparse_build_matches_reference(points, values, subset, r, generalized)
+
+
+@pytest.mark.parametrize("n, d, r, subset, one_cell", [
+    (0, 3, 2, (0, 2), False), (1, 3, 2, (0, 1, 2), False), (1, 2, 16, (1,), False),
+    (500, 4, 7, (0, 1, 2, 3), True), (500, 2, 3, (), False),
+    (300, 8, 7, tuple(range(8)), False), (2, 7, 9, (6,), False),  # past the pair width
+])
+def test_sorted_pair_build_named_cases(n, d, r, subset, one_cell):
+    rng = np.random.default_rng(n + d + r)
+    points = np.tile(rng.random((1, d)), (n, 1)) if one_cell else rng.random((n, d))
+    values = np.round(rng.uniform(-1.0, 1.0, n), 1)  # tied values
+    for generalized in (False, True):
+        _assert_sparse_build_matches_reference(points, values, subset, r, generalized)
+
+
+@pytest.mark.parametrize("r", [1, 7, 8, 9, 16, 17])
+def test_cell_keys_narrow_dtype_match_int64_formula(r):
+    # The clamp comes before the cast: at r = 8, x = 1.0 gives 256, which
+    # would wrap to 0 in uint8.
+    scale = 1 << r
+    grid = np.arange(scale) / scale
+    coords = np.concatenate([[0.0], grid, np.nextafter(grid, 1.0), [np.nextafter(1.0, 0.0), 1.0]])
+    points = np.stack([coords, coords[::-1]], axis=1)
+    keys = _cell_keys(points, r)
+    assert keys.dtype == (np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.int64)
+    assert np.array_equal(keys, np.minimum((points * scale).astype(np.int64), scale - 1))
+    assert keys[-1, 0] == keys[-2, 0] == scale - 1 and keys[-1, 1] == 0
+
+
+def test_fit_memory_gate():
+    # mc-sign-d4's fit: 200k samples in d = 4.  Its n d digit keys are
+    # uint8 (0.8 MB, not 6.4 MB in int64), and its n-sized temporaries keep
+    # the traced peak, samples included, below 20 MB (17.0 MB measured;
+    # 25.8 MB with int64 keys, matmul codes and np.unique).
+    tracemalloc.start()
+    try:
+        model = fit(boxbslash(4), 4, 4, 7, 200_000, 0, "sign")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.samples.digit_keys.dtype == np.uint8
+    assert peak < 20e6, f"fit peaked at {peak / 1e6:.1f} MB"
 
 
 def test_projection_tables_route_choice():

@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -66,6 +67,33 @@ def test_budget_violation_exits_nonzero(capsys):
     ])
     assert code == 1
     assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, d, budget, requested", [
+    ("step:m=100000", 2, None, "10000000000 perturbation bits"),  # 74.5 GiB of int64 bits
+    ("step:m=4", 2, "10", "16 perturbation bits"),
+    ("levelset:t=15", 30, None, "155117520 weight-t vertices"),
+    ("levelset:t=2", 6, "10", "15 weight-t vertices"),
+])
+def test_family_enumeration_exceeding_budget_is_one_line(capsys, monkeypatch, family, d, budget, requested):
+    # The family is refused before its bits or vertices are enumerated, and
+    # --budget-cells sets the limit as it does for the grid.
+    monkeypatch.delenv("MONOAPPROX_BUDGET_CELLS", raising=False)  # the default cap, 2**22
+    argv = ["approximate", "--algo", "det", "--d", str(d), "--m", "2", "--family", family]
+    code = main(argv + (["--budget-cells", budget] if budget else []))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"budget exceeded: {requested} requested")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_help_is_short_and_names_no_private_function(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0 and out.startswith("usage: monoapprox")
+    assert "_score" not in out and "_probe_eval" not in out
+    assert not re.search(r"(?<![\w-])_[A-Za-z]", out)
 
 
 def test_convergence_mc_reports_rows(capsys):
