@@ -36,8 +36,8 @@ with ``c_T = 2**(r|T|) (-1)**(k-|T|) C(d-|T|-1, k-|T|)`` for ``|T| < d``,
 ``c_T = 2**(r d)`` for ``|T| = d`` (at ``k = d`` only the full cell is left),
 and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
 coordinates of ``T``.  Models store the nonzero ``c_T S_T`` in one sorted
-table (``ProjectionTables``), so a batch of ``m`` queries costs one
-``searchsorted`` over its ``m #T`` keys, taken in blocks of bounded size.
+table (``ProjectionTables``) of compact codes, so ``m`` queries cost one
+``searchsorted`` over their ``m #T`` keys, taken in blocks of bounded size.
 Generalized models also keep the value ranks of the samples in every
 occupied cell: ``n g_i(x)`` is linear in ``i`` between the ranks of the
 samples in x's own cells, so its flips follow from integer prefix sums over
@@ -97,7 +97,7 @@ LOOKUP_BLOCK = 1 << 16
 # A subset T is binned by dense code where its 2**(r |T|) cells number at
 # most DENSE_CELLS_PER_SAMPLE * max(n, 1): one np.bincount over the codes
 # (2-7 ms at mc-gen-d2's 4096 cells and 726k samples) instead of the sorted
-# pairs (24 ms) or np.unique with its n-sized inverse (40-50 ms).
+# pairs (24 ms) or, past their 63 bits, an argsort of the codes (40-50 ms).
 DENSE_CELLS_PER_SAMPLE = 1
 
 
@@ -186,11 +186,11 @@ def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:
     return np.minimum(cells, scale - 1, out=cells).astype(np.uint8 if r <= 8 else np.uint16)
 
 
-def _subset_codes(digit_keys: np.ndarray, subset, shifts) -> np.ndarray:
-    """int64 codes with digit ``subset[s]`` at bit ``shifts[s]``, or-ed in one key column at a time."""
+def _subset_codes(digit_keys: np.ndarray, subset, r: int) -> np.ndarray:
+    """Compact int64 cell codes: digit ``subset[s]`` at bit ``r s``, or-ed in one key column at a time."""
     codes = np.zeros(len(digit_keys), dtype=np.int64)
-    for j, shift in zip(subset, shifts):
-        codes |= np.left_shift(digit_keys[:, j], shift, dtype=np.int64)
+    for s, j in enumerate(subset):
+        codes |= np.left_shift(digit_keys[:, j], r * s, dtype=np.int64)
     return codes
 
 
@@ -248,7 +248,7 @@ def estimate_coefficients(
         if active not in by_subset:
             t = len(active)
             # Row-major code of each sample's T-projected cell.
-            codes = _subset_codes(keys, active, [r * (t - 1 - s) for s in range(t)])
+            codes = _subset_codes(keys, active[::-1], r)
             sums = np.bincount(codes, weights=samples.values, minlength=scale**t)
             # haar_transform averages over the 2**(r t) cells; the estimate
             # averages over the n samples instead.
@@ -271,51 +271,49 @@ def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
 
 
 def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
-    """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense, pairs or unique."""
+    """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense, pairs or argsort."""
     if 1 << (r * len(subset)) <= DENSE_CELLS_PER_SAMPLE * max(n, 1):
         return "dense"
-    return "pairs" if r * (max(subset, default=-1) + 1) + (max(n, 1) - 1).bit_length() <= 63 else "unique"
+    return "pairs" if r * len(subset) + (max(n, 1) - 1).bit_length() <= 63 else "argsort"
 
 
 def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, order):
     """Occupied T-cells, the sum of ``values`` over each and, given ``order``, the runs.
 
-    Cells come as sorted packed codes (digit ``j`` at bit ``r j``).  Where T
-    has few cells, bincount bins T's digits in consecutive ``r``-bit slots,
-    which sort as the packed codes do; else one ``np.sort`` of ``code << b |
-    i`` (``i < 2**b`` the sample index) yields the cells, and their ranks go
-    back to each ``i`` (``np.unique`` past 63 bits).  All add in sample
-    order, so the float64 sums carry the same bits (for +-1 values, integers
-    of size at most n < 2**53: exact).  Given the value permutation
-    ``order``, the runs are the value ranks grouped by cell, ascending within
-    each, and the cell sizes.  The n-sized temporaries are freed on return.
+    Cells come as sorted compact codes (``_subset_codes``).  Few cells are
+    binned by one bincount of the codes; else the codes are sorted with their
+    sample index ``i`` (one ``np.sort`` of ``code << b | i``, ``i < 2**b``, or
+    one ``np.argsort`` past 63 bits) and each cell's rank goes back to its
+    samples, in any order within the cell.  All add in sample order, so the
+    float64 sums carry the same bits (for +-1 values, integers of size at most
+    n < 2**53: exact).  Given the value permutation ``order``, the runs are
+    the value ranks grouped by cell, ascending within each, and the cell
+    sizes.  The n-sized temporaries are freed on return.
     """
-    t, n = len(subset), len(values)
+    n = len(values)
     route = _cell_route(subset, r, n)
+    codes = _subset_codes(digit_keys, subset, r)
     if route == "dense":
-        span = 1 << (r * t)
-        codes = _subset_codes(digit_keys, subset, [r * s for s in range(t)])
+        span = 1 << (r * len(subset))
         counts = np.bincount(codes, minlength=span)
-        occupied = np.flatnonzero(counts)
-        counts = counts[occupied]
-        sums = np.bincount(codes, weights=values, minlength=span)[occupied]
-        digits = (occupied[:, None] >> (r * np.arange(t))) & ((1 << r) - 1)
-        cells = _subset_codes(digits, range(t), [r * j for j in subset])
+        cells = np.flatnonzero(counts)
+        counts = counts[cells]
+        sums = np.bincount(codes, weights=values, minlength=span)[cells]
     else:
-        codes = _subset_codes(digit_keys, subset, [r * j for j in subset])
-        if route == "unique":
-            cells, codes = np.unique(codes, return_inverse=True)
-        else:
+        if route == "pairs":
             bits = (max(n, 1) - 1).bit_length()
             codes <<= bits
             codes |= np.arange(n)
             codes.sort()
             index = codes & ((1 << bits) - 1)
             codes >>= bits
-            first = np.ones(n, dtype=bool)
-            np.not_equal(codes[1:], codes[:-1], out=first[1:])
-            cells = codes[first]
-            codes[index] = np.cumsum(first) - 1
+        else:
+            index = np.argsort(codes)
+            codes = codes[index]
+        first = np.ones(n, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        cells = codes[first]
+        codes[index] = np.cumsum(first) - 1
         sums = np.bincount(codes, weights=values, minlength=len(cells))
         counts = np.bincount(codes, minlength=len(cells)) if order is not None else None
         span = len(cells)
@@ -333,9 +331,9 @@ class ProjectionTables:
 
     ``S_T(x)`` is the sum of ``y_i`` over the samples that share x's
     resolution-r cell in every coordinate of ``T``.  Row ``t`` of ``pack``
-    maps digit keys to the cell code of the ``t``-th subset with ``c_T != 0``
-    (``2**(r j)`` for ``j`` in ``T``, 0 elsewhere) and ``offsets[t] = t <<
-    (r d)`` tags it, so each row of ``digit_keys @ pack.T + offsets`` holds
+    maps digit keys to the compact code (``_subset_codes``) of the ``t``-th
+    subset with ``c_T != 0`` and ``offsets[t] = t << (r k)`` tags it, so
+    each row of ``digit_keys @ pack.T + offsets`` holds
     one query's keys into ``keys``: every occupied (subset, cell) pair,
     sorted, led by a sentinel -1 of weight 0.  ``weights`` holds ``c_T S_T``
     for each.
@@ -360,14 +358,19 @@ class ProjectionTables:
     def build(cls, samples: SampleSet, k: int, exact: bool, order=None) -> "ProjectionTables | None":
         """Tables of keyed samples, or None where they cannot or may not be built.
 
-        None when a packed key would not fit in int64 (``r d + bitlen(#T - 1)
-        > 63``) or when the tables could hold more than ``max(n d,
-        TABLE_ENTRY_FLOOR)`` entries: table ``T`` holds at most ``min(n,
-        2**(r |T|))``, and at least its row of ``pack``.  ``order``, the
-        value permutation of the samples, adds the rank runs of the
-        generalized mode, ``n`` entries per nonempty subset, under the same
-        limit.  Both checks count subsets by size (``c_T`` depends only on
-        ``|T|``), so no subset is listed unless the tables are built.  ``exact`` (every ``|y| = 1``) makes the weights integers.
+        None when ``r d + bitlen(#T - 1) > 63`` or when the tables could hold
+        more than ``max(n d, TABLE_ENTRY_FLOOR)`` entries: table ``T`` holds at
+        most ``min(n, 2**(r |T|))``, and at least its row of ``pack``.
+        ``order``, the value permutation of the samples, adds the rank runs of
+        the generalized mode, ``n`` entries per nonempty subset, under the
+        same limit.  Both checks count subsets by size (``c_T`` depends only on
+        ``|T|``), so no subset is listed unless the tables are built.  ``exact``
+        (every ``|y| = 1``) makes the weights integers.
+
+        Keys need only ``r k + bitlen(#T - 1)`` bits; the rule keeps ``r d``, as
+        a wider one cuts both ways.  2000 sign queries, build included, took
+        0.04 s with tables and 1.39 s on the chi route at d = 12, k = 2, r = 6,
+        n = 20000, but 0.75 s and 0.19 s at d = 20, k = 3, r = 4, n = 2000.
         """
         d, r, n = samples.d, samples.resolution, samples.n
         sizes = [(t, c) for t in range(k + 1) if (c := subset_coefficient(t, d, k, r))]
@@ -384,11 +387,9 @@ class ProjectionTables:
         # weights are exact Python integers.
         in_int64 = max(n, 1) * sum(abs(c) for _, c in subsets) < 2**63
         dtype = np.float64 if not exact else np.int64 if in_int64 else object
-        pack = np.zeros((len(subsets), d), dtype=np.int64)
-        for t, (subset, _) in enumerate(subsets):
-            for j in subset:
-                pack[t, j] = 1 << (r * j)
-        offsets = np.arange(len(subsets), dtype=np.int64) << (r * d)
+        unit = np.eye(d, dtype=np.int64)  # row j: the digit 1 in coordinate j alone
+        pack = np.array([_subset_codes(unit, subset, r) for subset, _ in subsets])
+        offsets = np.arange(len(subsets), dtype=np.int64) << (r * k)
         keys, weights = [np.full(1, -1, dtype=np.int64)], [np.zeros(1, dtype=dtype)]
         # No rank run for the sentinel or for T = {}.
         ranks, run_sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]

@@ -170,13 +170,8 @@ def level_set_function(d: int, t: int, b: int, U) -> LevelSetFunction:
 
     ``U`` may contain bit masks or 0/1 tuples.
     """
-    members = set()
-    for u in U:
-        if isinstance(u, int):
-            members.add(u)
-        else:
-            members.add(sum(1 << j for j, bit in enumerate(u) if bit))
-    return LevelSetFunction(d, t, b, frozenset(members))
+    members = frozenset(u if isinstance(u, int) else sum(1 << j for j, bit in enumerate(u) if bit) for u in U)
+    return LevelSetFunction(d, t, b, members)
 
 
 def sample_U(d: int, t: int, p: float, seed) -> frozenset[int]:
@@ -282,6 +277,8 @@ def family_from_spec(spec: str, d: int, seed, budget: int | None = None) -> Call
         m = int(args.pop("m", "2"))
         if args:
             raise ValueError(f"unknown step arguments {sorted(args)}")
+        if m < 1:
+            raise ValueError(f"need m >= 1, got m={m}")
         check_budget(m**d, budget, what="perturbation bits")
         return step_function(d, m, random_delta(d, m, seed))
     if name == "levelset":
@@ -290,6 +287,8 @@ def family_from_spec(spec: str, d: int, seed, budget: int | None = None) -> Call
         p = float(args.pop("p", "0.5"))
         if args:
             raise ValueError(f"unknown levelset arguments {sorted(args)}")
+        if not 1 <= t <= b <= d:
+            raise ValueError(f"need 1 <= t <= b <= d, got t={t} b={b} d={d}")
         check_budget(math.comb(d, t), budget, what="weight-t vertices")
         return level_set_function(d, t, b, sample_U(d, t, p, seed))
     raise ValueError(f"unknown family {name!r}")

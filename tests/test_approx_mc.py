@@ -3,7 +3,7 @@ import copy
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -469,26 +469,30 @@ def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
 def test_dense_route_choice():
     # mc-gen-d2's and mc-linear-d4's subsets have at most n cells and are
     # binned by dense code; mc-sign-d4's 2**28 cells take the sorted pairs.
-    # np.unique is left where the pair would pass 63 bits: d = k = 8, r =
-    # 7 packs 56 bits, and n = 1000 needs 10 more for the sample index.
+    # One argsort is left where the pair would pass 63 bits: d = k = 8, r =
+    # 7 codes 56 bits, and n = 1000 needs 10 more for the sample index.  No
+    # build calls np.unique.
     rng = np.random.default_rng(11)
 
     def routes(d, k, r, n, mode):
         samples = SampleSet(rng.random((n, d)), rng.uniform(-1.0, 1.0, n)).with_resolution(r)
-        with mock.patch.object(approx_mc, "_cell_route", wraps=approx_mc._cell_route) as route:
+        with mock.patch.object(approx_mc, "_cell_route", wraps=approx_mc._cell_route) as route, \
+                mock.patch.object(np, "unique", side_effect=AssertionError("np.unique")):
             WaveletModel(k, mode, samples)
-        return {approx_mc._cell_route(*call.args) for call in route.call_args_list}
+        return {call.args[0]: approx_mc._cell_route(*call.args) for call in route.call_args_list}
 
-    assert routes(2, 2, 6, 5000, "generalized") == {"dense"}
-    assert routes(4, 2, 4, 4096, "linear") == {"dense"}
-    assert routes(4, 4, 7, 2000, "sign") == {"pairs"}
-    assert routes(8, 8, 7, 1000, "sign") == {"unique"}
+    assert set(routes(2, 2, 6, 5000, "generalized").values()) == {"dense"}
+    assert set(routes(4, 2, 4, 4096, "linear").values()) == {"dense"}
+    assert set(routes(4, 4, 7, 2000, "sign").values()) == {"pairs"}
+    assert set(routes(8, 8, 7, 1000, "sign").values()) == {"argsort"}
+    # 2**18 cells of a 3-subset, 18 + 16 bits with the sample index.
+    assert routes(8, 3, 6, 50000, "sign")[(5, 6, 7)] == "pairs"
 
 
 def _unique_cell_sums(digit_keys, subset, r, values, order):
-    """The sparse build the sorted pairs replaced: np.unique with its inverse, then bincount."""
+    """The sparse build by np.unique with its inverse, then bincount, over compact codes."""
     slots = np.zeros(digit_keys.shape[1], dtype=np.int64)
-    slots[list(subset)] = 1 << (r * np.array(subset, dtype=np.int64))
+    slots[list(subset)] = 1 << (r * np.arange(len(subset), dtype=np.int64))
     cells, inverse = np.unique(digit_keys.astype(np.int64) @ slots, return_inverse=True)
     sums = np.bincount(inverse, weights=values, minlength=len(cells))
     if order is None:
@@ -504,16 +508,17 @@ def _assert_sparse_build_matches_reference(points, values, subset, r, generalize
     with mock.patch.object(approx_mc, "DENSE_CELLS_PER_SAMPLE", 0):
         route = approx_mc._cell_route(subset, r, n)
         got = approx_mc._cell_sums(keys, subset, r, values, order)
-    pair_bits = r * (max(subset, default=-1) + 1) + (max(n, 1) - 1).bit_length()
-    assert route == ("pairs" if pair_bits <= 63 else "unique")
+    pair_bits = r * len(subset) + (max(n, 1) - 1).bit_length()
+    assert route == ("pairs" if pair_bits <= 63 else "argsort")
     for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values, order)):
         assert (part is None) == (expected is None)
         if expected is not None:  # bit for bit, float sums included
             assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
 
 
-# (d, r) shapes: r = 8, 9 and 16 give uint8/uint16 keys; (8, 7) past n = 128
-# and (7, 9) with coordinate 6 pass the 63-bit pair width and take np.unique.
+# (d, r) shapes: r = 8, 9 and 16 give uint8/uint16 keys; all of (8, 7) past
+# n = 128, six coordinates of (7, 9) past n = 512 and all seven of (7, 9)
+# from n = 2 pass the 63-bit pair width and take the argsort.
 _SPARSE_SHAPES = [(1, 1), (2, 3), (3, 2), (4, 7), (3, 8), (2, 16), (8, 7), (7, 9)]
 
 
@@ -533,7 +538,8 @@ def test_sorted_pair_build_matches_unique_reference(shape, n, kind, one_cell, ge
 @pytest.mark.parametrize("n, d, r, subset, one_cell", [
     (0, 3, 2, (0, 2), False), (1, 3, 2, (0, 1, 2), False), (1, 2, 16, (1,), False),
     (500, 4, 7, (0, 1, 2, 3), True), (500, 2, 3, (), False),
-    (300, 8, 7, tuple(range(8)), False), (2, 7, 9, (6,), False),  # past the pair width
+    (300, 8, 7, tuple(range(8)), False), (2, 7, 9, (6,), False),
+    (200, 7, 9, tuple(range(7)), False), (600, 7, 9, (0, 1, 2, 3, 4, 6), True),  # past the pair width
 ])
 def test_sorted_pair_build_named_cases(n, d, r, subset, one_cell):
     rng = np.random.default_rng(n + d + r)
@@ -583,8 +589,13 @@ def test_projection_tables_route_choice():
     assert len(model(4, 4, 7, 300).tables.offsets) == 1
     # k < d, 1 + 4 * 16 + 6 * 256 = 1601 cells at most, below n d = 16384.
     assert len(model(4, 2, 4, 4096).tables.offsets) == 11
-    # The packed key needs r d = 64 bits (approximate --d 8 --eps 0.5).
+    # The rule asks for r d = 64 and 90 bits (approximate --d 8 --eps 0.5).
     assert model(8, 8, 8, 50).tables is None
+    assert model(10, 10, 9, 50).tables is None
+    # Compact keys would fit r k + bitlen(#T - 1) = 19 and 24 bits here, but
+    # the rule keeps r d = 72 and 80: chi, the faster route at the second.
+    assert model(12, 2, 6, 20000).tables is None
+    assert model(20, 3, 4, 2000).tables is None
     # 93 tables could hold 236673 cells: more than n d = 160000, but within
     # the entry floor, so they are built.
     assert len(model(8, 3, 4, 20000).tables.offsets) == 93
@@ -653,6 +664,20 @@ def test_blocked_lookup_bounds_memory():
         query = tables.pack @ keys_row + tables.offsets
         at = np.searchsorted(tables.keys, query, side="right") - 1
         assert row == np.where(tables.keys[at] == query, tables.weights[at], 0).sum()
+
+
+@pytest.mark.parametrize("d, k, r", [(8, 3, 4), (4, 4, 7), (3, 0, 2), (5, 2, 3), (7, 7, 9)])
+def test_pack_rows_match_subset_codes(d, k, r):
+    # The tables and _cell_sums share one layout: digit T[s] at bit r s.
+    rng = np.random.default_rng(d + k + r)
+    samples = SampleSet(rng.random((300, d)), rng.choice([-1.0, 1.0], 300)).with_resolution(r)
+    tables = WaveletModel(k, "sign", samples).tables
+    subsets = [T for t in range(k + 1) if subset_coefficient(t, d, k, r) for T in combinations(range(d), t)]
+    keys = _cell_keys(rng.random((50, d)), r)
+    packed = keys @ tables.pack.T + tables.offsets
+    assert packed.shape == (50, len(subsets))
+    for t, subset in enumerate(subsets):
+        assert np.array_equal(packed[:, t], approx_mc._subset_codes(keys, subset, r) + tables.offsets[t])
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         _DET[:-1] + ["step:m=x"],
         _DET[:-1] + ["levelset:q=1"],
         _DET[:-1] + ["step:m=0"],
+        _DET[:-1] + ["step:m=-1"],
+        _DET[:-1] + ["levelset:t=-1"],
         _DET[:-1] + ["affine:x=1"],
         _DET[:-1] + [""],
         ["approximate", "--algo", "det", "--d", "2", "--family", "affine"],
@@ -228,7 +230,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
          "two-grid-sizes", "verify-only-names-no-check", "family-unknown",
-         "family-bad-int", "family-unknown-argument", "family-m-0", "family-argument-of-affine",
+         "family-bad-int", "family-unknown-argument", "family-m-0", "family-m-negative",
+         "family-t-negative", "family-argument-of-affine",
          "family-empty",
          "det-without-m", "mc-without-eps", "mc-without-n", "mc-convergence-without-r",
          "d-not-an-int", "unknown-flag", "missing-family"],
@@ -240,6 +243,10 @@ def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("monoapprox: error: ")
     assert len(captured.err.strip().splitlines()) == 1
+    # A bad family parameter is named in the reason, not only in the echoed spec.
+    for spec, named in (("step:m=-1", "m=-1"), ("levelset:t=-1", "t=-1")):
+        if spec in argv:
+            assert named in captured.err.partition("': ")[2]
 
 
 def test_formula_n_past_the_float_range(capsys):
