@@ -18,7 +18,8 @@ expansion with every coefficient replaced by its sample mean.
   ``(s_0 + s_n)/2 + sum_f y_f s_{f-1}`` over the flips ``f`` (``s_f !=
   s_{f-1}``), which ``math.fsum`` rounds correctly.  The output is thus the
   exact sum rounded once, whatever the order of tied values, and the model
-  keeps its samples in draw order with one value permutation.
+  keeps its samples in draw order with one value permutation (none at
+  ``k = d``, where the sum is the upper median of x's cell; see below).
 
 The key computational fact: the reconstruction of a single sample depends on
 the query point only through the count ``b`` of coordinates whose first ``r``
@@ -38,14 +39,18 @@ and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
 coordinates of ``T``.  Models store the nonzero ``c_T S_T`` in one sorted
 table (``ProjectionTables``) of compact codes, so ``m`` queries cost one
 ``searchsorted`` over their ``m #T`` keys, taken in blocks of bounded size.
-Generalized models also keep the value ranks of the samples in every
-occupied cell: ``n g_i(x)`` is linear in ``i`` between the ranks of the
-samples in x's own cells, so its flips follow from integer prefix sums over
-those breakpoints and one exact floor division per segment (at ``k = d`` a
-single cell of about ``n 2**(-r d)`` samples).  Where the tables may not be
-built (``ProjectionTables.build``), models keep the chi route instead: an
-O(n d) digit comparison per query row, after which each ``g_i(x)`` follows
-from integer prefix sums in O(n).  All integer arithmetic is exact (Python
+Generalized models also keep the samples of every occupied cell, for
+``k < d`` as value ranks: ``n g_i(x)`` is linear in ``i`` between the ranks
+of the samples in x's own cells, so its flips follow from integer prefix
+sums over those breakpoints and one exact floor division per segment.  At
+``k = d`` only the full cell has ``c_T != 0``, so ``n g_i(x) = 2**(r d) (W -
+2 cnt_i)`` flips once, where ``cnt_i`` of the cell's ``W`` samples are among
+the ``i`` smallest values: the output is the cell's upper median, its
+``floor(W/2) + 1``-th smallest value (+1 when empty), and no value is
+sorted.  Where the tables may not be built (``ProjectionTables.build``),
+models keep the chi route instead: an O(n d) digit comparison per query
+row, then integer prefix sums in O(n) (at ``k = d``, the median of the
+matching samples).  All integer arithmetic is exact (Python
 integers, with a 64-bit fast path when magnitudes provably permit).
 ``estimate_coefficients``, the Haar transform of the projected sample
 histograms, is the explicit coefficient route the identity is checked
@@ -93,13 +98,6 @@ TABLE_ENTRY_FLOOR = 1 << 22
 # queries a batch holds.  200 queries of one table (mc-sign-d4) and 500 of
 # 11 tables (mc-linear-d4) are each one block.
 LOOKUP_BLOCK = 1 << 16
-
-# A subset T is binned by dense code where its 2**(r |T|) cells number at
-# most DENSE_CELLS_PER_SAMPLE * max(n, 1): one np.bincount over the codes
-# (2-7 ms at mc-gen-d2's 4096 cells and 726k samples) instead of the sorted
-# pairs (24 ms) or, past their 63 bits, an argsort of the codes (40-50 ms).
-DENSE_CELLS_PER_SAMPLE = 1
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -271,14 +269,20 @@ def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
 
 
 def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
-    """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense, pairs or argsort."""
-    if 1 << (r * len(subset)) <= DENSE_CELLS_PER_SAMPLE * max(n, 1):
+    """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense, pairs or argsort.
+
+    Dense where the ``2**(r |T|)`` cells number at most n: one np.bincount
+    over the codes (2-7 ms at mc-gen-d2's 4096 cells and 726k samples)
+    instead of the sorted pairs (24 ms) or, past their 63 bits, an argsort
+    of the codes (40-50 ms).
+    """
+    if 1 << (r * len(subset)) <= n:
         return "dense"
-    return "pairs" if r * len(subset) + (max(n, 1) - 1).bit_length() <= 63 else "argsort"
+    return "pairs" if r * len(subset) + (n - 1).bit_length() <= 63 else "argsort"
 
 
-def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, order):
-    """Occupied T-cells, the sum of ``values`` over each and, given ``order``, the runs.
+def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, runs: bool, order):
+    """Occupied T-cells, the sum of ``values`` over each and, if ``runs``, the runs.
 
     Cells come as sorted compact codes (``_subset_codes``).  Few cells are
     binned by one bincount of the codes; else the codes are sorted with their
@@ -286,9 +290,10 @@ def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: 
     one ``np.argsort`` past 63 bits) and each cell's rank goes back to its
     samples, in any order within the cell.  All add in sample order, so the
     float64 sums carry the same bits (for +-1 values, integers of size at most
-    n < 2**53: exact).  Given the value permutation ``order``, the runs are
-    the value ranks grouped by cell, ascending within each, and the cell
-    sizes.  The n-sized temporaries are freed on return.
+    n < 2**53: exact).  The runs are the positions of the samples in the
+    value permutation ``order``, or in draw order when it is None, grouped
+    by cell and ascending within each, and the cell sizes.  The n-sized
+    temporaries are freed on return.
     """
     n = len(values)
     route = _cell_route(subset, r, n)
@@ -301,7 +306,7 @@ def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: 
         sums = np.bincount(codes, weights=values, minlength=span)[cells]
     else:
         if route == "pairs":
-            bits = (max(n, 1) - 1).bit_length()
+            bits = (n - 1).bit_length()
             codes <<= bits
             codes |= np.arange(n)
             codes.sort()
@@ -315,13 +320,14 @@ def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: 
         cells = codes[first]
         codes[index] = np.cumsum(first) - 1
         sums = np.bincount(codes, weights=values, minlength=len(cells))
-        counts = np.bincount(codes, minlength=len(cells)) if order is not None else None
+        counts = np.bincount(codes, minlength=len(cells)) if runs else None
         span = len(cells)
-    if order is None:
+    if not runs:
         return cells, sums, None, None
     # numpy radix-sorts 8- and 16-bit integers under kind="stable": 11 ms
     # for 726k samples in 4096 cells, against 70-90 ms on int64 codes.
-    ranks = np.argsort(codes.astype(np.min_scalar_type(span - 1))[order], kind="stable")
+    codes = codes.astype(np.min_scalar_type(span - 1))
+    ranks = np.argsort(codes if order is None else codes[order], kind="stable")
     return cells, sums, ranks, counts
 
 
@@ -338,10 +344,11 @@ class ProjectionTables:
     sorted, led by a sentinel -1 of weight 0.  ``weights`` holds ``c_T S_T``
     for each.
 
-    Tables built for the generalized mode also hold the rank runs:
-    ``ranks[bounds[p]:bounds[p + 1]]`` are the value ranks, ascending, of
-    the samples in the cell of key ``p`` (empty for the sentinel and for
-    ``T = {}``), ``coefs[t]`` is ``c_T`` of subset ``t`` and
+    Tables built for the generalized mode also hold the runs:
+    ``ranks[bounds[p]:bounds[p + 1]]`` are the positions, ascending, of the
+    samples in the cell of key ``p`` (empty for the sentinel and for ``T =
+    {}``) in the model's value permutation, or in draw order when there is
+    none (``k = d``).  ``coefs[t]`` is ``c_T`` of subset ``t`` and
     ``c_empty`` is ``c_{}`` (0 where that subset is absent).
     """
 
@@ -355,16 +362,17 @@ class ProjectionTables:
     c_empty: int = 0
 
     @classmethod
-    def build(cls, samples: SampleSet, k: int, exact: bool, order=None) -> "ProjectionTables | None":
+    def build(cls, samples: SampleSet, k: int, exact: bool, runs=False, order=None) -> "ProjectionTables | None":
         """Tables of keyed samples, or None where they cannot or may not be built.
 
         None when ``r d + bitlen(#T - 1) > 63`` or when the tables could hold
         more than ``max(n d, TABLE_ENTRY_FLOOR)`` entries: table ``T`` holds at
         most ``min(n, 2**(r |T|))``, and at least its row of ``pack``.
-        ``order``, the value permutation of the samples, adds the rank runs of
-        the generalized mode, ``n`` entries per nonempty subset, under the
-        same limit.  Both checks count subsets by size (``c_T`` depends only on
-        ``|T|``), so no subset is listed unless the tables are built.  ``exact``
+        ``runs`` adds the runs of the generalized mode, positions in the value
+        permutation ``order`` or, where it is None, in draw order: ``n``
+        entries per nonempty subset, under the same limit.  Both checks count
+        subsets by size (``c_T`` depends only on ``|T|``), so no subset is
+        listed unless the tables are built.  ``exact``
         (every ``|y| = 1``) makes the weights integers.
 
         Keys need only ``r k + bitlen(#T - 1)`` bits; the rule keeps ``r d``, as
@@ -377,15 +385,15 @@ class ProjectionTables:
         if r * d + (sum(math.comb(d, t) for t, _ in sizes) - 1).bit_length() > 63:
             return None
         limit = max(n * d, TABLE_ENTRY_FLOOR)
-        entries = sum(math.comb(d, t) * min(max(n, 1), 1 << (r * t)) for t, _ in sizes)
-        if entries > limit or (order is not None and n * sum(math.comb(d, t) for t, _ in sizes if t) > limit):
+        entries = sum(math.comb(d, t) * min(n, 1 << (r * t)) for t, _ in sizes)
+        if entries > limit or (runs and n * sum(math.comb(d, t) for t, _ in sizes if t) > limit):
             return None
         subsets = [(subset, c) for t, c in sizes for subset in combinations(range(d), t)]
         # A query adds one weight per subset and |S_T| <= n, so every partial
         # sum is at most n sum_T |c_T|.  Below 2**63 no int64 operation can
-        # wrap (max(n, 1) also keeps each c_T itself in range); otherwise the
+        # wrap (n >= 1 also keeps each c_T itself in range); otherwise the
         # weights are exact Python integers.
-        in_int64 = max(n, 1) * sum(abs(c) for _, c in subsets) < 2**63
+        in_int64 = n * sum(abs(c) for _, c in subsets) < 2**63
         dtype = np.float64 if not exact else np.int64 if in_int64 else object
         unit = np.eye(d, dtype=np.int64)  # row j: the digit 1 in coordinate j alone
         pack = np.array([_subset_codes(unit, subset, r) for subset, _ in subsets])
@@ -395,7 +403,7 @@ class ProjectionTables:
         ranks, run_sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
         for t, (subset, c) in enumerate(subsets):
             cells, sums, cell_ranks, counts = _cell_sums(
-                samples.digit_keys, subset, r, samples.values, order if subset else None)
+                samples.digit_keys, subset, r, samples.values, runs and bool(subset), order)
             cells += offsets[t]
             if exact:
                 sums = sums.astype(np.int64).astype(dtype, copy=False)
@@ -407,10 +415,10 @@ class ProjectionTables:
             if cell_ranks is not None:
                 ranks.append(cell_ranks)
                 run_sizes.append(counts)
-            elif order is not None:
+            elif runs:
                 run_sizes.append(np.zeros(len(cells), dtype=np.int64))
-        runs = {}
-        if order is not None:
+        fields = {}
+        if runs:
             # n g_i(x) = A + cum_i - 2 c_{} i (see flip_signs).  |A| <= n
             # sum_T |c_T| since each cell holds at most n samples, and the
             # run entries, at most n per subset, put |cum_i| + |2 c_{} i| <=
@@ -420,14 +428,14 @@ class ProjectionTables:
             # also bounds n by 2**62) no int64 operation can wrap; otherwise
             # the coefficients, and all that follows from them, are exact
             # Python integers.
-            fits = 3 * max(n, 1) * sum(abs(c) for _, c in subsets) < 2**63
-            runs = dict(
+            fits = 3 * n * sum(abs(c) for _, c in subsets) < 2**63
+            fields = dict(
                 ranks=np.concatenate(ranks, dtype=np.int32 if n < 2**31 else np.int64),
                 bounds=np.concatenate([[0], np.cumsum(np.concatenate(run_sizes))]),
                 coefs=np.array([c for _, c in subsets], dtype=np.int64 if fits else object),
                 c_empty=subset_coefficient(0, d, k, r),
             )
-        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights), **runs)
+        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights), **fields)
         for array in (tables.pack, tables.offsets, tables.keys, tables.weights,
                       tables.ranks, tables.bounds, tables.coefs):
             if array is not None:
@@ -464,8 +472,9 @@ class ProjectionTables:
         ``T`` with rank below ``i``, ``n g_i = A + cum_i - 2 c_{} i``: linear
         in ``i`` with slope ``-2 c_{}`` between consecutive breakpoints
         ``rank + 1``.  Each such segment thus changes sign at most once, at
-        an index found by exact floor division (never when ``c_{} = 0``).
-        The values equal those of ``_flip_numerators``, so the flips do too.
+        an index found by exact floor division.  The values equal those of
+        ``_flip_numerators``, so the flips do too.  Only tables of ``k < d``
+        are read here, and there ``c_{} != 0``.
         """
         start, stop = self.bounds[at], self.bounds[at + 1]
         lengths = stop - start
@@ -484,14 +493,11 @@ class ProjectionTables:
         edges = np.concatenate([[0], ranks + 1, [n + 1]])
         sizes = np.diff(edges)
         twice = 2 * self.c_empty
-        if twice == 0:
-            lead = np.where(levels >= 0, sizes, 0)
-        else:
-            # The first index whose sign differs from the segment's lead:
-            # levels - twice i >= 0 up to floor(levels / twice) for c_{} > 0,
-            # and from ceil(levels / twice) on for c_{} < 0.
-            cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
-            lead = np.clip(cross - edges[:-1], 0, sizes).astype(np.int64)
+        # The first index whose sign differs from the segment's lead:
+        # levels - twice i >= 0 up to floor(levels / twice) for c_{} > 0,
+        # and from ceil(levels / twice) on for c_{} < 0.
+        cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
+        lead = np.clip(cross - edges[:-1], 0, sizes).astype(np.int64)
         sign = -1.0 if twice < 0 else 1.0
         # Each segment is a run of `lead` signs `sign`, then one of -sign;
         # the flips are where the nonempty runs change sign.
@@ -523,11 +529,12 @@ class WaveletModel:
       ``ProjectionTables.build``);
     * without tables: ``y``, the sample values (int64 when ``exact``) that
       the chi route sums ``h`` with;
-    * generalized mode: ``order``, the value permutation ``argsort(values)``
-      of the samples.  It need not be stable: the output is the exact
-      threshold-cut sum rounded once, which tied values cannot change.
+    * generalized mode with ``k < d``: ``order``, the value permutation
+      ``argsort(values)`` of the samples (None at ``k = d``).  It need not
+      be stable: the output is the exact threshold-cut sum rounded once,
+      which tied values cannot change.
 
-    Models are immutable and thread-safe.
+    Models need at least one sample.  They are immutable and thread-safe.
     """
 
     k: int
@@ -544,6 +551,8 @@ class WaveletModel:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.samples.digit_keys is None:
             raise ValueError("samples must carry digit keys")
+        if self.n == 0:
+            raise ValueError("a model needs at least one sample")
         table = chi_table(self.d, self.k, self.r)
         # Every integer a query forms is at most 3 n max|chi| in size: each
         # partial sum of a sign numerator sum_i y_i chi(b_i) (|y_i| = 1) and
@@ -556,10 +565,11 @@ class WaveletModel:
         values = self.samples.values
         exact = bool(np.all(np.abs(values) == 1.0))
         y = order = None
-        if self.mode == "generalized":
+        generalized = self.mode == "generalized"
+        if generalized and self.k < self.d:
             order = np.argsort(values)
             order.flags.writeable = False
-        tables = ProjectionTables.build(self.samples, self.k, exact, order)
+        tables = ProjectionTables.build(self.samples, self.k, exact, generalized, order)
         if tables is None:
             y = values.astype(np.int64) if exact else values
             y.flags.writeable = False
@@ -639,15 +649,15 @@ def eval_sign(model: WaveletModel, points) -> np.ndarray:
     return np.where(_numerators(model, points) >= 0, 1.0, -1.0)
 
 
-def _flip_numerators(model: WaveletModel, keys: np.ndarray) -> np.ndarray:
+def _flip_numerators(model: WaveletModel, keys: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Exact integer numerators of n * g_i(x) for i = 0..n, from the digit keys of x.
 
     ``g_i`` is the reconstruction with the ``i`` first samples of the value
-    permutation forced to -1 and the remaining ``n - i`` forced to +1, so
-    ``n * g_i = S - 2 * T_i`` with ``T_i`` the prefix sums of chi(b) in
-    value order.
+    permutation ``order`` forced to -1 and the remaining ``n - i`` forced to
+    +1, so ``n * g_i = S - 2 * T_i`` with ``T_i`` the prefix sums of chi(b)
+    in value order.
     """
-    chi_b = _chi_at(model, keys)[model.order]
+    chi_b = _chi_at(model, keys)[order]
     prefix = np.concatenate([np.zeros(1, dtype=chi_b.dtype), np.cumsum(chi_b)])
     return prefix[-1] - 2 * prefix
 
@@ -663,16 +673,25 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     in the query's cells (``ProjectionTables.flip_signs``) when the model
     has tables, else from ``_flip_numerators`` over every sample, one query
     row at a time in O(n) memory; both give the same flips, so the same
-    output.  An empty model returns +1 (the sign of the empty
-    reconstruction, with sgn(0) = +1).
+    output.  At ``k = d`` it is the upper median of the ``W`` values in x's
+    cell (+1 if empty), read off the cell's run or, on the chi route, its
+    matching samples, in O(W) memory per row.
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
     keys = _query_keys(model, points)
+    values, order = model.samples.values, model.order
+    if order is None:  # k = d: the upper median of x's cell
+        if model.tables is None:
+            cells = (values[(model.samples.digit_keys == row).all(axis=1)] for row in keys)
+        else:
+            runs, bounds = model.tables.ranks, model.tables.bounds
+            cells = (values[runs[bounds[p] : bounds[p + 1]]] for at in model.tables.positions(keys) for p in at[:, 0])
+        # y + 0.0 is +0.0 for y = -0.0, as fsum([0.0, y]) is.
+        return np.array([np.partition(y, len(y) // 2)[len(y) // 2] + 0.0 if len(y) else 1.0 for y in cells])
     if model.tables is None:
-        flips = (_flips(np.where(_flip_numerators(model, row) >= 0, 1.0, -1.0)) for row in keys)
+        flips = (_flips(np.where(_flip_numerators(model, row, order) >= 0, 1.0, -1.0)) for row in keys)
     else:
         flips = (model.tables.flip_signs(at, model.n) for block in model.tables.positions(keys) for at in block)
-    values, order = model.samples.values, model.order
     return np.array([math.fsum([(s_0 + s_n) / 2, *(values[order[f - 1]] * before)])
                      for s_0, s_n, f, before in flips], dtype=np.float64)

@@ -117,8 +117,9 @@ def _check_flip_recursion() -> CheckResult:
     for truth, n, seed, queries in ((functions.boxbslash(d), 40, rng, rng),
                                     (functions.Affine(d), 30, 77, np.random.default_rng(10))):
         model = approx_mc.fit(truth, d, k, r, n, seed, "generalized")
+        order = np.argsort(model.samples.values)
         for x in queries.random((20, d)):
-            numerators = approx_mc._flip_numerators(model, approx_mc._cell_keys(x, r))
+            numerators = approx_mc._flip_numerators(model, approx_mc._cell_keys(x, r), order)
             brute = sum(pair_kernel(indices, sx, x) for sx in model.samples.points)
             if numerators[0] != brute or numerators[-1] != -numerators[0]:
                 return False, f"flip recursion mismatch at {x}"
@@ -149,6 +150,38 @@ def _check_sign_collapse() -> CheckResult:
             return False, f"sign/generalized outputs differ at {xs[sign != generalized][0]}"
         probes, pairs = probes + len(xs), pairs + 1
     return True, f"{probes} probe evaluations, exact sign agreement on {pairs} pairs of fits"
+
+
+def _check_cell_statistics() -> CheckResult:
+    # At k = d only the full cell's c_T is nonzero: against a brute-force
+    # sort of each query cell, linear is 2**(r d) S/n, sign is sgn S and
+    # generalized is the upper median (+1 when empty, +0.0 for a zero).
+    # Values are multiples of 1/8, so every sum is exact in any order; d = 8,
+    # r = 8 (r d = 64 bits) takes the chi route, the others the tables.
+    rng = np.random.default_rng(41)
+    routes = set()
+    for d, r, n in ((1, 2, 1), (2, 2, 60), (3, 1, 40), (2, 6, 400), (8, 8, 300)):
+        base = rng.random((max(n // 5, 1), d))
+        points = np.concatenate([base[rng.integers(0, len(base), n - n // 10)], rng.random((n // 10, d))])
+        keys = approx_mc._cell_keys(points, r)
+        for sign_valued in (False, True):
+            values = rng.choice([-1.0, 1.0], n) if sign_valued else rng.integers(-8, 9, n) / 8
+            if not sign_valued:
+                values[(keys == keys[0]).all(axis=1)] = -0.0
+            samples = approx_mc.SampleSet(points, values, resolution=r)
+            models = {mode: approx_mc.WaveletModel(d, mode, samples) for mode in approx_mc.MODES}
+            routes.add("chi" if models["sign"].tables is None else "tables")
+            queries = np.concatenate([points, rng.random((20, d))])
+            linear = approx_mc.eval_linear(models["linear"], queries)
+            sign = approx_mc.eval_sign(models["sign"], queries)
+            generalized = approx_mc.eval_generalized(models["generalized"], queries)
+            for x, cell, got in zip(queries, approx_mc._cell_keys(queries, r), zip(linear, sign, generalized)):
+                y = sorted(values[(keys == cell).all(axis=1)])
+                median = y[len(y) // 2] if y else 1.0
+                expected = (2.0 ** (r * d) * sum(y) / n, 1.0 if sum(y) >= 0 else -1.0, median if median else 0.0)
+                if np.array(got).tobytes() != np.array(expected).tobytes():
+                    return False, f"(linear, sign, generalized) = {got}, want {expected} at {x} (d={d}, r={r})"
+    return True, f"cell mean, sign and upper median at k = d on the {' and '.join(sorted(routes))} routes"
 
 
 def _check_generalized_bounded() -> CheckResult:
@@ -364,8 +397,13 @@ def _check_certificate() -> CheckResult:
         "c_ab", "r0", "kappa_tau", "c_abt", "c1", "sigma", "r1", "r_b",
         "log_gamma", "q0", "q_mass", "q", "value",
     )]
-    ok = abs(cert.value - 0.0666667) <= 1e-3 and params.c0 == bounds.BERRY_ESSEEN_UPPER == 0.4748
-    detail = f"epshat(d=100) = {cert.value!r}, reference 0.0666667 (|diff| <= 1e-3: {ok}, C0 = {params.c0})"
+    # The conservative Berry-Esseen constant reproduces the reference value;
+    # the sharp lower estimate lands visibly away.
+    sharp = bounds.lb_epshat(bounds.with_berry_esseen(params, bounds.BERRY_ESSEEN_LOWER), params.d0)
+    ok = (abs(cert.value - 0.0666667) <= 1e-3 and params.c0 == bounds.BERRY_ESSEEN_UPPER == 0.4748
+          and abs(sharp.value - 0.0666667) > 1e-3)
+    detail = (f"epshat(d=100) = {cert.value!r}, reference 0.0666667 (|diff| <= 1e-3: {ok}, C0 = {params.c0}; "
+              f"sharp C0 gives {sharp.value!r})")
     return ok, detail + "\n" + "\n".join(lines)
 
 
@@ -376,6 +414,7 @@ def _check_lb_numbers() -> CheckResult:
     expected_400 = 108.0 * math.exp(10.0)
     ok = (
         at_100.valid
+        and at_100.regime == "scaling"
         and abs(at_100.n_lower - 108.0) <= 1e-12 * 108.0
         and at_400.valid
         and abs(at_400.n_lower - expected_400) <= 32 * np.spacing(expected_400)
@@ -393,7 +432,7 @@ def _check_curse() -> CheckResult:
 def _check_certificate_scaling() -> CheckResult:
     p = bounds.default_lb_params()
     base = bounds.lb_epshat(p, p.d0)
-    for d in (100, 144, 225, 400):
+    for d in (100, 144, 169, 225, 256, 400):
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             tau = p.tau0 * (1.0 + frac * (math.sqrt(d / p.d0) - 1.0))
             alpha, beta = bounds.scaled_band(p, tau)
@@ -404,13 +443,15 @@ def _check_certificate_scaling() -> CheckResult:
                 return False, f"q fails to grow at d={d} tau={tau}"
             if cert.r_b < (p.tau0 / tau) * base.r_b - 1e-12:
                 return False, f"r_b scaling fails at d={d} tau={tau}"
-    return True, "sigma contracts, q grows, r_b scales by tau0/tau on the grid"
+            if not cert.value > p.eps0 * p.tau0 / tau:
+                return False, f"epshat below eps0 tau0/tau at d={d} tau={tau}"
+    return True, "sigma contracts, q grows, r_b scales by tau0/tau, epshat > eps0 tau0/tau on the grid"
 
 
 def _check_gamma_floor() -> CheckResult:
     p = bounds.default_lb_params()
-    for d in (100, 200, 400):
-        for tau in (p.tau0, p.tau0 * math.sqrt(d / p.d0)):
+    for d in (100, 169, 200, 256, 400):
+        for tau in p.tau0 * (1.0 + np.linspace(0.0, 1.0, 5) * (math.sqrt(d / p.d0) - 1.0)):
             alpha, beta = bounds.scaled_band(p, tau)
             cert = bounds.lb_epshat(p, d, alpha, beta, tau)
             if cert.log_gamma < 0.0:
@@ -452,6 +493,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "index-count": _check_index_count,
     "chi-table": _check_chi_table,
     "flip-recursion": _check_flip_recursion,
+    "cell-statistics": _check_cell_statistics,
     "sign-collapse": _check_sign_collapse,
     "generalized-bounded": _check_generalized_bounded,
     "estimator": _check_estimator,

@@ -131,6 +131,13 @@ def _upper_corner(model, points):
     return np.where((cells == m - 1).any(axis=1), 1.0, values[tuple(np.minimum(cells, m - 2).T)])
 
 
+def _lower_median(model, points):
+    """``eval_generalized`` at k = d answering the lower median of x's cell instead of the upper."""
+    values, keys = model.samples.values, model.samples.digit_keys
+    cells = (np.sort(values[(keys == row).all(axis=1)]) for row in approx_mc._query_keys(model, points))
+    return np.array([y[(len(y) - 1) // 2] + 0.0 if len(y) else 1.0 for y in cells])
+
+
 def _altered(function, change):
     """``function`` with ``change`` applied to its result."""
     return lambda *args, **kwargs: change(function(*args, **kwargs))
@@ -143,6 +150,7 @@ FAULTS = [
      _altered(haar_basis.index_set_size, lambda size: size._replace(exact=size.exact + 1))),
     ("chi-table", approx_mc, "chi_value", _altered(approx_mc.chi_value, lambda v: v + 1)),
     ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),
+    ("cell-statistics", approx_mc, "eval_generalized", _lower_median),
     ("grid-guarantee", approx_det, "eval_grid", _upper_corner),
     ("parseval", metrics, "coefficient_tensor", _altered(metrics.coefficient_tensor, lambda v: 1.001 * v)),
     ("bakhvalov", metrics, "bakhvalov_step_error", _altered(metrics.bakhvalov_step_error, lambda v: v + 1e-9)),

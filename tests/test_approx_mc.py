@@ -161,6 +161,16 @@ def test_sample_set_rejects_non_finite_points():
             SampleSet(np.array([[0.5, bad]]), np.array([1.0]))
 
 
+def test_wavelet_model_rejects_empty_sample_set():
+    # n = 0 once gave +1 (sign, generalized), ZeroDivisionError (linear) and,
+    # at d = k = 8, r = 9 where chi passes 2**63, OverflowError.
+    for d, k, r in ((2, 1, 2), (8, 8, 9)):
+        samples = SampleSet(np.empty((0, d)), np.empty(0)).with_resolution(r)
+        for mode in ("linear", "sign", "generalized"):
+            with pytest.raises(ValueError, match="at least one sample"):
+                WaveletModel(k, mode, samples)
+
+
 def test_wavelet_model_validation():
     samples = draw_samples(2, 8, boxbslash(2), 1)
     keyed = samples.with_resolution(2)
@@ -291,12 +301,14 @@ def test_int64_and_object_routes_agree():
             reconstruction_value(sign_obj, queries), rel=1e-12)
         assert eval_generalized(gen64, queries) == pytest.approx(eval_generalized(gen_obj, queries), abs=1e-12)
         for keys in _cell_keys(queries, r):
-            assert np.array_equal(2 * _flip_numerators(gen64, keys), _flip_numerators(gen_obj, keys)[::2])
+            assert np.array_equal(2 * _flip_numerators(gen64, keys, gen64.order),
+                                  _flip_numerators(gen_obj, keys, gen_obj.order)[::2])
 
 
 def _flip_signs(model, queries):
     """The +-1 threshold-cut signs of every query row, from ``_flip_numerators``: the reference."""
-    return [np.where(_flip_numerators(model, keys) >= 0, 1.0, -1.0) for keys in _cell_keys(queries, model.r)]
+    order = np.argsort(model.samples.values)
+    return [np.where(_flip_numerators(model, keys, order) >= 0, 1.0, -1.0) for keys in _cell_keys(queries, model.r)]
 
 
 def _rebuilt_signs(flips, n):
@@ -322,9 +334,10 @@ def _telescoped_reference(model, signs):
 
 
 def test_breakpoint_int64_and_object_routes_agree():
-    # k = d = 4, r = 13: one table, c_T = 2**52, so the breakpoint guard
-    # 3 n 2**52 < 2**63 takes int64 up to n = 682.  Duplicating every
-    # sample (values stay sorted) doubles n g_{2i} and crosses the guard.
+    # k = d = 4, r = 13: one table, c_T = chi(d) = 2**52, so the guards
+    # 3 n 2**52 < 2**63 take int64 up to n = 682.  Duplicating every sample
+    # (values stay sorted) doubles n g_{2i}, crosses the guards and keeps
+    # each cell's upper median, so the outputs are equal.
     d, k, r = 4, 4, 13
     n = (2**63 - 1) // (3 * 2 ** (r * d))
     assert n == 682
@@ -337,12 +350,13 @@ def test_breakpoint_int64_and_object_routes_agree():
         double = SampleSet(np.repeat(small.points, 2, axis=0), np.repeat(small.values, 2)).with_resolution(r).sorted()
         gen64, gen_obj = WaveletModel(k, "generalized", small), WaveletModel(k, "generalized", double)
         assert gen64.tables.coefs.dtype == np.int64 and gen_obj.tables.coefs.dtype == object
-        for model in (gen64, gen_obj):
-            for got, expected in zip(_breakpoint_signs(model, queries), _flip_signs(model, queries)):
-                assert np.array_equal(got, expected)
-        for got64, got_obj in zip(_breakpoint_signs(gen64, queries), _breakpoint_signs(gen_obj, queries)):
+        assert gen64.chi.dtype == np.int64 and gen_obj.chi.dtype == object
+        for got64, got_obj in zip(_flip_signs(gen64, queries), _flip_signs(gen_obj, queries)):
             assert np.array_equal(got64, got_obj[::2])
-        assert eval_generalized(gen64, queries) == pytest.approx(eval_generalized(gen_obj, queries), abs=1e-12)
+        for model in (gen64, gen_obj):
+            expected = [_telescoped_reference(model, signs) for signs in _flip_signs(model, queries)]
+            assert eval_generalized(model, queries).tolist() == expected
+        assert eval_generalized(gen64, queries).tobytes() == eval_generalized(gen_obj, queries).tobytes()
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2), (4, 2), (3, 0)])
@@ -391,10 +405,10 @@ def _chi_route(model, keys):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 200), st.booleans(),
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 200), st.booleans(),
        st.sampled_from(["linear", "sign", "generalized"]), st.integers(0, 2**32 - 1), st.data())
 def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, data):
-    # Covers k < d (the T = {} table among them), k = d, n = 0, duplicate
+    # Covers k < d (the T = {} table among them), k = d, n = 1, duplicate
     # points, tied values and coordinates equal to 1.0.  A zero entry floor
     # makes small shapes whose tables could hold more than n d entries take
     # the chi route; they are compared all the same.  The queries go in as
@@ -417,8 +431,9 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
     assert floor == 0 or model.tables is not None
     if mode == "generalized":
         # Each output is the threshold-cut sum over that row's flip
-        # numerators; with the real floor the model reads rank runs, with a
-        # nonzero slope c_{} = (-1)**k C(d - 1, k) exactly when k < d.
+        # numerators; with the real floor the model reads runs, with a
+        # nonzero slope c_{} = (-1)**k C(d - 1, k) exactly when k < d, and
+        # only there flips from breakpoints (at k = d, cell medians).
         assert floor == 0 or model.tables.ranks is not None
         if model.tables is not None:
             assert (model.tables.c_empty != 0) == (k < d)
@@ -426,7 +441,7 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
         expected = [_telescoped_reference(model, signs) for signs in reference]
         with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
             assert eval_generalized(model, queries).tolist() == expected
-            if model.tables is not None:
+            if model.tables is not None and k < d:
                 for got, signs in zip(_breakpoint_signs(model, queries), reference):
                     assert np.array_equal(got, signs)
         return
@@ -440,16 +455,14 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
             assert got.dtype != np.float64 and int(row) == expected
         else:
             assert abs(row - expected) <= 1e-12 * n * chi_max
-    if n == 0 and mode == "sign":
-        assert eval_sign(model, np.full((1, d), 0.5)).tolist() == [1.0]
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 120), st.booleans(),
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 120), st.booleans(),
        st.sampled_from(["linear", "sign", "generalized"]), st.integers(0, 2**32 - 1), st.data())
 def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
-    # Subsets with at most n cells are binned by dense code; with the
-    # threshold at 0 every subset takes the sorted pairs instead.  Both
+    # Subsets with at most n cells are binned by dense code; with the dense
+    # route taken away every subset takes the sorted pairs instead.  Both
     # must give the same tables, bit for bit.
     k = data.draw(st.integers(0, d))
     rng = np.random.default_rng(seed)
@@ -457,7 +470,7 @@ def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
     values = rng.choice([-1.0, 1.0], n) if sign_valued else np.round(rng.uniform(-1.0, 1.0, n), 1)
     samples = SampleSet(points, values).with_resolution(r)
     dense = WaveletModel(k, mode, samples).tables
-    with mock.patch.object(approx_mc, "DENSE_CELLS_PER_SAMPLE", 0):
+    with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
         unique = WaveletModel(k, mode, samples).tables
     for name in ("pack", "offsets", "keys", "weights", "ranks", "bounds", "coefs"):
         got, expected = getattr(dense, name), getattr(unique, name)
@@ -489,31 +502,39 @@ def test_dense_route_choice():
     assert routes(8, 3, 6, 50000, "sign")[(5, 6, 7)] == "pairs"
 
 
-def _unique_cell_sums(digit_keys, subset, r, values, order):
+def _sparse_route(subset, r, n, cell_route=approx_mc._cell_route):
+    """``_cell_route`` with the dense route taken away: the sorted pairs take its subsets."""
+    route = cell_route(subset, r, n)
+    return "pairs" if route == "dense" else route
+
+
+def _unique_cell_sums(digit_keys, subset, r, values, runs, order):
     """The sparse build by np.unique with its inverse, then bincount, over compact codes."""
     slots = np.zeros(digit_keys.shape[1], dtype=np.int64)
     slots[list(subset)] = 1 << (r * np.arange(len(subset), dtype=np.int64))
     cells, inverse = np.unique(digit_keys.astype(np.int64) @ slots, return_inverse=True)
     sums = np.bincount(inverse, weights=values, minlength=len(cells))
-    if order is None:
+    if not runs:
         return cells, sums, None, None
     counts = np.bincount(inverse, minlength=len(cells))
-    return cells, sums, np.argsort(inverse[order], kind="stable"), counts
+    return cells, sums, np.argsort(inverse if order is None else inverse[order], kind="stable"), counts
 
 
 def _assert_sparse_build_matches_reference(points, values, subset, r, generalized):
+    # Generalized runs are positions in the value permutation (k < d) or in
+    # draw order (k = d); both are checked.
     keys = _cell_keys(points, r)
-    order = np.argsort(values) if generalized else None
     n = len(values)
-    with mock.patch.object(approx_mc, "DENSE_CELLS_PER_SAMPLE", 0):
-        route = approx_mc._cell_route(subset, r, n)
-        got = approx_mc._cell_sums(keys, subset, r, values, order)
-    pair_bits = r * len(subset) + (max(n, 1) - 1).bit_length()
-    assert route == ("pairs" if pair_bits <= 63 else "argsort")
-    for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values, order)):
-        assert (part is None) == (expected is None)
-        if expected is not None:  # bit for bit, float sums included
-            assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
+    for runs, order in ((True, None), (True, np.argsort(values))) if generalized else ((False, None),):
+        with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
+            route = approx_mc._cell_route(subset, r, n)
+            got = approx_mc._cell_sums(keys, subset, r, values, runs, order)
+        pair_bits = r * len(subset) + (n - 1).bit_length()
+        assert route == ("pairs" if pair_bits <= 63 else "argsort")
+        for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values, runs, order)):
+            assert (part is None) == (expected is None)
+            if expected is not None:  # bit for bit, float sums included
+                assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
 
 
 # (d, r) shapes: r = 8, 9 and 16 give uint8/uint16 keys; all of (8, 7) past
@@ -576,6 +597,19 @@ def test_fit_memory_gate():
         tracemalloc.stop()
     assert model.samples.digit_keys.dtype == np.uint8
     assert peak < 20e6, f"fit peaked at {peak / 1e6:.1f} MB"
+    # mc-gen-d2's generalized build: n = 726 374, d = k = 2, r = 6.  At
+    # k = d it keeps no value permutation, and its runs come from one radix
+    # argsort of the 16-bit cell codes: the build, samples excluded, peaks
+    # below 15 MB (11.7 MB measured; 19.0 MB with the value argsort).
+    samples = draw_samples(2, 726_374, Affine(2), 0).with_resolution(6)
+    tracemalloc.start()
+    try:
+        model = WaveletModel(2, "generalized", samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.order is None
+    assert peak < 15e6, f"generalized build peaked at {peak / 1e6:.1f} MB"
 
 
 def test_projection_tables_route_choice():
@@ -626,7 +660,8 @@ def test_projection_tables_refused_without_listing_subsets():
     def tables(d, k, r, n, ranked=False):
         samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
         with mock.patch.object(approx_mc, "combinations", side_effect=AssertionError("listed")):
-            return approx_mc.ProjectionTables.build(samples, k, True, np.argsort(samples.values) if ranked else None)
+            order = np.argsort(samples.values) if ranked else None
+            return approx_mc.ProjectionTables.build(samples, k, True, ranked, order)
 
     # k = d: one subset, but r d = 80 bits.
     assert tables(40, 40, 2, 10) is None
@@ -759,9 +794,15 @@ def test_generalized_all_positive_samples():
 
 
 def test_generalized_empty_information_returns_plus_one():
-    samples = SampleSet(np.empty((0, 2)), np.empty(0)).with_resolution(1)
-    assert eval_generalized(WaveletModel(1, "generalized", samples), [[0.3, 0.8]]).tolist() == [1.0]
-    assert eval_sign(WaveletModel(1, "sign", samples), [[0.3, 0.8]]).tolist() == [1.0]
+    # At k = d a query reads its own cell alone: with no sample there, the
+    # generalized and sign outputs are +1 (sgn(0) = +1), on the tables and on
+    # the chi route (r d = 64 bits at d = 8, r = 8).
+    for d, r in ((2, 1), (8, 8)):
+        samples = SampleSet(np.full((3, d), 0.1), np.full(3, -1.0)).with_resolution(r)
+        generalized, sign = WaveletModel(d, "generalized", samples), WaveletModel(d, "sign", samples)
+        assert (generalized.tables is None) == (sign.tables is None) == (d == 8)
+        assert eval_generalized(generalized, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
+        assert eval_sign(sign, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
 
 
 def test_generalized_collapses_to_sign_on_sign_valued_data():
@@ -839,8 +880,8 @@ def _exact_threshold_cut_sum(samples, k, x):
        st.integers(0, 2**32 - 1), st.data())
 def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
     # The output is the exact rational threshold-cut sum, correctly rounded,
-    # on the rank runs and on the chi route (entry floor 0; k = d shapes
-    # still fit it and have their tables dropped).  Samples in draw order
+    # on the runs and on the chi route (entry floor 0; k = d shapes still
+    # fit it and have their tables dropped), k = d as the cell's median.  Samples in draw order
     # and presorted by value give == outputs.  Covers n = 1, tied values and
     # c_{} != 0 (k < d).
     k = data.draw(st.integers(0, d))

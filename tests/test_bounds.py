@@ -1,11 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
 from monoapprox.bounds import (
-    BERRY_ESSEEN_LOWER,
-    BERRY_ESSEEN_UPPER,
     LbParams,
     McParams,
     choose_params,
@@ -16,10 +13,8 @@ from monoapprox.bounds import (
     n_ran_upper,
     n_ran_upper_breakdown,
     normal_cdf,
-    scaled_band,
     ub_error,
     ub_error_breakdown,
-    with_berry_esseen,
 )
 
 
@@ -152,17 +147,6 @@ def test_normal_cdf_values():
 # lower-bound certificate
 
 
-def test_certificate_reference_value():
-    params = default_lb_params()
-    cert = lb_epshat(params, 100)
-    assert cert.value == pytest.approx(0.0666667, abs=1e-3)
-    # The conservative Berry-Esseen constant is the one that reproduces the
-    # reference value; the sharp lower estimate lands visibly away.
-    assert params.c0 == BERRY_ESSEEN_UPPER
-    sharp = lb_epshat(with_berry_esseen(params, BERRY_ESSEEN_LOWER), 100)
-    assert abs(sharp.value - 0.0666667) > 1e-3
-
-
 def test_certificate_regression_value():
     cert = lb_epshat(default_lb_params(), 100)
     assert cert.value == pytest.approx(0.06666803382246224, abs=1e-12)
@@ -194,35 +178,8 @@ def test_certificate_band_validation():
         lb_epshat(params, 100, beta=2.0)  # beta must be <= tau
 
 
-def test_certificate_scaling_inequalities():
-    params = default_lb_params()
-    base = lb_epshat(params, params.d0)
-    for d in (100, 169, 256, 400):
-        for frac in np.linspace(0.0, 1.0, 5):
-            tau = params.tau0 * (1.0 + frac * (math.sqrt(d / params.d0) - 1.0))
-            alpha, beta = scaled_band(params, tau)
-            cert = lb_epshat(params, d, alpha, beta, tau)
-            assert cert.sigma <= base.sigma + 1e-12
-            assert cert.q >= base.q - 1e-12
-            assert cert.r_b >= (params.tau0 / tau) * base.r_b - 1e-12
-            assert cert.log_gamma >= 0.0  # gamma >= 1 on the admissible region
-            assert cert.value > params.eps0 * params.tau0 / tau
-
-
 # ---------------------------------------------------------------------------
 # lower-bound curve
-
-
-def test_lb_curve_reference_points():
-    params = default_lb_params()
-    at_base = lb_curve(params, 1 / 15, 100)
-    assert at_base.valid and at_base.regime == "scaling"
-    assert at_base.n_lower == pytest.approx(108.0, rel=1e-12)
-
-    at_400 = lb_curve(params, 1 / 15, 400)
-    expected = 108.0 * math.exp(10.0)
-    assert at_400.valid
-    assert abs(at_400.n_lower - expected) <= 32 * np.spacing(expected)
 
 
 def test_lb_curve_boundary_is_continuous():
