@@ -39,19 +39,24 @@ and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
 coordinates of ``T``.  Models store the nonzero ``c_T S_T`` in one sorted
 table (``ProjectionTables``) of compact codes, so ``m`` queries cost one
 ``searchsorted`` over their ``m #T`` keys, taken in blocks of bounded size.
-Generalized models also keep the samples of every occupied cell, for
-``k < d`` as value ranks: ``n g_i(x)`` is linear in ``i`` between the ranks
-of the samples in x's own cells, so its flips follow from integer prefix
-sums over those breakpoints and one exact floor division per segment.  At
-``k = d`` only the full cell has ``c_T != 0``, so ``n g_i(x) = 2**(r d) (W -
-2 cnt_i)`` flips once, where ``cnt_i`` of the cell's ``W`` samples are among
-the ``i`` smallest values: the output is the cell's upper median, its
-``floor(W/2) + 1``-th smallest value (+1 when empty), and no value is
-sorted.  Where the tables may not be built (``ProjectionTables.build``),
-models keep the chi route instead: an O(n d) digit comparison per query
-row, then integer prefix sums in O(n) (at ``k = d``, the median of the
-matching samples).  All integer arithmetic is exact (Python
-integers, with a 64-bit fast path when magnitudes provably permit).
+Where the tables may not be built (``ProjectionTables.build``), models keep
+the chi route instead: an O(n d) digit comparison per query row.
+
+The generalized mode needs no subset at ``k < d``: a sample that shares x's
+cell in ``b >= 1`` coordinates lies in exactly ``b`` of x's ``d``
+per-coordinate cells, and every other sample adds ``chi(0)``.  So models
+keep, per coordinate, the value ranks of the samples grouped by digit
+(``n d`` entries in all), and ``n g_i(x)`` is linear in ``i`` between the
+ranks found in x's ``d`` groups: its flips follow from integer prefix sums
+over those breakpoints and one exact floor division per segment, on the
+tables and on the chi route alike.  At ``k = d`` only the full cell has
+``c_T != 0``, so ``n g_i(x) = 2**(r d) (W - 2 cnt_i)`` flips once, where
+``cnt_i`` of the cell's ``W`` samples are among the ``i`` smallest values:
+the output is the cell's upper median, its ``floor(W/2) + 1``-th smallest
+value (+1 when empty), read off the cell's samples (kept with the tables,
+or matched on the chi route), and no value is sorted.  All integer
+arithmetic is exact (Python integers, with a 64-bit fast path when
+magnitudes provably permit).
 ``estimate_coefficients``, the Haar transform of the projected sample
 histograms, is the explicit coefficient route the identity is checked
 against.
@@ -281,7 +286,7 @@ def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
     return "pairs" if r * len(subset) + (n - 1).bit_length() <= 63 else "argsort"
 
 
-def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, runs: bool, order):
+def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, runs: bool):
     """Occupied T-cells, the sum of ``values`` over each and, if ``runs``, the runs.
 
     Cells come as sorted compact codes (``_subset_codes``).  Few cells are
@@ -290,10 +295,9 @@ def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: 
     one ``np.argsort`` past 63 bits) and each cell's rank goes back to its
     samples, in any order within the cell.  All add in sample order, so the
     float64 sums carry the same bits (for +-1 values, integers of size at most
-    n < 2**53: exact).  The runs are the positions of the samples in the
-    value permutation ``order``, or in draw order when it is None, grouped
-    by cell and ascending within each, and the cell sizes.  The n-sized
-    temporaries are freed on return.
+    n < 2**53: exact).  The runs are the sample indices grouped by cell and
+    ascending within each, and the cell sizes.  The n-sized temporaries are
+    freed on return.
     """
     n = len(values)
     route = _cell_route(subset, r, n)
@@ -327,7 +331,7 @@ def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: 
     # numpy radix-sorts 8- and 16-bit integers under kind="stable": 11 ms
     # for 726k samples in 4096 cells, against 70-90 ms on int64 codes.
     codes = codes.astype(np.min_scalar_type(span - 1))
-    ranks = np.argsort(codes if order is None else codes[order], kind="stable")
+    ranks = np.argsort(codes, kind="stable")
     return cells, sums, ranks, counts
 
 
@@ -344,12 +348,10 @@ class ProjectionTables:
     sorted, led by a sentinel -1 of weight 0.  ``weights`` holds ``c_T S_T``
     for each.
 
-    Tables built for the generalized mode also hold the runs:
-    ``ranks[bounds[p]:bounds[p + 1]]`` are the positions, ascending, of the
-    samples in the cell of key ``p`` (empty for the sentinel and for ``T =
-    {}``) in the model's value permutation, or in draw order when there is
-    none (``k = d``).  ``coefs[t]`` is ``c_T`` of subset ``t`` and
-    ``c_empty`` is ``c_{}`` (0 where that subset is absent).
+    Tables built for the generalized mode at ``k = d``, where the full cell
+    is the only subset, also hold its runs: ``ranks[bounds[p]:bounds[p +
+    1]]`` are the indices, ascending, of the samples in the cell of key
+    ``p`` (empty for the sentinel).
     """
 
     pack: np.ndarray
@@ -358,21 +360,17 @@ class ProjectionTables:
     weights: np.ndarray
     ranks: np.ndarray | None = None
     bounds: np.ndarray | None = None
-    coefs: np.ndarray | None = None
-    c_empty: int = 0
 
     @classmethod
-    def build(cls, samples: SampleSet, k: int, exact: bool, runs=False, order=None) -> "ProjectionTables | None":
+    def build(cls, samples: SampleSet, k: int, exact: bool, runs=False) -> "ProjectionTables | None":
         """Tables of keyed samples, or None where they cannot or may not be built.
 
         None when ``r d + bitlen(#T - 1) > 63`` or when the tables could hold
         more than ``max(n d, TABLE_ENTRY_FLOOR)`` entries: table ``T`` holds at
-        most ``min(n, 2**(r |T|))``, and at least its row of ``pack``.
-        ``runs`` adds the runs of the generalized mode, positions in the value
-        permutation ``order`` or, where it is None, in draw order: ``n``
-        entries per nonempty subset, under the same limit.  Both checks count
-        subsets by size (``c_T`` depends only on ``|T|``), so no subset is
-        listed unless the tables are built.  ``exact``
+        most ``min(n, 2**(r |T|))``, and at least its row of ``pack``.  Both
+        checks count subsets by size (``c_T`` depends only on ``|T|``), so no
+        subset is listed unless the tables are built.  ``runs`` (for ``k =
+        d`` only) adds the full cell's runs, ``n`` entries.  ``exact``
         (every ``|y| = 1``) makes the weights integers.
 
         Keys need only ``r k + bitlen(#T - 1)`` bits; the rule keeps ``r d``, as
@@ -384,9 +382,7 @@ class ProjectionTables:
         sizes = [(t, c) for t in range(k + 1) if (c := subset_coefficient(t, d, k, r))]
         if r * d + (sum(math.comb(d, t) for t, _ in sizes) - 1).bit_length() > 63:
             return None
-        limit = max(n * d, TABLE_ENTRY_FLOOR)
-        entries = sum(math.comb(d, t) * min(n, 1 << (r * t)) for t, _ in sizes)
-        if entries > limit or (runs and n * sum(math.comb(d, t) for t, _ in sizes if t) > limit):
+        if sum(math.comb(d, t) * min(n, 1 << (r * t)) for t, _ in sizes) > max(n * d, TABLE_ENTRY_FLOOR):
             return None
         subsets = [(subset, c) for t, c in sizes for subset in combinations(range(d), t)]
         # A query adds one weight per subset and |S_T| <= n, so every partial
@@ -399,11 +395,10 @@ class ProjectionTables:
         pack = np.array([_subset_codes(unit, subset, r) for subset, _ in subsets])
         offsets = np.arange(len(subsets), dtype=np.int64) << (r * k)
         keys, weights = [np.full(1, -1, dtype=np.int64)], [np.zeros(1, dtype=dtype)]
-        # No rank run for the sentinel or for T = {}.
+        # No run for the sentinel.
         ranks, run_sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
         for t, (subset, c) in enumerate(subsets):
-            cells, sums, cell_ranks, counts = _cell_sums(
-                samples.digit_keys, subset, r, samples.values, runs and bool(subset), order)
+            cells, sums, cell_ranks, counts = _cell_sums(samples.digit_keys, subset, r, samples.values, runs)
             cells += offsets[t]
             if exact:
                 sums = sums.astype(np.int64).astype(dtype, copy=False)
@@ -412,32 +407,14 @@ class ProjectionTables:
                 sums *= float(c)
             keys.append(cells)
             weights.append(sums)
-            if cell_ranks is not None:
-                ranks.append(cell_ranks)
-                run_sizes.append(counts)
-            elif runs:
-                run_sizes.append(np.zeros(len(cells), dtype=np.int64))
+            ranks.append(cell_ranks)
+            run_sizes.append(counts)
         fields = {}
         if runs:
-            # n g_i(x) = A + cum_i - 2 c_{} i (see flip_signs).  |A| <= n
-            # sum_T |c_T| since each cell holds at most n samples, and the
-            # run entries, at most n per subset, put |cum_i| + |2 c_{} i| <=
-            # 2 n sum_T |c_T|; every partial sum is thus at most 3 n sum_T
-            # |c_T| in size.  The crossing index is at most half a level plus
-            # 2, and a segment start at most n + 1, so below 2**63 (which
-            # also bounds n by 2**62) no int64 operation can wrap; otherwise
-            # the coefficients, and all that follows from them, are exact
-            # Python integers.
-            fits = 3 * n * sum(abs(c) for _, c in subsets) < 2**63
-            fields = dict(
-                ranks=np.concatenate(ranks, dtype=np.int32 if n < 2**31 else np.int64),
-                bounds=np.concatenate([[0], np.cumsum(np.concatenate(run_sizes))]),
-                coefs=np.array([c for _, c in subsets], dtype=np.int64 if fits else object),
-                c_empty=subset_coefficient(0, d, k, r),
-            )
+            fields = dict(ranks=np.concatenate(ranks, dtype=np.int32 if n < 2**31 else np.int64),
+                          bounds=np.concatenate([[0], np.cumsum(np.concatenate(run_sizes))]))
         tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights), **fields)
-        for array in (tables.pack, tables.offsets, tables.keys, tables.weights,
-                      tables.ranks, tables.bounds, tables.coefs):
+        for array in (tables.pack, tables.offsets, tables.keys, tables.weights, tables.ranks, tables.bounds):
             if array is not None:
                 array.flags.writeable = False
         return tables
@@ -460,58 +437,6 @@ class ProjectionTables:
         """``sum_T c_T S_T(x)`` for each row of an (m, d) digit-key matrix, in weight dtype."""
         return np.concatenate([self.weights[at].sum(axis=1) for at in self.positions(keys)])
 
-    def flip_signs(self, at: np.ndarray, n: int):
-        """The flips of ``s_i = sgn(n g_i(x))``, i = 0..n, from one query row of ``positions``.
-
-        Returns ``s_0`` and ``s_n`` (+-1.0), the flips ``f`` in 1..n, where
-        ``s_f != s_{f-1}``, ascending, and ``s_{f-1}`` at each (see ``_flips``).
-
-        ``n g_i(x) = sum_T c_T (W_T - 2 #{j < i : X_j ~_T x})``, where ``W_T``
-        counts the samples in x's T-cell.  With ``A = sum_T c_T W_T`` and
-        ``cum_i`` the sum of ``-2 c_T`` over the run entries of nonempty
-        ``T`` with rank below ``i``, ``n g_i = A + cum_i - 2 c_{} i``: linear
-        in ``i`` with slope ``-2 c_{}`` between consecutive breakpoints
-        ``rank + 1``.  Each such segment thus changes sign at most once, at
-        an index found by exact floor division.  The values equal those of
-        ``_flip_numerators``, so the flips do too.  Only tables of ``k < d``
-        are read here, and there ``c_{} != 0``.
-        """
-        start, stop = self.bounds[at], self.bounds[at + 1]
-        lengths = stop - start
-        # The entries of every run, concatenated: run t's begin at start[t].
-        total = int(lengths.sum())
-        entries = np.arange(total) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
-        ranks = self.ranks[entries]
-        drops = np.repeat(-2 * self.coefs, lengths)
-        if np.count_nonzero(lengths) > 1:
-            # Samples share cells of several subsets: merge the runs.  Tied
-            # ranks bound empty segments, so their order does not matter.
-            order = np.argsort(ranks, kind="stable")
-            ranks, drops = ranks[order], drops[order]
-        # Segment s covers i in [edges[s], edges[s + 1]), where n g_i = levels[s] - 2 c_{} i.
-        levels = self.c_empty * n + np.dot(self.coefs, lengths) + np.concatenate([[0], np.cumsum(drops)])
-        edges = np.concatenate([[0], ranks + 1, [n + 1]])
-        sizes = np.diff(edges)
-        twice = 2 * self.c_empty
-        # The first index whose sign differs from the segment's lead:
-        # levels - twice i >= 0 up to floor(levels / twice) for c_{} > 0,
-        # and from ceil(levels / twice) on for c_{} < 0.
-        cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
-        lead = np.clip(cross - edges[:-1], 0, sizes).astype(np.int64)
-        sign = -1.0 if twice < 0 else 1.0
-        # Each segment is a run of `lead` signs `sign`, then one of -sign;
-        # the flips are where the nonempty runs change sign.
-        spans = np.stack([lead, sizes - lead], axis=1).ravel()
-        kept = spans > 0
-        s_0, s_n, flips, before = _flips(np.tile([sign, -sign], len(sizes))[kept])
-        return s_0, s_n, (np.cumsum(spans) - spans)[kept][flips], before
-
-
-def _flips(signs: np.ndarray):
-    """``s_0``, ``s_n``, the flips ``f`` (``s_f != s_{f-1}``) and ``s_{f-1}`` of a +-1 vector ``s``."""
-    flips = np.flatnonzero(signs[1:] != signs[:-1]) + 1
-    return signs[0], signs[-1], flips, signs[flips - 1]
-
 
 @dataclass(frozen=True)
 class WaveletModel:
@@ -524,15 +449,20 @@ class WaveletModel:
 
     * ``chi``, the table of the chi identity for ``k``;
     * ``exact``: every sample value is +-1, so numerators are integers;
-    * ``tables``, the projection sums (with the rank runs in the generalized
-      mode), or None where they cannot or may not be built (see
-      ``ProjectionTables.build``);
+    * ``tables``, the projection sums (with the full cell's runs in the
+      generalized mode at ``k = d``), or None where they cannot or may not be
+      built (see ``ProjectionTables.build``);
     * without tables: ``y``, the sample values (int64 when ``exact``) that
       the chi route sums ``h`` with;
-    * generalized mode with ``k < d``: ``order``, the value permutation
-      ``argsort(values)`` of the samples (None at ``k = d``).  It need not
-      be stable: the output is the exact threshold-cut sum rounded once,
-      which tied values cannot change.
+    * generalized mode with ``k < d``, on either route: ``order``, the value
+      permutation ``argsort(values)`` of the samples, and the coordinate
+      runs.  Row ``j`` of ``runs`` holds the value ranks (positions in
+      ``order``) of the samples grouped by their digit in coordinate ``j``,
+      ascending within each group, and row ``j`` of ``run_keys`` those
+      digits, sorted, so x's group is where ``run_keys[j] == x_j``.  All
+      three are None at ``k = d`` and in the other modes.  ``order`` need
+      not be stable: the output is the exact threshold-cut sum rounded
+      once, which tied values cannot change.
 
     Models need at least one sample.  They are immutable and thread-safe.
     """
@@ -545,6 +475,8 @@ class WaveletModel:
     tables: ProjectionTables | None = field(init=False, repr=False)
     y: np.ndarray | None = field(init=False, repr=False)
     order: np.ndarray | None = field(init=False, repr=False)
+    runs: np.ndarray | None = field(init=False, repr=False)
+    run_keys: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -554,26 +486,40 @@ class WaveletModel:
         if self.n == 0:
             raise ValueError("a model needs at least one sample")
         table = chi_table(self.d, self.k, self.r)
-        # Every integer a query forms is at most 3 n max|chi| in size: each
-        # partial sum of a sign numerator sum_i y_i chi(b_i) (|y_i| = 1) and
-        # each prefix sum T_i of _flip_numerators by n max|chi|, 2 T_i by
-        # 2 n max|chi|, and S - 2 T_i by 3 n max|chi|.  Below 2**63 no int64
-        # operation can wrap; otherwise numpy carries exact Python integers.
-        exact_in_int64 = 3 * self.n * max(abs(c) for c in table) < 2**63
+        # Every integer a query forms is at most max(3 n, 4) max|chi| in
+        # size.  Sign numerators sum_i y_i chi(b_i) (|y_i| = 1) have partial
+        # sums within n max|chi|.  In _run_flips a step chi(b) - chi(0) is
+        # within 2 max|chi| and a drop -2 (chi(b) - chi(0)) within 4 max|chi|,
+        # the one term that can pass 3 n max|chi| (at n = 1); the partial
+        # sums of at most n steps are within 2 n max|chi|, n chi(0) and n g_0
+        # within n max|chi|.  Each partial sum of n g_0 and the drops is a
+        # level n g_i + 2 chi(0) i with i <= n, within 3 n max|chi|, and a
+        # crossing index is within half a level plus 1.  Below 2**63 no
+        # int64 operation can wrap; otherwise numpy carries exact Python
+        # integers.
+        exact_in_int64 = max(3 * self.n, 4) * max(abs(c) for c in table) < 2**63
         chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
-        chi.flags.writeable = False
         values = self.samples.values
         exact = bool(np.all(np.abs(values) == 1.0))
-        y = order = None
+        y = order = runs = run_keys = None
         generalized = self.mode == "generalized"
         if generalized and self.k < self.d:
             order = np.argsort(values)
-            order.flags.writeable = False
-        tables = ProjectionTables.build(self.samples, self.k, exact, generalized, order)
+            keys = self.samples.digit_keys
+            runs = np.empty((self.d, self.n), dtype=np.int32 if self.n < 2**31 else np.int64)
+            run_keys = np.empty((self.d, self.n), dtype=keys.dtype)
+            for j in range(self.d):
+                # numpy radix-sorts 8- and 16-bit keys under kind="stable".
+                column = np.take(keys[:, j], order)
+                runs[j] = np.argsort(column, kind="stable")
+                run_keys[j] = np.sort(column, kind="stable")
+        tables = ProjectionTables.build(self.samples, self.k, exact, generalized and self.k == self.d)
         if tables is None:
             y = values.astype(np.int64) if exact else values
-            y.flags.writeable = False
-        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("y", y), ("order", order)):
+        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("y", y), ("order", order),
+                            ("runs", runs), ("run_keys", run_keys)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -649,17 +595,59 @@ def eval_sign(model: WaveletModel, points) -> np.ndarray:
     return np.where(_numerators(model, points) >= 0, 1.0, -1.0)
 
 
-def _flip_numerators(model: WaveletModel, keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Exact integer numerators of n * g_i(x) for i = 0..n, from the digit keys of x.
+def _run_flips(model: WaveletModel, keys: np.ndarray):
+    """The flips of ``s_i = sgn(n g_i(x))``, i = 0..n, for each row of an (m, d) digit-key matrix.
 
-    ``g_i`` is the reconstruction with the ``i`` first samples of the value
-    permutation ``order`` forced to -1 and the remaining ``n - i`` forced to
-    +1, so ``n * g_i = S - 2 * T_i`` with ``T_i`` the prefix sums of chi(b)
-    in value order.
+    For generalized models with ``k < d``, on either route.  Yields, row by
+    row, ``s_0`` and ``s_n`` (+-1.0), the flips ``f`` in 1..n, where ``s_f
+    != s_{f-1}``, ascending, and ``s_{f-1}`` at each.
+
+    ``g_i`` is the reconstruction with the ``i`` first samples in value
+    order forced to -1 and the rest to +1, so ``n g_i = sum_l chi(b_l) -
+    2 sum_{rank l < i} chi(b_l)``.  A sample that shares x's cell in ``b >=
+    1`` coordinates lies in exactly ``b`` of x's ``d`` coordinate runs
+    (``WaveletModel.runs``), and every other sample adds ``chi(0)``.  So
+    with ``D_b = chi(b) - chi(0)`` and ``b_j`` the multiplicity of rank
+    ``j`` in those runs,
+
+        n g_i(x) = n chi(0) + sum_j D_{b_j} - 2 sum_{j < i} D_{b_j} - 2 chi(0) i:
+
+    linear in ``i`` with slope ``-2 chi(0)`` between consecutive breakpoints
+    ``j + 1``.  Each such segment thus changes sign at most once, at an
+    index found by exact floor division; at ``k < d``, ``chi(0) = (-1)**k
+    C(d - 1, k) != 0``.  The integers have ``chi``'s dtype, whose guard
+    (``WaveletModel``) covers every one of them.  Rows are taken in blocks
+    of about ``LOOKUP_BLOCK`` (row, coordinate) pairs, with one pair of
+    ``searchsorted`` per coordinate per block for the run bounds.
     """
-    chi_b = _chi_at(model, keys)[order]
-    prefix = np.concatenate([np.zeros(1, dtype=chi_b.dtype), np.cumsum(chi_b)])
-    return prefix[-1] - 2 * prefix
+    n, d, chi, runs = model.n, model.d, model.chi, model.runs
+    steps = chi - chi[0]
+    twice = 2 * chi[0]
+    step = max(1, LOOKUP_BLOCK // d)
+    for lo in range(0, len(keys), step):
+        block = keys[lo : lo + step]
+        bounds = np.stack([np.searchsorted(model.run_keys[j], block[:, j], side)
+                           for side in ("left", "right") for j in range(d)], axis=1).tolist()
+        for row in bounds:
+            ranks = np.concatenate([runs[j, row[j] : row[d + j]] for j in range(d)])
+            ranks.sort()
+            # Each distinct rank starts at one of at[:-1]; b is the gap to the next.
+            new = np.ones(len(ranks) + 1, dtype=bool)
+            np.not_equal(ranks[1:], ranks[:-1], out=new[1:-1])
+            at = np.flatnonzero(new)
+            gains = steps[at[1:] - at[:-1]]
+            # Segment s covers i in [edges[s], edges[s + 1]), where n g_i = levels[s] - twice i.
+            levels = np.cumsum(np.concatenate(([n * chi[0] + gains.sum()], -2 * gains)))
+            edges = np.concatenate(([0], ranks[at[:-1]] + 1, [n + 1]))
+            # levels - twice i >= 0 up to floor(levels / twice) for chi(0) > 0,
+            # and from ceil(levels / twice) on for chi(0) < 0: s changes at
+            # cross inside a segment, and at a segment's start between two.
+            cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
+            ends = np.stack([edges[:-1], edges[1:] - 1], axis=1).ravel()
+            signs = np.where((np.repeat(cross, 2) > ends) != (twice < 0), 1.0, -1.0)
+            change = np.flatnonzero(signs[1:] != signs[:-1])
+            flips = np.stack([cross, edges[1:]], axis=1).ravel()[change].astype(np.int64)
+            yield signs[0], signs[-1], flips, signs[change]
 
 
 def eval_generalized(model: WaveletModel, points) -> np.ndarray:
@@ -669,11 +657,9 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     values in value order, with sentinels ``y_0 = -1`` and ``y_{n+1} = +1``
     and ``s_i = sgn(g_i(x))``, telescopes to ``(s_0 + s_n)/2 + sum_f y_f
     s_{f-1}`` over the flips ``f`` of ``s``; ``math.fsum`` returns it
-    correctly rounded.  The flips come from the breakpoints of the rank runs
-    in the query's cells (``ProjectionTables.flip_signs``) when the model
-    has tables, else from ``_flip_numerators`` over every sample, one query
-    row at a time in O(n) memory; both give the same flips, so the same
-    output.  At ``k = d`` it is the upper median of the ``W`` values in x's
+    correctly rounded.  At ``k < d`` the flips come from the query's
+    coordinate runs (``_run_flips``), the same on the tables and on the chi
+    route.  At ``k = d`` it is the upper median of the ``W`` values in x's
     cell (+1 if empty), read off the cell's run or, on the chi route, its
     matching samples, in O(W) memory per row.
     """
@@ -689,9 +675,5 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
             cells = (values[runs[bounds[p] : bounds[p + 1]]] for at in model.tables.positions(keys) for p in at[:, 0])
         # y + 0.0 is +0.0 for y = -0.0, as fsum([0.0, y]) is.
         return np.array([np.partition(y, len(y) // 2)[len(y) // 2] + 0.0 if len(y) else 1.0 for y in cells])
-    if model.tables is None:
-        flips = (_flips(np.where(_flip_numerators(model, row, order) >= 0, 1.0, -1.0)) for row in keys)
-    else:
-        flips = (model.tables.flip_signs(at, model.n) for block in model.tables.positions(keys) for at in block)
     return np.array([math.fsum([(s_0 + s_n) / 2, *(values[order[f - 1]] * before)])
-                     for s_0, s_n, f, before in flips], dtype=np.float64)
+                     for s_0, s_n, f, before in _run_flips(model, keys)], dtype=np.float64)

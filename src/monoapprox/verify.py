@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable
 
 import numpy as np
@@ -111,19 +111,23 @@ def _check_chi_table() -> CheckResult:
 
 
 def _check_flip_recursion() -> CheckResult:
-    d, k, r = 2, 2, 2
+    # The flips eval_generalized reads at k < d, rebuilt into s_0..s_n,
+    # against the sign of n g_i = S - 2 T_i, with T_i the exact prefix sums
+    # of pair_kernel over the samples in the model's value order.
+    d, k, r = 3, 1, 2
     indices = list(haar_basis.enumerate_indices(d, k, r))
     rng = np.random.default_rng(11)
     for truth, n, seed, queries in ((functions.boxbslash(d), 40, rng, rng),
                                     (functions.Affine(d), 30, 77, np.random.default_rng(10))):
         model = approx_mc.fit(truth, d, k, r, n, seed, "generalized")
-        order = np.argsort(model.samples.values)
-        for x in queries.random((20, d)):
-            numerators = approx_mc._flip_numerators(model, approx_mc._cell_keys(x, r), order)
-            brute = sum(pair_kernel(indices, sx, x) for sx in model.samples.points)
-            if numerators[0] != brute or numerators[-1] != -numerators[0]:
-                return False, f"flip recursion mismatch at {x}"
-    return True, "n g_0 equals the exact double sum; g_n = -g_0 exactly"
+        xs = queries.random((20, d))
+        for x, (s_0, s_n, at, before) in zip(xs, approx_mc._run_flips(model, approx_mc._cell_keys(xs, r))):
+            prefix = [0, *accumulate(pair_kernel(indices, model.samples.points[i], x) for i in model.order)]
+            expected = [1.0 if prefix[-1] - 2 * t >= 0 else -1.0 for t in prefix]
+            signs = s_0 * (-1.0) ** np.searchsorted(at, np.arange(n + 1), side="right")
+            if signs.tolist() != expected or signs[-1] != s_n or not np.array_equal(signs[at - 1], before):
+                return False, f"threshold-cut signs differ from the exact prefix sums at {x}"
+    return True, "every threshold-cut sign at k < d equals that of the exact double sum"
 
 
 def _check_sign_collapse() -> CheckResult:

@@ -149,6 +149,8 @@ FAULTS = [
     ("index-count", haar_basis, "index_set_size",
      _altered(haar_basis.index_set_size, lambda size: size._replace(exact=size.exact + 1))),
     ("chi-table", approx_mc, "chi_value", _altered(approx_mc.chi_value, lambda v: v + 1)),
+    ("flip-recursion", approx_mc, "_run_flips",
+     _altered(approx_mc._run_flips, lambda rows: ((-s_0, *rest) for s_0, *rest in rows))),
     ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),
     ("cell-statistics", approx_mc, "eval_generalized", _lower_median),
     ("grid-guarantee", approx_det, "eval_grid", _upper_corner),

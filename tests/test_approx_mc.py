@@ -1,7 +1,6 @@
 import math
 import copy
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -26,7 +25,6 @@ from monoapprox.approx_mc import (
     subset_coefficient,
     _cell_keys,
     _chi_at,
-    _flip_numerators,
     _numerators,
     _query_keys,
 )
@@ -282,7 +280,9 @@ def test_object_route_keeps_sums_exact():
 
 def test_int64_and_object_routes_agree():
     # Duplicating every sample doubles each integer numerator, which leaves
-    # signs and h unchanged while n crosses the int64 guard.
+    # signs and h unchanged while n crosses the int64 guard.  Sorted by value,
+    # the doubled samples give n g_{2i} = 2 n g_i, so their flip signs at
+    # even indices are the single ones'.
     d, k, r = 8, 7, 7
     chi_max = max(abs(c) for c in chi_table(d, k, r))
     n = (2**63 - 1) // (3 * chi_max)  # the largest n the int64 route takes
@@ -294,7 +294,8 @@ def test_int64_and_object_routes_agree():
         models = [(WaveletModel(k, "sign", s), WaveletModel(k, "generalized", s.sorted()))
                   for s in (small, double)]
         (sign64, gen64), (sign_obj, gen_obj) = models
-        assert sign64.chi.dtype == np.int64 and sign_obj.chi.dtype == object
+        assert sign64.chi.dtype == gen64.chi.dtype == np.int64
+        assert sign_obj.chi.dtype == gen_obj.chi.dtype == object
         queries = np.concatenate([rng.random((5, d)), points[:5]])
         assert np.array_equal(eval_sign(sign64, queries), eval_sign(sign_obj, queries))
         assert reconstruction_value(sign64, queries) == pytest.approx(
@@ -303,6 +304,24 @@ def test_int64_and_object_routes_agree():
         for keys in _cell_keys(queries, r):
             assert np.array_equal(2 * _flip_numerators(gen64, keys, gen64.order),
                                   _flip_numerators(gen_obj, keys, gen_obj.order)[::2])
+        runs64, runs_obj = _run_signs(gen64, queries), _run_signs(gen_obj, queries)
+        for got64, got_obj, expected64, expected_obj in zip(
+                runs64, runs_obj, _flip_signs(gen64, queries), _flip_signs(gen_obj, queries)):
+            assert np.array_equal(got64, expected64) and np.array_equal(got_obj, expected_obj)
+            assert np.array_equal(got64, got_obj[::2])
+
+
+def _flip_numerators(model, keys, order):
+    """Exact integer numerators of ``n g_i(x)``, i = 0..n, over every sample: the per-row reference.
+
+    ``g_i`` is the reconstruction with the ``i`` first samples of the value
+    permutation ``order`` forced to -1 and the remaining ``n - i`` forced to
+    +1, so ``n g_i = S - 2 T_i`` with ``T_i`` the prefix sums of chi(b) in
+    value order.
+    """
+    chi_b = _chi_at(model, keys)[order]
+    prefix = np.concatenate([np.zeros(1, dtype=chi_b.dtype), np.cumsum(chi_b)])
+    return prefix[-1] - 2 * prefix
 
 
 def _flip_signs(model, queries):
@@ -320,10 +339,9 @@ def _rebuilt_signs(flips, n):
     return signs
 
 
-def _breakpoint_signs(model, queries):
-    """The same signs, rebuilt from the flips the rank runs of the model's tables give, in one batch."""
-    return [_rebuilt_signs(model.tables.flip_signs(at, model.n), model.n)
-            for block in model.tables.positions(_query_keys(model, queries)) for at in block]
+def _run_signs(model, queries):
+    """The same signs, rebuilt from the flips of the model's coordinate runs (k < d), in one batch."""
+    return [_rebuilt_signs(flips, model.n) for flips in approx_mc._run_flips(model, _query_keys(model, queries))]
 
 
 def _telescoped_reference(model, signs):
@@ -331,6 +349,11 @@ def _telescoped_reference(model, signs):
     at = np.flatnonzero(signs[1:] != signs[:-1]) + 1
     y = np.sort(model.samples.values)
     return math.fsum([(signs[0] + signs[-1]) / 2, *(y[at - 1] * signs[at - 1])])
+
+
+def _reference_outputs(model, queries):
+    """``eval_generalized`` from ``_flip_numerators`` and ``math.fsum``, row by row, as float64 bytes."""
+    return np.array([_telescoped_reference(model, signs) for signs in _flip_signs(model, queries)]).tobytes()
 
 
 def test_breakpoint_int64_and_object_routes_agree():
@@ -349,32 +372,48 @@ def test_breakpoint_int64_and_object_routes_agree():
         small = SampleSet(points, values).with_resolution(r).sorted()
         double = SampleSet(np.repeat(small.points, 2, axis=0), np.repeat(small.values, 2)).with_resolution(r).sorted()
         gen64, gen_obj = WaveletModel(k, "generalized", small), WaveletModel(k, "generalized", double)
-        assert gen64.tables.coefs.dtype == np.int64 and gen_obj.tables.coefs.dtype == object
         assert gen64.chi.dtype == np.int64 and gen_obj.chi.dtype == object
         for got64, got_obj in zip(_flip_signs(gen64, queries), _flip_signs(gen_obj, queries)):
             assert np.array_equal(got64, got_obj[::2])
         for model in (gen64, gen_obj):
-            expected = [_telescoped_reference(model, signs) for signs in _flip_signs(model, queries)]
-            assert eval_generalized(model, queries).tolist() == expected
+            assert eval_generalized(model, queries).tobytes() == _reference_outputs(model, queries)
         assert eval_generalized(gen64, queries).tobytes() == eval_generalized(gen_obj, queries).tobytes()
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2), (4, 2), (3, 0)])
 def test_breakpoint_object_route_with_empty_subset_slope(d, k):
-    # c_{} != 0 shapes cross the int64 guard only past n ~ 10**9; the same
-    # tables with Python-integer coefficients must give the same signs.
+    # The slope -2 chi(0) is nonzero at k < d, and such shapes cross the
+    # int64 guard only past n ~ 10**9; the same model with a Python-integer
+    # chi must give the same flips, and both those of the reference.
     rng = np.random.default_rng(d * 10 + k)
     n = 300
     points = rng.random((40, d))[rng.integers(0, 40, n)]
     samples = SampleSet(points, rng.uniform(-1.0, 1.0, n)).with_resolution(2).sorted()
     model = WaveletModel(k, "generalized", samples)
-    assert model.tables.c_empty != 0 and model.tables.coefs.dtype == np.int64
+    assert model.chi[0] != 0 and model.chi.dtype == np.int64
     wide = copy.copy(model)
-    object.__setattr__(wide, "tables", replace(model.tables, coefs=model.tables.coefs.astype(object)))
+    object.__setattr__(wide, "chi", model.chi.astype(object))
     queries = np.concatenate([rng.random((6, d)), points[:4]])
-    for got64, got_obj, expected in zip(_breakpoint_signs(model, queries), _breakpoint_signs(wide, queries),
+    for got64, got_obj, expected in zip(_run_signs(model, queries), _run_signs(wide, queries),
                                         _flip_signs(model, queries)):
         assert np.array_equal(got64, expected) and np.array_equal(got_obj, expected)
+    assert eval_generalized(wide, queries).tobytes() == eval_generalized(model, queries).tobytes()
+
+
+def test_guard_covers_a_single_drop_at_n_1():
+    # d = 9, k = 7, r = 8: 3 max|chi| < 2**63 <= 4 max|chi|, so one sample
+    # takes Python integers, where a drop -2 (chi(b) - chi(0)) of up to
+    # 4 max|chi| cannot wrap.
+    d, k, r = 9, 7, 8
+    chi_max = max(abs(c) for c in chi_table(d, k, r))
+    assert 3 * chi_max < 2**63 <= 4 * chi_max
+    rng = np.random.default_rng(23)
+    for value in (-1.0, 0.5):
+        model = WaveletModel(k, "generalized", SampleSet(rng.random((1, d)), [value]).with_resolution(r))
+        assert model.chi.dtype == object
+        queries = np.concatenate([model.samples.points, rng.random((3, d))])
+        queries[1, :4] = model.samples.points[0, :4]  # four matching coordinates
+        assert eval_generalized(model, queries).tobytes() == _reference_outputs(model, queries)
 
 
 def test_int64_numerators_above_2_53_divide_exactly():
@@ -431,18 +470,17 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
     assert floor == 0 or model.tables is not None
     if mode == "generalized":
         # Each output is the threshold-cut sum over that row's flip
-        # numerators; with the real floor the model reads runs, with a
-        # nonzero slope c_{} = (-1)**k C(d - 1, k) exactly when k < d, and
-        # only there flips from breakpoints (at k = d, cell medians).
-        assert floor == 0 or model.tables.ranks is not None
-        if model.tables is not None:
-            assert (model.tables.c_empty != 0) == (k < d)
+        # numerators.  At k < d the model reads its coordinate runs on
+        # either route, and their flips are the reference's; at k = d, with
+        # the real floor, the tables hold the full cell's runs instead.
+        assert (model.runs is not None) == (k < d)
+        assert floor == 0 or (model.tables.ranks is not None) == (k == d)
         reference = _flip_signs(model, queries)
-        expected = [_telescoped_reference(model, signs) for signs in reference]
+        expected = np.array([_telescoped_reference(model, signs) for signs in reference]).tobytes()
         with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
-            assert eval_generalized(model, queries).tolist() == expected
-            if model.tables is not None and k < d:
-                for got, signs in zip(_breakpoint_signs(model, queries), reference):
+            assert eval_generalized(model, queries).tobytes() == expected
+            if k < d:
+                for got, signs in zip(_run_signs(model, queries), reference):
                     assert np.array_equal(got, signs)
         return
     chi_max = max(abs(c) for c in chi_table(d, k, r))
@@ -472,9 +510,10 @@ def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
     dense = WaveletModel(k, mode, samples).tables
     with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
         unique = WaveletModel(k, mode, samples).tables
-    for name in ("pack", "offsets", "keys", "weights", "ranks", "bounds", "coefs"):
+    runs = mode == "generalized" and k == d
+    for name in ("pack", "offsets", "keys", "weights", "ranks", "bounds"):
         got, expected = getattr(dense, name), getattr(unique, name)
-        assert (got is None) == (expected is None) == (name in ("ranks", "bounds", "coefs") and mode != "generalized")
+        assert (got is None) == (expected is None) == (name in ("ranks", "bounds") and not runs)
         if got is not None:
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
@@ -508,7 +547,7 @@ def _sparse_route(subset, r, n, cell_route=approx_mc._cell_route):
     return "pairs" if route == "dense" else route
 
 
-def _unique_cell_sums(digit_keys, subset, r, values, runs, order):
+def _unique_cell_sums(digit_keys, subset, r, values, runs):
     """The sparse build by np.unique with its inverse, then bincount, over compact codes."""
     slots = np.zeros(digit_keys.shape[1], dtype=np.int64)
     slots[list(subset)] = 1 << (r * np.arange(len(subset), dtype=np.int64))
@@ -517,24 +556,21 @@ def _unique_cell_sums(digit_keys, subset, r, values, runs, order):
     if not runs:
         return cells, sums, None, None
     counts = np.bincount(inverse, minlength=len(cells))
-    return cells, sums, np.argsort(inverse if order is None else inverse[order], kind="stable"), counts
+    return cells, sums, np.argsort(inverse, kind="stable"), counts
 
 
-def _assert_sparse_build_matches_reference(points, values, subset, r, generalized):
-    # Generalized runs are positions in the value permutation (k < d) or in
-    # draw order (k = d); both are checked.
+def _assert_sparse_build_matches_reference(points, values, subset, r, runs):
     keys = _cell_keys(points, r)
     n = len(values)
-    for runs, order in ((True, None), (True, np.argsort(values))) if generalized else ((False, None),):
-        with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
-            route = approx_mc._cell_route(subset, r, n)
-            got = approx_mc._cell_sums(keys, subset, r, values, runs, order)
-        pair_bits = r * len(subset) + (n - 1).bit_length()
-        assert route == ("pairs" if pair_bits <= 63 else "argsort")
-        for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values, runs, order)):
-            assert (part is None) == (expected is None)
-            if expected is not None:  # bit for bit, float sums included
-                assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
+    with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
+        route = approx_mc._cell_route(subset, r, n)
+        got = approx_mc._cell_sums(keys, subset, r, values, runs)
+    pair_bits = r * len(subset) + (n - 1).bit_length()
+    assert route == ("pairs" if pair_bits <= 63 else "argsort")
+    for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values, runs)):
+        assert (part is None) == (expected is None)
+        if expected is not None:  # bit for bit, float sums included
+            assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
 
 
 # (d, r) shapes: r = 8, 9 and 16 give uint8/uint16 keys; all of (8, 7) past
@@ -546,14 +582,14 @@ _SPARSE_SHAPES = [(1, 1), (2, 3), (3, 2), (4, 7), (3, 8), (2, 16), (8, 7), (7, 9
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_SPARSE_SHAPES), st.integers(0, 300), st.sampled_from(["sign", "uniform", "tied"]),
        st.booleans(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
-def test_sorted_pair_build_matches_unique_reference(shape, n, kind, one_cell, generalized, seed, data):
+def test_sorted_pair_build_matches_unique_reference(shape, n, kind, one_cell, runs, seed, data):
     d, r = shape
     subset = tuple(sorted(data.draw(st.sets(st.integers(0, d - 1)))))
     rng = np.random.default_rng(seed)
     points = np.tile(rng.random((1, d)), (n, 1)) if one_cell else rng.random((n, d))
     values = {"sign": lambda: rng.choice([-1.0, 1.0], n), "uniform": lambda: rng.uniform(-1.0, 1.0, n),
               "tied": lambda: np.round(rng.uniform(-1.0, 1.0, n), 1)}[kind]()
-    _assert_sparse_build_matches_reference(points, values, subset, r, generalized)
+    _assert_sparse_build_matches_reference(points, values, subset, r, runs)
 
 
 @pytest.mark.parametrize("n, d, r, subset, one_cell", [
@@ -566,8 +602,8 @@ def test_sorted_pair_build_named_cases(n, d, r, subset, one_cell):
     rng = np.random.default_rng(n + d + r)
     points = np.tile(rng.random((1, d)), (n, 1)) if one_cell else rng.random((n, d))
     values = np.round(rng.uniform(-1.0, 1.0, n), 1)  # tied values
-    for generalized in (False, True):
-        _assert_sparse_build_matches_reference(points, values, subset, r, generalized)
+    for runs in (False, True):
+        _assert_sparse_build_matches_reference(points, values, subset, r, runs)
 
 
 @pytest.mark.parametrize("r", [1, 7, 8, 9, 16, 17])
@@ -610,6 +646,19 @@ def test_fit_memory_gate():
         tracemalloc.stop()
     assert model.order is None
     assert peak < 15e6, f"generalized build peaked at {peak / 1e6:.1f} MB"
+    # A k < d generalized build: d = 8, k = 3, r = 4, n = 20 000.  Its
+    # coordinate runs hold n d = 160 000 ranks next to the 93 sign tables:
+    # the build, samples excluded, peaks below 12 MB (8.6 MB measured; 33.6
+    # MB with n rank entries per nonempty subset, 1.84M in all).
+    samples = draw_samples(8, 20_000, Affine(8), 0).with_resolution(4)
+    tracemalloc.start()
+    try:
+        model = WaveletModel(3, "generalized", samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.runs.shape == (8, 20_000) and model.tables.ranks is None
+    assert peak < 12e6, f"k < d generalized build peaked at {peak / 1e6:.1f} MB"
 
 
 def test_projection_tables_route_choice():
@@ -633,18 +682,19 @@ def test_projection_tables_route_choice():
     # 93 tables could hold 236673 cells: more than n d = 160000, but within
     # the entry floor, so they are built.
     assert len(model(8, 3, 4, 20000).tables.offsets) == 93
-    # Generalized models add n rank entries per nonempty subset.  k = d =
-    # 2, r = 6 (mc-gen-d2's shape): one run per occupied cell.
+    # Generalized tables at k = d add the full cell's n rank entries.  k =
+    # d = 2, r = 6 (mc-gen-d2's shape): one run per occupied cell.
     tables = model(2, 2, 6, 3000, "generalized").tables
-    assert len(tables.offsets) == 1 and tables.c_empty == 0
+    assert len(tables.offsets) == 1
     assert len(tables.ranks) == 3000 and len(tables.bounds) == len(tables.keys) + 1
-    # 92 nonempty subsets hold 92 * 20000 = 1.84M rank entries, within the
-    # entry floor; the chi route only where they would pass it.
-    assert model(8, 3, 4, 20000, "generalized").tables.ranks is not None
+    # At k < d they are the sign tables, and the model keeps its n d
+    # coordinate ranks apart, on either route.
+    generalized = model(8, 3, 4, 20000, "generalized")
+    assert len(generalized.tables.offsets) == 93 and generalized.tables.ranks is None
+    assert generalized.runs.shape == generalized.run_keys.shape == (8, 20000)
     with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", 0):
-        # 6 rank runs of n entries each, more than n d: the chi route, while
-        # a sign model of the same samples builds its tables.
-        assert model(3, 2, 1, 100, "generalized").tables is None
+        # k < d generalized tables follow the sign limit.
+        assert model(3, 2, 1, 100, "generalized").tables is not None
         assert model(3, 2, 1, 100).tables is not None
         # k = d keeps one run of n entries, never more than n d.
         assert model(3, 3, 1, 100, "generalized").tables.ranks is not None
@@ -657,11 +707,10 @@ def test_projection_tables_refused_without_listing_subsets():
     # of the up to 2**d subsets is listed.
     rng = np.random.default_rng(9)
 
-    def tables(d, k, r, n, ranked=False):
+    def tables(d, k, r, n, runs=False):
         samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
         with mock.patch.object(approx_mc, "combinations", side_effect=AssertionError("listed")):
-            order = np.argsort(samples.values) if ranked else None
-            return approx_mc.ProjectionTables.build(samples, k, True, ranked, order)
+            return approx_mc.ProjectionTables.build(samples, k, True, runs)
 
     # k = d: one subset, but r d = 80 bits.
     assert tables(40, 40, 2, 10) is None
@@ -670,11 +719,8 @@ def test_projection_tables_refused_without_listing_subsets():
     # 2510 subsets fit the key (48 + 12 bits), but could hold about 4.88M
     # entries, more than max(n d, TABLE_ENTRY_FLOOR) = 2**22.
     assert tables(12, 6, 4, 2000) is None
-    # Generalized: the same two checks on the key ...
-    assert tables(40, 40, 2, 10, ranked=True) is None
-    # ... and 92 rank runs of n = 50000 entries, 4.6M, more than max(n d,
-    # TABLE_ENTRY_FLOOR) = 2**22, though the 236673 cells alone would fit.
-    assert tables(8, 3, 4, 50000, ranked=True) is None
+    # Generalized at k = d: the same check on the key.
+    assert tables(40, 40, 2, 10, runs=True) is None
 
 
 def test_blocked_lookup_bounds_memory():
@@ -880,10 +926,10 @@ def _exact_threshold_cut_sum(samples, k, x):
        st.integers(0, 2**32 - 1), st.data())
 def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
     # The output is the exact rational threshold-cut sum, correctly rounded,
-    # on the runs and on the chi route (entry floor 0; k = d shapes still
-    # fit it and have their tables dropped), k = d as the cell's median.  Samples in draw order
-    # and presorted by value give == outputs.  Covers n = 1, tied values and
-    # c_{} != 0 (k < d).
+    # on the tables and on the chi route (tables dropped): at k < d from the
+    # coordinate runs, at k = d as the cell's median.  Samples in draw order
+    # and presorted by value give the same bytes.  Covers n = 1, tied values
+    # and chi(0) != 0 (k < d).
     k = data.draw(st.integers(0, d))
     rng = np.random.default_rng(seed)
     points = rng.random((max(n // 2, 1), d))[rng.integers(0, max(n // 2, 1), n)]
@@ -891,15 +937,39 @@ def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
               "sign": rng.choice([-1.0, 1.0], n)}[kind]
     samples = SampleSet(points, values).with_resolution(r)
     queries = np.concatenate([rng.random((4, d)), points[:3]])
-    expected = [_exact_threshold_cut_sum(samples, k, x) for x in queries]
+    expected = np.array([_exact_threshold_cut_sum(samples, k, x) for x in queries]).tobytes()
     for given_samples in (samples, samples.sorted()):
         tables = WaveletModel(k, "generalized", given_samples)
-        with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", 0):
-            chi = WaveletModel(k, "generalized", given_samples)
+        chi = copy.copy(tables)
         object.__setattr__(chi, "tables", None)
-        assert tables.tables is not None and (tables.tables.c_empty != 0) == (k < d)
-        assert eval_generalized(tables, queries).tolist() == expected
-        assert eval_generalized(chi, queries).tolist() == expected
+        assert tables.tables is not None and (tables.chi[0] != 0) == (k < d)
+        assert eval_generalized(tables, queries).tobytes() == expected
+        assert eval_generalized(chi, queries).tobytes() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 300), st.sampled_from(["tied", "uniform", "sign"]),
+       st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_run_flips_match_flip_numerator_reference(d, r, n, kind, spread, seed, data):
+    # k < d, byte for byte against the per-row reference (_flip_numerators
+    # over every sample, then math.fsum), on the tables and on the chi route
+    # (tables dropped).  Covers d = 1 (k = 0), n = 1, tied values,
+    # coordinates equal to 1.0 and, with every point drawn once, cells that
+    # hold one sample.
+    k = data.draw(st.integers(0, d - 1))
+    rng = np.random.default_rng(seed)
+    base = rng.random((n if spread else max(n // 3, 1), d))
+    base[rng.random(base.shape) < 0.2] = 1.0
+    points = base if spread else base[rng.integers(0, len(base), n)]
+    values = {"tied": np.round(rng.uniform(-1.0, 1.0, n), 1), "uniform": rng.uniform(-1.0, 1.0, n),
+              "sign": rng.choice([-1.0, 1.0], n)}[kind]
+    model = WaveletModel(k, "generalized", SampleSet(points, values).with_resolution(r))
+    chi = copy.copy(model)
+    object.__setattr__(chi, "tables", None)
+    queries = np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))])
+    expected = _reference_outputs(model, queries)
+    assert eval_generalized(model, queries).tobytes() == expected
+    assert eval_generalized(chi, queries).tobytes() == expected
 
 
 def test_generalized_ties_do_not_matter():
