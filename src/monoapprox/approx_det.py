@@ -8,6 +8,10 @@ extreme values (-1 below, +1 above) without spending evaluations.  For any
 monotone input the L1 error is at most ``d/m``: subcubes group into at most
 ``d * m**(d-1)`` corner-touching diagonals and monotonicity confines the
 error along each diagonal to a single subcube volume.
+
+The oracle sees the lattice in blocks (``functions.lattice_blocks``), so a fit
+holds the values and one block of points: a 9.4 MB peak at d = 4, m = 32
+(923521 points), against 75-118 MB for one array of all the points.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import check_budget
-from .functions import as_points, eval_batch
+from .functions import as_points, eval_batch, lattice_blocks, lattice_is_monotone
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class GridModel:
             raise ValueError(
                 f"lattice must have shape {(self.m - 1,) * self.d}, got {values.shape}"
             )
-        if values.size and (np.abs(values).max() > 1.0 or not np.isfinite(values).all()):
+        if values.size and not (values.min() >= -1.0 and values.max() <= 1.0):  # NaN fails too
             raise ValueError("lattice values must lie in [-1, 1]")
         values = np.ascontiguousarray(values)
         values.flags.writeable = False
@@ -53,18 +57,15 @@ def fit_grid(oracle, d: int, m: int, budget: int | None = None) -> GridModel:
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 and d >= 1")
     check_budget((m - 1) ** d, budget, what="lattice points")
-    coords = np.arange(1, m) / m
-    mesh = np.meshgrid(*([coords] * d), indexing="ij")
-    points = np.stack([c.ravel() for c in mesh], axis=-1)
-    values = eval_batch(oracle, points).reshape((m - 1,) * d)
-    for axis in range(d):
-        if np.any(np.diff(values, axis=axis) < 0):
-            warnings.warn(
-                "lattice values are not monotone along every coordinate; "
-                "the d/m error guarantee does not apply",
-                stacklevel=2,
-            )
-            break
+    values = np.empty((m - 1,) * d)
+    for index, points in lattice_blocks(np.arange(1, m) / m, d):
+        values[index] = eval_batch(oracle, points).reshape(values.shape[len(index) :])
+    if not lattice_is_monotone(values):
+        warnings.warn(
+            "lattice values are not monotone along every coordinate; "
+            "the d/m error guarantee does not apply",
+            stacklevel=2,
+        )
     return GridModel(d, m, values)
 
 
@@ -76,11 +77,18 @@ def eval_grid(model: GridModel, points) -> np.ndarray:
     stored value, or +1 when any coordinate lies on the upper boundary.
     ``points`` is an (n, d) array; the result has shape (n,).
     """
-    m, values = model.m, model.lattice_values
-    cells = np.minimum((as_points(points, model.d) * m).astype(np.int64), m - 1)
-    lower = np.where((cells == 0).any(axis=1), -1.0, values[tuple(np.maximum(cells - 1, 0).T)])
-    upper = np.where((cells == m - 1).any(axis=1), 1.0, values[tuple(np.minimum(cells, m - 2).T)])
-    return 0.5 * (lower + upper)
+    m = model.m
+    # Row-major flat indices of the lower and upper corners, column by column.
+    low = high = 0
+    on_low = on_high = False
+    for column in as_points(points, model.d).T:
+        cell = np.minimum((column * m).astype(np.intp), m - 1)
+        low = low * (m - 1) + np.maximum(cell - 1, 0)
+        high = high * (m - 1) + np.minimum(cell, m - 2)
+        on_low = on_low | (cell == 0)
+        on_high = on_high | (cell == m - 1)
+    values = model.lattice_values.ravel()
+    return 0.5 * (np.where(on_low, -1.0, values[low]) + np.where(on_high, 1.0, values[high]))
 
 
 def grid_error_bound(d: int, m: int) -> float:

@@ -48,14 +48,14 @@ per-coordinate cells, and every other sample adds ``chi(0)``.  So models
 keep, per coordinate, the value ranks of the samples grouped by digit
 (``n d`` entries in all), and ``n g_i(x)`` is linear in ``i`` between the
 ranks found in x's ``d`` groups: its flips follow from integer prefix sums
-over those breakpoints and one exact floor division per segment, on the
-tables and on the chi route alike.  At ``k = d`` only the full cell has
-``c_T != 0``, so ``n g_i(x) = 2**(r d) (W - 2 cnt_i)`` flips once, where
-``cnt_i`` of the cell's ``W`` samples are among the ``i`` smallest values:
-the output is the cell's upper median, its ``floor(W/2) + 1``-th smallest
-value (+1 when empty), read off the cell's samples (kept with the tables,
-or matched on the chi route), and no value is sorted.  All integer
-arithmetic is exact (Python integers, with a 64-bit fast path when
+over those breakpoints and one exact floor division per segment, with no
+projection table (``h`` takes the chi route there).  At ``k = d`` only the
+full cell has ``c_T != 0``, so ``n g_i(x) = 2**(r d) (W - 2 cnt_i)`` flips
+once, where ``cnt_i`` of the cell's ``W`` samples are among the ``i``
+smallest values: the output is the cell's upper median, its ``floor(W/2) +
+1``-th smallest value (+1 when empty), read off the cell's samples (kept
+with the tables, or matched on the chi route), and no value is sorted.  All
+integer arithmetic is exact (Python integers, with a 64-bit fast path when
 magnitudes provably permit).
 ``estimate_coefficients``, the Haar transform of the projected sample
 histograms, is the explicit coefficient route the identity is checked
@@ -451,12 +451,12 @@ class WaveletModel:
     * ``exact``: every sample value is +-1, so numerators are integers;
     * ``tables``, the projection sums (with the full cell's runs in the
       generalized mode at ``k = d``), or None where they cannot or may not be
-      built (see ``ProjectionTables.build``);
+      built (see ``ProjectionTables.build``) and in the generalized mode at
+      ``k < d``, whose outputs read only the coordinate runs;
     * without tables: ``y``, the sample values (int64 when ``exact``) that
       the chi route sums ``h`` with;
-    * generalized mode with ``k < d``, on either route: ``order``, the value
-      permutation ``argsort(values)`` of the samples, and the coordinate
-      runs.  Row ``j`` of ``runs`` holds the value ranks (positions in
+    * generalized mode with ``k < d``: ``order``, the value permutation
+      ``argsort(values)`` of the samples, and the coordinate runs.  Row ``j`` of ``runs`` holds the value ranks (positions in
       ``order``) of the samples grouped by their digit in coordinate ``j``,
       ascending within each group, and row ``j`` of ``run_keys`` those
       digits, sorted, so x's group is where ``run_keys[j] == x_j``.  All
@@ -501,9 +501,9 @@ class WaveletModel:
         chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
         values = self.samples.values
         exact = bool(np.all(np.abs(values) == 1.0))
-        y = order = runs = run_keys = None
+        tables = y = order = runs = run_keys = None
         generalized = self.mode == "generalized"
-        if generalized and self.k < self.d:
+        if generalized and self.k < self.d:  # evaluation reads only the runs
             order = np.argsort(values)
             keys = self.samples.digit_keys
             runs = np.empty((self.d, self.n), dtype=np.int32 if self.n < 2**31 else np.int64)
@@ -513,7 +513,8 @@ class WaveletModel:
                 column = np.take(keys[:, j], order)
                 runs[j] = np.argsort(column, kind="stable")
                 run_keys[j] = np.sort(column, kind="stable")
-        tables = ProjectionTables.build(self.samples, self.k, exact, generalized and self.k == self.d)
+        else:
+            tables = ProjectionTables.build(self.samples, self.k, exact, generalized)
         if tables is None:
             y = values.astype(np.int64) if exact else values
         for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("y", y), ("order", order),
@@ -598,9 +599,9 @@ def eval_sign(model: WaveletModel, points) -> np.ndarray:
 def _run_flips(model: WaveletModel, keys: np.ndarray):
     """The flips of ``s_i = sgn(n g_i(x))``, i = 0..n, for each row of an (m, d) digit-key matrix.
 
-    For generalized models with ``k < d``, on either route.  Yields, row by
-    row, ``s_0`` and ``s_n`` (+-1.0), the flips ``f`` in 1..n, where ``s_f
-    != s_{f-1}``, ascending, and ``s_{f-1}`` at each.
+    For generalized models with ``k < d``.  Yields, row by row, ``s_0`` and
+    ``s_n`` (+-1.0), the flips ``f`` in 1..n, where ``s_f != s_{f-1}``,
+    ascending, and ``s_{f-1}`` at each.
 
     ``g_i`` is the reconstruction with the ``i`` first samples in value
     order forced to -1 and the rest to +1, so ``n g_i = sum_l chi(b_l) -
@@ -658,10 +659,9 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     and ``s_i = sgn(g_i(x))``, telescopes to ``(s_0 + s_n)/2 + sum_f y_f
     s_{f-1}`` over the flips ``f`` of ``s``; ``math.fsum`` returns it
     correctly rounded.  At ``k < d`` the flips come from the query's
-    coordinate runs (``_run_flips``), the same on the tables and on the chi
-    route.  At ``k = d`` it is the upper median of the ``W`` values in x's
-    cell (+1 if empty), read off the cell's run or, on the chi route, its
-    matching samples, in O(W) memory per row.
+    coordinate runs (``_run_flips``).  At ``k = d`` it is the upper median
+    of the ``W`` values in x's cell (+1 if empty), read off the cell's run
+    or, on the chi route, its matching samples, in O(W) memory per row.
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")

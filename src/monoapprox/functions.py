@@ -9,6 +9,9 @@ safe to share across threads.
 
 Sign convention: ``sgn(0) = +1`` throughout, so sign-valued oracles never
 return zero.
+
+Lattices of points reach oracles in blocks of at most ``LATTICE_BLOCK``
+rows (``lattice_blocks``), never as one array of all the points.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ import numpy as np
 
 from .budget import check_budget
 
+# Rows of one lattice block (1 MB of points at d = 4).  fit_grid of a step
+# oracle at d = 4, m = 32 took 28 ms in 29791-row blocks, 84 ms in 961-row
+# blocks and 93 ms in one (2 CPUs, numpy 2.4).
+LATTICE_BLOCK = 1 << 15
+
 
 def eval_batch(oracle, points: np.ndarray) -> np.ndarray:
     """Evaluate an oracle on an (m, d) array; its values must have shape (m,)."""
@@ -34,11 +42,17 @@ def eval_batch(oracle, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def as_points(points, d: int) -> np.ndarray:
-    """``points`` as a float (m, d) array inside [0, 1]^d, or ValueError."""
+def _batch(points, d: int) -> np.ndarray:
+    """``points`` as a float (m, d) array, or ValueError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"points must have shape (m, {d}), got {pts.shape}")
+    return pts
+
+
+def as_points(points, d: int) -> np.ndarray:
+    """``points`` as a float (m, d) array inside [0, 1]^d, or ValueError."""
+    pts = _batch(points, d)
     if not ((pts >= 0.0) & (pts <= 1.0)).all():  # NaN fails too
         raise ValueError("points must lie in [0, 1]^d")
     return pts
@@ -105,9 +119,16 @@ class StepFamily:
         return self.d * (self.m - 1) + 1
 
     def __call__(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        cells = np.minimum((pts * self.m).astype(np.int64), self.m - 1)
-        level = cells.sum(axis=1) + self.delta[tuple(cells.T)]
+        # Column by column: |i|_1 and the row-major cell code, then one gather.
+        columns = _batch(points, self.d).T
+        level = np.zeros(columns.shape[1], dtype=np.int64)
+        code = np.zeros(columns.shape[1], dtype=np.intp)
+        for column in columns:
+            cell = np.minimum((column * self.m).astype(np.intp), self.m - 1)
+            level += cell
+            code *= self.m
+            code += cell
+        level += self.delta.ravel()[code]
         return 2.0 * level / self.denominator - 1.0
 
 
@@ -155,14 +176,18 @@ class LevelSetFunction:
                 raise ValueError(f"member {u:b} does not have weight {self.t}")
 
     def __call__(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        bits = pts >= 0.5
-        weights = bits.sum(axis=1)
-        masks = bits @ (1 << np.arange(self.d, dtype=np.int64))
-        covered = np.zeros(len(pts), dtype=bool)
+        columns = _batch(points, self.d).T
+        weights = np.zeros(columns.shape[1], dtype=np.int64)
+        masks = np.zeros(columns.shape[1], dtype=np.int64)
+        for column in columns[::-1]:  # Horner: coordinate j ends up at bit j
+            bit = column >= 0.5
+            weights += bit
+            masks <<= 1
+            masks += bit
+        covered = weights > self.b
         for u in self.members:
             covered |= (masks & u) == u
-        return np.where((weights > self.b) | covered, 1.0, -1.0)
+        return np.where(covered, 1.0, -1.0)
 
 
 def level_set_function(d: int, t: int, b: int, U) -> LevelSetFunction:
@@ -234,6 +259,36 @@ def snap_to_grid(oracle, d: int, r: int):
     return _Snapped(oracle, d, r)
 
 
+def lattice_blocks(coords, d: int):
+    """Yield ``(index, points)``: the lattice ``coords**d`` in C order, block by block.
+
+    A block is the sub-lattice of the trailing ``t`` axes, ``t >= 1`` the
+    largest with ``len(coords)**t <= LATTICE_BLOCK``, at the leading
+    coordinates ``coords[index]``: ``values[index]`` of the lattice's value
+    array.  ``points`` is one buffer; only its leading columns change.
+    """
+    coords = np.asarray(coords, dtype=float)
+    size = len(coords)
+    t = 1
+    while t < d and size ** (t + 1) <= LATTICE_BLOCK:
+        t += 1
+    points = np.empty((size**t, d))
+    for j in range(t):
+        points.reshape(size**j, size, size ** (t - 1 - j), d)[..., d - t + j] = coords[:, None]
+    for index in np.ndindex(*(size,) * (d - t)):
+        points[:, : d - t] = coords[list(index)]
+        yield index, points
+
+
+def lattice_is_monotone(values: np.ndarray) -> bool:
+    """True iff every coordinate-successor pair of a value lattice is nondecreasing."""
+    for axis in range(values.ndim):
+        along = np.moveaxis(values, axis, 0)
+        if np.less(along[1:], along[:-1]).any():
+            return False
+    return True
+
+
 def is_monotone_on_grid(oracle, d: int, resolution: int, budget: int | None = None) -> bool:
     """Check coordinatewise monotonicity on the midpoint lattice.
 
@@ -244,14 +299,10 @@ def is_monotone_on_grid(oracle, d: int, resolution: int, budget: int | None = No
     if resolution < 1:
         raise ValueError("resolution must be positive")
     check_budget(resolution**d, budget, what="lattice points")
-    mids = (np.arange(resolution) + 0.5) / resolution
-    mesh = np.meshgrid(*([mids] * d), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = eval_batch(oracle, points).reshape((resolution,) * d)
-    for axis in range(d):
-        if np.any(np.diff(values, axis=axis) < 0):
-            return False
-    return True
+    values = np.empty((resolution,) * d)
+    for index, points in lattice_blocks((np.arange(resolution) + 0.5) / resolution, d):
+        values[index] = eval_batch(oracle, points).reshape(values.shape[len(index) :])
+    return lattice_is_monotone(values)
 
 
 def family_from_spec(spec: str, d: int, seed, budget: int | None = None) -> Callable:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import check_budget
-from .functions import eval_batch
+from .functions import eval_batch, lattice_blocks
 from .haar_basis import MultiIndex, haar_transform, psi_1d, split_index
 
 
@@ -35,18 +35,13 @@ class ErrorEstimate:
             raise ValueError("exact estimates must have zero std error")
 
 
-def _midpoint_grid(d: int, resolution: int, budget: int | None) -> np.ndarray:
-    n_cells = (1 << resolution) ** d
-    check_budget(n_cells, budget)
-    mids = (np.arange(1 << resolution) + 0.5) / (1 << resolution)
-    mesh = np.meshgrid(*([mids] * d), indexing="ij")
-    return np.stack([c.ravel() for c in mesh], axis=-1)
-
-
 def grid_midpoint_values(f, d: int, resolution: int, budget: int | None = None) -> np.ndarray:
     """Oracle values at all resolution-cell midpoints, shape (2**resolution,)*d."""
-    points = _midpoint_grid(d, resolution, budget)
-    return eval_batch(f, points).reshape(((1 << resolution),) * d)
+    check_budget((1 << resolution) ** d, budget)
+    values = np.empty((1 << resolution,) * d)
+    for index, points in lattice_blocks((np.arange(1 << resolution) + 0.5) / (1 << resolution), d):
+        values[index] = eval_batch(f, points).reshape(values.shape[len(index) :])
+    return values
 
 
 def _spot_check_piecewise(f, g, d: int, resolution: int) -> None:
@@ -77,8 +72,8 @@ def l1_exact_dyadic(
     integrand |f - g|, which is exactly what midpoint exactness needs).
     """
     _spot_check_piecewise(f, g, d, resolution)
-    points = _midpoint_grid(d, resolution, budget)
-    diff = np.abs(eval_batch(f, points) - eval_batch(g, points))
+    values = grid_midpoint_values(f, d, resolution, budget)
+    diff = np.abs(values - grid_midpoint_values(g, d, resolution, budget)).ravel()
     value = math.fsum(diff) / len(diff)
     return ErrorEstimate(value, 0.0, len(diff), exact=True)
 
@@ -109,15 +104,13 @@ def exact_coefficient(
         level, _ = split_index(alpha)
         if level is not None and level >= r:
             raise ValueError(f"index level {level} not below resolution {r}")
-    points = _midpoint_grid(d, r, budget)
-    values = eval_batch(f, points)
-    basis = np.ones(len(points))
-    for j, alpha in enumerate(index.alphas):
-        if alpha:
-            basis *= np.fromiter(
-                (psi_1d(alpha, xj) for xj in points[:, j]), dtype=float, count=len(points)
-            )
-    return math.fsum(basis * values) / len(points)
+    values = grid_midpoint_values(f, d, r, budget)
+    mids = (np.arange(1 << r) + 0.5) / (1 << r)
+    # The product of the 1-D factors, axis by axis (psi_1d(0, x) = 1.0 is exact).
+    basis = np.array(1.0)
+    for alpha in index.alphas:
+        basis = basis[..., None] * np.array([psi_1d(alpha, x) for x in mids])
+    return math.fsum((basis * values).ravel()) / values.size
 
 
 def coefficient_tensor(f, d: int, r: int, budget: int | None = None) -> np.ndarray:

@@ -1,16 +1,23 @@
+import tracemalloc
+import warnings
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from monoapprox import functions
 from monoapprox.approx_det import GridModel, eval_grid, fit_grid, grid_error_bound
 from monoapprox.budget import BudgetExceededError
 from monoapprox.functions import (
+    LATTICE_BLOCK,
     Affine,
     boxbslash,
+    is_monotone_on_grid,
     level_set_function,
     random_delta,
     sample_U,
+    snap_to_grid,
     step_function,
 )
 from monoapprox.metrics import l1_exact_dyadic
@@ -72,8 +79,9 @@ def test_grid_error_bound_examples():
 
 
 def test_grid_model_validation():
-    with pytest.raises(ValueError):
-        GridModel(1, 2, np.array([2.0]))
+    for bad in (2.0, -1.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            GridModel(1, 2, np.array([bad]))
     with pytest.raises(ValueError):
         GridModel(2, 3, np.zeros((2, 3)))
 
@@ -117,3 +125,65 @@ def test_eval_grid_rejects_malformed_points():
                 [[-0.1, 0.5]], [[0.5, 1.5]]):
         with pytest.raises(ValueError):
             eval_grid(model, bad)
+
+
+def _meshgrid_values(oracle, d, m):
+    """The oracle on the whole interior lattice at once: the reference for fit_grid."""
+    coords = np.arange(1, m) / m
+    points = np.stack([g.ravel() for g in np.meshgrid(*[coords] * d, indexing="ij")], axis=-1)
+    return oracle(points).reshape((m - 1,) * d)
+
+
+@pytest.mark.parametrize("d, m, block", [(1, 5, LATTICE_BLOCK), (2, 183, LATTICE_BLOCK), (3, 34, LATTICE_BLOCK),
+                                         (4, 33, LATTICE_BLOCK), (5, 8, LATTICE_BLOCK), (5, 4, 10)])
+def test_fit_grid_matches_meshgrid_lattice(d, m, block):
+    # 182 points per axis at d = 2 and 33 at d = 3 are one axis per block,
+    # 32 at d = 4 exactly LATTICE_BLOCK rows per block, 7**5 one block; with
+    # 10-row blocks, 3**5 takes 27 blocks over three leading axes.
+    families = [
+        step_function(d, 4, random_delta(d, 4, d)),
+        level_set_function(d, 1, d, sample_U(d, 1, 0.5, d)),
+        Affine(d),
+        boxbslash(d),
+        snap_to_grid(Affine(d), d, 2),
+    ]
+    for oracle in families:
+        with warnings.catch_warnings(), mock.patch.object(functions, "LATTICE_BLOCK", block):
+            warnings.simplefilter("error")
+            got = fit_grid(oracle, d, m).lattice_values
+        assert got.tobytes() == _meshgrid_values(oracle, d, m).tobytes()
+
+
+def _falls_across_blocks(points):
+    # Along axis 0 only: between two leading indices, so between two blocks.
+    return np.where(points[:, 0] < 0.5, 0.5, 0.0)
+
+
+def _falls_inside_blocks(points):
+    # Along the last axis only: inside every block.
+    return np.where(points[:, -1] < 0.5, 0.5, 0.0)
+
+
+def test_monotone_checks_see_falls_between_and_inside_blocks():
+    # fit_grid warns and is_monotone_on_grid says False, with blocks of
+    # three axes (d = 4) and of one (182 points at d = 2).
+    for oracle in (_falls_across_blocks, _falls_inside_blocks):
+        for d, m in ((4, 32), (2, 183)):
+            with pytest.warns(UserWarning, match="not monotone"):
+                fit_grid(oracle, d, m)
+            assert not is_monotone_on_grid(oracle, d, m - 1)
+    assert is_monotone_on_grid(Affine(4), 4, 32)
+
+
+def test_fit_grid_memory_gate():
+    # d = 4, m = 32 (det-grid-d4): 923521 lattice values (7.4 MB) and one
+    # block of 29791 points.  Peak 9.4 MB measured; 75-118 MB with one
+    # array of all the points.
+    truth = step_function(4, 4, random_delta(4, 4, 0))
+    tracemalloc.start()
+    try:
+        fit_grid(truth, 4, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"fit_grid peaked at {peak / 1e6:.1f} MB"

@@ -466,15 +466,19 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
         model = WaveletModel(k, mode, samples)
     queries = np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))])
     query_keys = _cell_keys(queries, r)
-    # Small shapes always fit the real floor.
-    assert floor == 0 or model.tables is not None
+    # Small shapes always fit the real floor; generalized models keep no
+    # tables at k < d.
+    if mode == "generalized" and k < d:
+        assert model.tables is None
+    else:
+        assert floor == 0 or model.tables is not None
     if mode == "generalized":
         # Each output is the threshold-cut sum over that row's flip
-        # numerators.  At k < d the model reads its coordinate runs on
-        # either route, and their flips are the reference's; at k = d, with
-        # the real floor, the tables hold the full cell's runs instead.
+        # numerators.  At k < d the model reads its coordinate runs, and
+        # their flips are the reference's; at k = d, with the real floor,
+        # the tables hold the full cell's runs instead.
         assert (model.runs is not None) == (k < d)
-        assert floor == 0 or (model.tables.ranks is not None) == (k == d)
+        assert floor == 0 or k < d or model.tables.ranks is not None
         reference = _flip_signs(model, queries)
         expected = np.array([_telescoped_reference(model, signs) for signs in reference]).tobytes()
         with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
@@ -510,6 +514,9 @@ def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
     dense = WaveletModel(k, mode, samples).tables
     with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
         unique = WaveletModel(k, mode, samples).tables
+    if mode == "generalized" and k < d:  # no tables at all
+        assert dense is None and unique is None
+        return
     runs = mode == "generalized" and k == d
     for name in ("pack", "offsets", "keys", "weights", "ranks", "bounds"):
         got, expected = getattr(dense, name), getattr(unique, name)
@@ -647,9 +654,10 @@ def test_fit_memory_gate():
     assert model.order is None
     assert peak < 15e6, f"generalized build peaked at {peak / 1e6:.1f} MB"
     # A k < d generalized build: d = 8, k = 3, r = 4, n = 20 000.  Its
-    # coordinate runs hold n d = 160 000 ranks next to the 93 sign tables:
-    # the build, samples excluded, peaks below 12 MB (8.6 MB measured; 33.6
-    # MB with n rank entries per nonempty subset, 1.84M in all).
+    # coordinate runs hold n d = 160 000 ranks and it builds no tables: the
+    # build, samples excluded, peaks below 3 MB (1.1 MB measured; 8.6 MB
+    # with the 93 sign tables, 33.6 MB with n rank entries per nonempty
+    # subset, 1.84M in all).
     samples = draw_samples(8, 20_000, Affine(8), 0).with_resolution(4)
     tracemalloc.start()
     try:
@@ -657,8 +665,8 @@ def test_fit_memory_gate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.runs.shape == (8, 20_000) and model.tables.ranks is None
-    assert peak < 12e6, f"k < d generalized build peaked at {peak / 1e6:.1f} MB"
+    assert model.runs.shape == (8, 20_000) and model.tables is None
+    assert peak < 3e6, f"k < d generalized build peaked at {peak / 1e6:.1f} MB"
 
 
 def test_projection_tables_route_choice():
@@ -687,14 +695,13 @@ def test_projection_tables_route_choice():
     tables = model(2, 2, 6, 3000, "generalized").tables
     assert len(tables.offsets) == 1
     assert len(tables.ranks) == 3000 and len(tables.bounds) == len(tables.keys) + 1
-    # At k < d they are the sign tables, and the model keeps its n d
-    # coordinate ranks apart, on either route.
+    # At k < d a generalized model keeps its n d coordinate ranks and no
+    # tables, whatever the limit: its outputs read only the ranks.
     generalized = model(8, 3, 4, 20000, "generalized")
-    assert len(generalized.tables.offsets) == 93 and generalized.tables.ranks is None
+    assert generalized.tables is None
     assert generalized.runs.shape == generalized.run_keys.shape == (8, 20000)
     with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", 0):
-        # k < d generalized tables follow the sign limit.
-        assert model(3, 2, 1, 100, "generalized").tables is not None
+        assert model(3, 2, 1, 100, "generalized").tables is None
         assert model(3, 2, 1, 100).tables is not None
         # k = d keeps one run of n entries, never more than n d.
         assert model(3, 3, 1, 100, "generalized").tables.ranks is not None
@@ -925,9 +932,9 @@ def _exact_threshold_cut_sum(samples, k, x):
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 60), st.sampled_from(["tied", "uniform", "sign"]),
        st.integers(0, 2**32 - 1), st.data())
 def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
-    # The output is the exact rational threshold-cut sum, correctly rounded,
-    # on the tables and on the chi route (tables dropped): at k < d from the
-    # coordinate runs, at k = d as the cell's median.  Samples in draw order
+    # The output is the exact rational threshold-cut sum, correctly rounded:
+    # at k < d from the coordinate runs (no tables), at k = d as the cell's
+    # median, on the tables and on the chi route (tables dropped).  Samples in draw order
     # and presorted by value give the same bytes.  Covers n = 1, tied values
     # and chi(0) != 0 (k < d).
     k = data.draw(st.integers(0, d))
@@ -942,7 +949,7 @@ def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
         tables = WaveletModel(k, "generalized", given_samples)
         chi = copy.copy(tables)
         object.__setattr__(chi, "tables", None)
-        assert tables.tables is not None and (tables.chi[0] != 0) == (k < d)
+        assert (tables.tables is None) == (tables.chi[0] != 0) == (k < d)
         assert eval_generalized(tables, queries).tobytes() == expected
         assert eval_generalized(chi, queries).tobytes() == expected
 
@@ -952,8 +959,7 @@ def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
        st.booleans(), st.integers(0, 2**32 - 1), st.data())
 def test_run_flips_match_flip_numerator_reference(d, r, n, kind, spread, seed, data):
     # k < d, byte for byte against the per-row reference (_flip_numerators
-    # over every sample, then math.fsum), on the tables and on the chi route
-    # (tables dropped).  Covers d = 1 (k = 0), n = 1, tied values,
+    # over every sample, then math.fsum).  Covers d = 1 (k = 0), n = 1, tied values,
     # coordinates equal to 1.0 and, with every point drawn once, cells that
     # hold one sample.
     k = data.draw(st.integers(0, d - 1))
@@ -964,12 +970,8 @@ def test_run_flips_match_flip_numerator_reference(d, r, n, kind, spread, seed, d
     values = {"tied": np.round(rng.uniform(-1.0, 1.0, n), 1), "uniform": rng.uniform(-1.0, 1.0, n),
               "sign": rng.choice([-1.0, 1.0], n)}[kind]
     model = WaveletModel(k, "generalized", SampleSet(points, values).with_resolution(r))
-    chi = copy.copy(model)
-    object.__setattr__(chi, "tables", None)
     queries = np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))])
-    expected = _reference_outputs(model, queries)
-    assert eval_generalized(model, queries).tobytes() == expected
-    assert eval_generalized(chi, queries).tobytes() == expected
+    assert eval_generalized(model, queries).tobytes() == _reference_outputs(model, queries)
 
 
 def test_generalized_ties_do_not_matter():

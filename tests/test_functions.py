@@ -1,17 +1,21 @@
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoapprox import functions
 from monoapprox.budget import BudgetExceededError
 from monoapprox.functions import (
+    LATTICE_BLOCK,
     Affine,
     boxbslash,
     eval_batch,
     family_from_spec,
     is_monotone_on_grid,
+    lattice_blocks,
     level_set_function,
     random_delta,
     sample_U,
@@ -54,6 +58,25 @@ def test_step_function_examples():
     assert plane([[0.9, 0.9]])[0] == pytest.approx(1 / 3)
 
 
+def _edge_points(d, m, rng, n=300):
+    """Random points and points with every coordinate 0, exactly j/m or 1.0."""
+    return np.concatenate([rng.random((n, d)), rng.choice(np.arange(m + 1) / m, (n, d))])
+
+
+def test_step_function_batch_matches_scalar():
+    # The cell value 2 (|i|_1 + delta_i) / (d (m-1) + 1) - 1, point by point,
+    # with i_j = min(floor(m x_j), m - 1), at d up to 10.
+    rng = np.random.default_rng(4)
+    for d, m in ((1, 5), (2, 4), (3, 3), (4, 4), (6, 2), (8, 3), (10, 2)):
+        truth = step_function(d, m, random_delta(d, m, d + m))
+        points = _edge_points(d, m, rng)
+        expected = []
+        for p in points:
+            cell = tuple(min(int(v * m), m - 1) for v in p)
+            expected.append(2.0 * (sum(cell) + int(truth.delta[cell])) / truth.denominator - 1.0)
+        assert truth(points).tobytes() == np.array(expected).tobytes()
+
+
 def test_step_function_monotone_for_every_delta():
     for bits in product((0, 1), repeat=9):
         truth = step_function(2, 3, np.array(bits).reshape(3, 3))
@@ -90,16 +113,25 @@ def test_level_set_rejects_wrong_weight_member():
 
 
 def test_level_set_batch_matches_scalar():
-    truth = level_set_function(4, 2, 3, sample_U(4, 2, 0.5, 7))
+    # At d up to 10, with coordinates 0, exactly j/m (1/2 among them) and 1.0.
     rng = np.random.default_rng(1)
-    points = rng.random((200, 4))
-    expected = []
-    for p in points:
-        # Brute-force up-set membership of the half-split vertex of p.
-        mask = sum(1 << j for j, v in enumerate(p) if v >= 0.5)
-        witnessed = any(mask & u == u for u in truth.members)
-        expected.append(1.0 if mask.bit_count() > truth.b or witnessed else -1.0)
-    assert np.array_equal(truth(points), expected)
+    for d, t, b in ((1, 1, 1), (4, 2, 3), (5, 1, 5), (7, 3, 4), (10, 2, 6), (10, 4, 10)):
+        truth = level_set_function(d, t, b, sample_U(d, t, 0.5, 7 + d))
+        points = _edge_points(d, 4, rng)
+        expected = []
+        for p in points:
+            # Brute-force up-set membership of the half-split vertex of p.
+            mask = sum(1 << j for j, v in enumerate(p) if v >= 0.5)
+            witnessed = any(mask & u == u for u in truth.members)
+            expected.append(1.0 if mask.bit_count() > truth.b or witnessed else -1.0)
+        assert np.array_equal(truth(points), expected)
+
+
+def test_families_reject_wrong_widths():
+    for oracle in (step_function(2, 2, np.zeros((2, 2))), level_set_function(2, 1, 2, [])):
+        for bad in (np.full((3, 1), 0.5), np.full((3, 3), 0.5), np.full(3, 0.5)):
+            with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+                oracle(bad)
 
 
 def test_level_set_monotone_under_bit_flips():
@@ -145,6 +177,35 @@ def test_threshold_nonincreasing_in_t(t0, t1, x0, x1):
 def test_is_monotone_on_grid_examples():
     assert is_monotone_on_grid(boxbslash(3), 3, 4)
     assert not is_monotone_on_grid(lambda x: -x[:, 0], 1, 4)
+
+
+def _check_lattice_blocks(size, d, block=LATTICE_BLOCK):
+    coords = (np.arange(size) + 0.5) / size
+    reference = np.stack([g.ravel() for g in np.meshgrid(*[coords] * d, indexing="ij")], axis=-1)
+    t = max([1] + [t for t in range(1, d + 1) if size**t <= block])
+    indices = []
+    with mock.patch.object(functions, "LATTICE_BLOCK", block):
+        for k, (index, points) in enumerate(lattice_blocks(coords, d)):
+            indices.append(index)
+            assert points.tobytes() == reference[k * size**t : (k + 1) * size**t].tobytes()
+    assert indices == list(np.ndindex(*(size,) * (d - t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, 10, 100, LATTICE_BLOCK]), st.data())
+def test_lattice_blocks_yield_the_meshgrid_lattice(d, block, data):
+    # The blocks, in order, are the rows of the "ij" meshgrid lattice in C
+    # order, each the largest sub-lattice of trailing axes within the block
+    # size (at least one axis).  Sizes 1-40, at most 300 000 points in all;
+    # smaller blocks give several leading axes.
+    _check_lattice_blocks(data.draw(st.integers(1, min(40, round(300_000 ** (1 / d))))), d, block)
+
+
+@pytest.mark.parametrize("d, size", [(2, 181), (2, 182), (4, 31), (4, 32), (4, 33), (1, 40_000)])
+def test_lattice_blocks_at_the_block_edge(d, size):
+    # 181**2 = 32761 <= 2**15 < 182**2 and 32**3 = 2**15 < 33**3: one axis
+    # more or less per block.  A single axis longer than a block is one block.
+    _check_lattice_blocks(size, d)
 
 
 def test_is_monotone_budget():

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from monoapprox.functions import (
     snap_to_grid,
     step_function,
 )
-from monoapprox.haar_basis import MultiIndex, enumerate_indices
+from monoapprox.haar_basis import MultiIndex, enumerate_indices, psi_1d
 from monoapprox.metrics import (
     ErrorEstimate,
     bakhvalov_step_error,
@@ -84,12 +85,19 @@ def test_exact_coefficient_rejects_level_at_or_above_resolution():
 
 
 def test_coefficient_tensor_matches_pointwise_exact_coefficient():
-    truth = snap_to_grid(boxbslash(2), 2, 2)
-    tensor = coefficient_tensor(truth, 2, 2)
-    for index in enumerate_indices(2, 2, 2):
-        assert tensor[index.alphas] == pytest.approx(
-            exact_coefficient(truth, index, 2, 2), abs=1e-12
-        )
+    # The step truth is not symmetric, so a basis factor on the wrong axis
+    # shows.  exact_coefficient equals, to the bit, the midpoint sum of
+    # psi_d taken point by point (factors multiplied in coordinate order).
+    mids = (np.arange(4) + 0.5) / 4
+    for d, truth in ((2, snap_to_grid(boxbslash(2), 2, 2)), (3, step_function(3, 4, random_delta(3, 4, 2)))):
+        tensor = coefficient_tensor(truth, d, 2)
+        points = list(product(mids, repeat=d))
+        values = truth(points)
+        for index in enumerate_indices(d, d, 2):
+            got = exact_coefficient(truth, index, d, 2)
+            basis = [math.prod(psi_1d(alpha, x) for alpha, x in zip(index.alphas, p)) for p in points]
+            assert got == math.fsum(b * v for b, v in zip(basis, values)) / len(points)
+            assert tensor[index.alphas] == pytest.approx(got, abs=1e-12)
 
 
 def test_parseval_at_resolution():
