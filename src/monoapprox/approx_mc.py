@@ -456,9 +456,10 @@ class WaveletModel:
     * without tables: ``y``, the sample values (int64 when ``exact``) that
       the chi route sums ``h`` with;
     * generalized mode with ``k < d``: ``order``, the value permutation
-      ``argsort(values)`` of the samples, and the coordinate runs.  Row ``j`` of ``runs`` holds the value ranks (positions in
-      ``order``) of the samples grouped by their digit in coordinate ``j``,
-      ascending within each group, and row ``j`` of ``run_keys`` those
+      ``argsort(values)`` of the samples, and the coordinate runs.  Row
+      ``j`` of ``runs`` holds the value ranks (positions in ``order``) of
+      the samples grouped by their digit in coordinate ``j``, ascending
+      within each group, and row ``j`` of ``run_keys`` those
       digits, sorted, so x's group is where ``run_keys[j] == x_j``.  All
       three are None at ``k = d`` and in the other modes.  ``order`` need
       not be stable: the output is the exact threshold-cut sum rounded
