@@ -36,27 +36,28 @@ expands over coordinate subsets ``T`` with ``|T| <= k``:
 with ``c_T = 2**(r|T|) (-1)**(k-|T|) C(d-|T|-1, k-|T|)`` for ``|T| < d``,
 ``c_T = 2**(r d)`` for ``|T| = d`` (at ``k = d`` only the full cell is left),
 and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
-coordinates of ``T``.  Models store the nonzero ``c_T S_T`` in one sorted
-table (``ProjectionTables``) of compact codes, so ``m`` queries cost one
-``searchsorted`` over their ``m #T`` keys, taken in blocks of bounded size.
-Where the tables may not be built (``ProjectionTables.build``), models keep
-the chi route instead: an O(n d) digit comparison per query row.
+coordinates of ``T``.  Linear and sign models store the nonzero ``c_T S_T``
+in one sorted table (``ProjectionTables``) of compact codes, so ``m``
+queries cost one ``searchsorted`` over their ``m #T`` keys, taken in blocks
+of bounded size.  Where the tables may not be built
+(``ProjectionTables.build``), and for generalized models, ``h`` takes the
+chi route instead: an O(n d) digit comparison per query row.
 
-The generalized mode needs no subset at ``k < d``: a sample that shares x's
-cell in ``b >= 1`` coordinates lies in exactly ``b`` of x's ``d``
+The generalized mode needs no subset table: it reads runs, the samples
+grouped by a cell key (``WaveletModel``).  At ``k < d`` a sample that
+shares x's cell in ``b >= 1`` coordinates lies in exactly ``b`` of x's ``d``
 per-coordinate cells, and every other sample adds ``chi(0)``.  So models
 keep, per coordinate, the value ranks of the samples grouped by digit
 (``n d`` entries in all), and ``n g_i(x)`` is linear in ``i`` between the
 ranks found in x's ``d`` groups: its flips follow from integer prefix sums
-over those breakpoints and one exact floor division per segment, with no
-projection table (``h`` takes the chi route there).  At ``k = d`` only the
-full cell has ``c_T != 0``, so ``n g_i(x) = 2**(r d) (W - 2 cnt_i)`` flips
-once, where ``cnt_i`` of the cell's ``W`` samples are among the ``i``
-smallest values: the output is the cell's upper median, its ``floor(W/2) +
-1``-th smallest value (+1 when empty), read off the cell's samples (kept
-with the tables, or matched on the chi route), and no value is sorted.  All
-integer arithmetic is exact (Python integers, with a 64-bit fast path when
-magnitudes provably permit).
+over those breakpoints and one exact floor division per segment.  At ``k =
+d`` only the full cell has ``c_T != 0``, so ``n g_i(x) = 2**(r d) (W - 2
+cnt_i)`` flips once, where ``cnt_i`` of the cell's ``W`` samples are among
+the ``i`` smallest values: the output is the cell's upper median, its
+``floor(W/2) + 1``-th smallest value (+1 when empty), read off the samples
+grouped by full-cell code (matched digit by digit past 63 bits), and no
+value is sorted.  All integer arithmetic is exact (Python integers, with a
+64-bit fast path when magnitudes provably permit).
 ``estimate_coefficients``, the Haar transform of the projected sample
 histograms, is the explicit coefficient route the identity is checked
 against.
@@ -274,65 +275,59 @@ def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
 
 
 def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
-    """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense, pairs or argsort.
+    """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense or sorted.
 
     Dense where the ``2**(r |T|)`` cells number at most n: one np.bincount
     over the codes (2-7 ms at mc-gen-d2's 4096 cells and 726k samples)
-    instead of the sorted pairs (24 ms) or, past their 63 bits, an argsort
-    of the codes (40-50 ms).
+    instead of grouping them (``_grouped``: 24 ms for the sorted pairs, 40-50
+    ms for the argsort past their 63 bits).
     """
-    if 1 << (r * len(subset)) <= n:
-        return "dense"
-    return "pairs" if r * len(subset) + (n - 1).bit_length() <= 63 else "argsort"
+    return "dense" if 1 << (r * len(subset)) <= n else "sorted"
 
 
-def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray, runs: bool):
-    """Occupied T-cells, the sum of ``values`` over each and, if ``runs``, the runs.
+def _grouped(codes: np.ndarray, width: int):
+    """The int64 ``codes`` (each below ``2**width``) sorted, and the sample index at each position.
 
-    Cells come as sorted compact codes (``_subset_codes``).  Few cells are
-    binned by one bincount of the codes; else the codes are sorted with their
-    sample index ``i`` (one ``np.sort`` of ``code << b | i``, ``i < 2**b``, or
-    one ``np.argsort`` past 63 bits) and each cell's rank goes back to its
-    samples, in any order within the cell.  All add in sample order, so the
-    float64 sums carry the same bits (for +-1 values, integers of size at most
-    n < 2**53: exact).  The runs are the sample indices grouped by cell and
-    ascending within each, and the cell sizes.  The n-sized temporaries are
-    freed on return.
+    One ``np.sort`` of ``code << b | i`` (``i < 2**b``, ``b = bitlen(n -
+    1)``) where ``width + b <= 63``, which leaves each code's indices
+    ascending; one ``np.argsort`` past that, in any order within a code.
+    The index is int32 below ``n = 2**31``.  ``codes`` is consumed.
     """
-    n = len(values)
-    route = _cell_route(subset, r, n)
+    n = len(codes)
+    index = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    bits = (n - 1).bit_length()
+    if width + bits > 63:
+        order = np.argsort(codes)
+        index[:] = order
+        return codes[order], index
+    codes <<= bits
+    codes |= index
+    codes.sort()
+    np.bitwise_and(codes, (1 << bits) - 1, out=index, casting="unsafe")
+    codes >>= bits
+    return codes, index
+
+
+def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray):
+    """Occupied T-cells, as sorted compact codes (``_subset_codes``), and the sum of ``values`` over each.
+
+    Few cells are binned by one bincount of the codes; else the codes are
+    grouped (``_grouped``) and each cell's rank goes back to its samples.
+    Both add in sample order, so the float64 sums carry the same bits (for
+    +-1 values, integers of size at most n < 2**53: exact).  The n-sized
+    temporaries are freed on return.
+    """
     codes = _subset_codes(digit_keys, subset, r)
-    if route == "dense":
+    if _cell_route(subset, r, len(values)) == "dense":
         span = 1 << (r * len(subset))
-        counts = np.bincount(codes, minlength=span)
-        cells = np.flatnonzero(counts)
-        counts = counts[cells]
-        sums = np.bincount(codes, weights=values, minlength=span)[cells]
-    else:
-        if route == "pairs":
-            bits = (n - 1).bit_length()
-            codes <<= bits
-            codes |= np.arange(n)
-            codes.sort()
-            index = codes & ((1 << bits) - 1)
-            codes >>= bits
-        else:
-            index = np.argsort(codes)
-            codes = codes[index]
-        first = np.ones(n, dtype=bool)
-        np.not_equal(codes[1:], codes[:-1], out=first[1:])
-        cells = codes[first]
-        codes[index] = np.cumsum(first) - 1
-        sums = np.bincount(codes, weights=values, minlength=len(cells))
-        counts = np.bincount(codes, minlength=len(cells)) if runs else None
-        span = len(cells)
-    if not runs:
-        return cells, sums, None, None
-    # numpy radix-sorts 8- and 16-bit integers under kind="stable": 11 ms
-    # for 726k samples in 4096 cells, against 70-90 ms on int64 codes.
-    codes = codes.astype(np.min_scalar_type(span - 1))
-    ranks = np.argsort(codes, kind="stable")
-    return cells, sums, ranks, counts
+        cells = np.flatnonzero(np.bincount(codes, minlength=span))
+        return cells, np.bincount(codes, weights=values, minlength=span)[cells]
+    codes, index = _grouped(codes, r * len(subset))
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    cells = codes[first]
+    codes[index] = np.cumsum(first) - 1
+    return cells, np.bincount(codes, weights=values, minlength=len(cells))
 
 
 @dataclass(frozen=True)
@@ -346,32 +341,24 @@ class ProjectionTables:
     each row of ``digit_keys @ pack.T + offsets`` holds
     one query's keys into ``keys``: every occupied (subset, cell) pair,
     sorted, led by a sentinel -1 of weight 0.  ``weights`` holds ``c_T S_T``
-    for each.
-
-    Tables built for the generalized mode at ``k = d``, where the full cell
-    is the only subset, also hold its runs: ``ranks[bounds[p]:bounds[p +
-    1]]`` are the indices, ascending, of the samples in the cell of key
-    ``p`` (empty for the sentinel).
+    for each.  Linear and sign models read them; generalized ones never do.
     """
 
     pack: np.ndarray
     offsets: np.ndarray
     keys: np.ndarray
     weights: np.ndarray
-    ranks: np.ndarray | None = None
-    bounds: np.ndarray | None = None
 
     @classmethod
-    def build(cls, samples: SampleSet, k: int, exact: bool, runs=False) -> "ProjectionTables | None":
+    def build(cls, samples: SampleSet, k: int, exact: bool) -> "ProjectionTables | None":
         """Tables of keyed samples, or None where they cannot or may not be built.
 
         None when ``r d + bitlen(#T - 1) > 63`` or when the tables could hold
         more than ``max(n d, TABLE_ENTRY_FLOOR)`` entries: table ``T`` holds at
         most ``min(n, 2**(r |T|))``, and at least its row of ``pack``.  Both
         checks count subsets by size (``c_T`` depends only on ``|T|``), so no
-        subset is listed unless the tables are built.  ``runs`` (for ``k =
-        d`` only) adds the full cell's runs, ``n`` entries.  ``exact``
-        (every ``|y| = 1``) makes the weights integers.
+        subset is listed unless the tables are built.  ``exact`` (every
+        ``|y| = 1``) makes the weights integers.
 
         Keys need only ``r k + bitlen(#T - 1)`` bits; the rule keeps ``r d``, as
         a wider one cuts both ways.  2000 sign queries, build included, took
@@ -395,10 +382,8 @@ class ProjectionTables:
         pack = np.array([_subset_codes(unit, subset, r) for subset, _ in subsets])
         offsets = np.arange(len(subsets), dtype=np.int64) << (r * k)
         keys, weights = [np.full(1, -1, dtype=np.int64)], [np.zeros(1, dtype=dtype)]
-        # No run for the sentinel.
-        ranks, run_sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
         for t, (subset, c) in enumerate(subsets):
-            cells, sums, cell_ranks, counts = _cell_sums(samples.digit_keys, subset, r, samples.values, runs)
+            cells, sums = _cell_sums(samples.digit_keys, subset, r, samples.values)
             cells += offsets[t]
             if exact:
                 sums = sums.astype(np.int64).astype(dtype, copy=False)
@@ -407,35 +392,25 @@ class ProjectionTables:
                 sums *= float(c)
             keys.append(cells)
             weights.append(sums)
-            ranks.append(cell_ranks)
-            run_sizes.append(counts)
-        fields = {}
-        if runs:
-            fields = dict(ranks=np.concatenate(ranks, dtype=np.int32 if n < 2**31 else np.int64),
-                          bounds=np.concatenate([[0], np.cumsum(np.concatenate(run_sizes))]))
-        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights), **fields)
-        for array in (tables.pack, tables.offsets, tables.keys, tables.weights, tables.ranks, tables.bounds):
-            if array is not None:
-                array.flags.writeable = False
+        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights))
+        for array in (tables.pack, tables.offsets, tables.keys, tables.weights):
+            array.flags.writeable = False
         return tables
 
-    def positions(self, keys: np.ndarray):
-        """Per block of rows of an (m, d) digit-key matrix, each (row, subset) key's position in ``keys``.
+    def numerator(self, keys: np.ndarray) -> np.ndarray:
+        """``sum_T c_T S_T(x)`` for each row of an (m, d) digit-key matrix, in weight dtype.
 
-        Yields (rows, #T) position matrices of at most about ``LOOKUP_BLOCK``
-        entries, in row order; a key of an empty cell maps to 0, the
-        sentinel, whose weight is 0 and whose run is empty.
+        Rows are looked up in blocks of about ``LOOKUP_BLOCK`` (row, subset)
+        keys; a key of an empty cell maps to 0, the sentinel, of weight 0.
         """
         step = max(1, LOOKUP_BLOCK // len(self.offsets))
+        sums = []
         # An empty batch is one empty block, so it still has a dtype.
         for lo in range(0, max(len(keys), 1), step):
             query = keys[lo : lo + step] @ self.pack.T + self.offsets
             at = np.searchsorted(self.keys, query, side="right") - 1
-            yield np.where(self.keys[at] == query, at, 0)
-
-    def numerator(self, keys: np.ndarray) -> np.ndarray:
-        """``sum_T c_T S_T(x)`` for each row of an (m, d) digit-key matrix, in weight dtype."""
-        return np.concatenate([self.weights[at].sum(axis=1) for at in self.positions(keys)])
+            sums.append(self.weights[np.where(self.keys[at] == query, at, 0)].sum(axis=1))
+        return np.concatenate(sums)
 
 
 @dataclass(frozen=True)
@@ -449,21 +424,21 @@ class WaveletModel:
 
     * ``chi``, the table of the chi identity for ``k``;
     * ``exact``: every sample value is +-1, so numerators are integers;
-    * ``tables``, the projection sums (with the full cell's runs in the
-      generalized mode at ``k = d``), or None where they cannot or may not be
-      built (see ``ProjectionTables.build``) and in the generalized mode at
-      ``k < d``, whose outputs read only the coordinate runs;
-    * without tables: ``y``, the sample values (int64 when ``exact``) that
-      the chi route sums ``h`` with;
-    * generalized mode with ``k < d``: ``order``, the value permutation
-      ``argsort(values)`` of the samples, and the coordinate runs.  Row
-      ``j`` of ``runs`` holds the value ranks (positions in ``order``) of
-      the samples grouped by their digit in coordinate ``j``, ascending
-      within each group, and row ``j`` of ``run_keys`` those
-      digits, sorted, so x's group is where ``run_keys[j] == x_j``.  All
-      three are None at ``k = d`` and in the other modes.  ``order`` need
-      not be stable: the output is the exact threshold-cut sum rounded
-      once, which tied values cannot change.
+    * linear and sign modes: ``tables``, the projection sums, or None where
+      they cannot or may not be built (see ``ProjectionTables.build``);
+    * generalized mode: ``runs``, groups of samples, with row ``j`` of
+      ``run_keys`` holding the sorted key of each entry of row ``j``, so
+      x's group is where ``run_keys[j]`` equals x's key (``_run_bounds``).
+      At ``k < d`` there is a row per coordinate ``j``, keyed by the digit
+      ``x_j``, and it holds value ranks (positions in ``order``, the value
+      permutation ``argsort(values)``), ascending within each group;
+      ``order`` need not be stable, as the output is the exact threshold-cut
+      sum rounded once, which tied values cannot change.  At ``k = d`` the
+      single row is keyed by the full-cell code (``_subset_codes``) and
+      holds sample indices (``_grouped``); there is no ``order``, and past
+      ``r d = 63`` bits no runs either.
+
+    Everything not listed for a mode is None.
 
     Models need at least one sample.  They are immutable and thread-safe.
     """
@@ -474,7 +449,6 @@ class WaveletModel:
     chi: np.ndarray = field(init=False, repr=False)
     exact: bool = field(init=False)
     tables: ProjectionTables | None = field(init=False, repr=False)
-    y: np.ndarray | None = field(init=False, repr=False)
     order: np.ndarray | None = field(init=False, repr=False)
     runs: np.ndarray | None = field(init=False, repr=False)
     run_keys: np.ndarray | None = field(init=False, repr=False)
@@ -502,11 +476,12 @@ class WaveletModel:
         chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
         values = self.samples.values
         exact = bool(np.all(np.abs(values) == 1.0))
-        tables = y = order = runs = run_keys = None
-        generalized = self.mode == "generalized"
-        if generalized and self.k < self.d:  # evaluation reads only the runs
+        tables = order = runs = run_keys = None
+        keys = self.samples.digit_keys
+        if self.mode != "generalized":
+            tables = ProjectionTables.build(self.samples, self.k, exact)
+        elif self.k < self.d:
             order = np.argsort(values)
-            keys = self.samples.digit_keys
             runs = np.empty((self.d, self.n), dtype=np.int32 if self.n < 2**31 else np.int64)
             run_keys = np.empty((self.d, self.n), dtype=keys.dtype)
             for j in range(self.d):
@@ -514,11 +489,10 @@ class WaveletModel:
                 column = np.take(keys[:, j], order)
                 runs[j] = np.argsort(column, kind="stable")
                 run_keys[j] = np.sort(column, kind="stable")
-        else:
-            tables = ProjectionTables.build(self.samples, self.k, exact, generalized)
-        if tables is None:
-            y = values.astype(np.int64) if exact else values
-        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("y", y), ("order", order),
+        elif self.r * self.d <= 63:  # k = d: the samples grouped by full-cell code
+            codes, index = _grouped(_subset_codes(keys, range(self.d), self.r), self.r * self.d)
+            run_keys, runs = codes[None], index[None]
+        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("order", order),
                             ("runs", runs), ("run_keys", run_keys)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -568,8 +542,9 @@ def _numerators(model: WaveletModel, points) -> np.ndarray:
     keys = _query_keys(model, points)
     if model.tables is not None:
         return model.tables.numerator(keys)
-    dtype = model.chi.dtype if model.exact else np.float64
-    return np.array([np.dot(model.y, _chi_at(model, row)) for row in keys], dtype=dtype)
+    values = model.samples.values
+    y, dtype = (values.astype(np.int64), model.chi.dtype) if model.exact else (values, np.float64)
+    return np.array([np.dot(y, _chi_at(model, row)) for row in keys], dtype=dtype)
 
 
 def reconstruction_value(model: WaveletModel, points) -> np.ndarray:
@@ -597,6 +572,17 @@ def eval_sign(model: WaveletModel, points) -> np.ndarray:
     return np.where(_numerators(model, points) >= 0, 1.0, -1.0)
 
 
+def _run_bounds(run_keys: np.ndarray, query: np.ndarray):
+    """Where each row of an (m, rows) query matrix has its group in each row of ``run_keys``.
+
+    Returns the starts and the ends, as lists of m rows: the group of
+    ``query[i, j]`` is ``run_keys[j][starts[i][j]:ends[i][j]]``, empty if
+    absent.  One ``searchsorted`` left and one right per run row.
+    """
+    return [np.stack([np.searchsorted(row, column, side) for row, column in zip(run_keys, query.T)],
+                     axis=1).tolist() for side in ("left", "right")]
+
+
 def _run_flips(model: WaveletModel, keys: np.ndarray):
     """The flips of ``s_i = sgn(n g_i(x))``, i = 0..n, for each row of an (m, d) digit-key matrix.
 
@@ -619,19 +605,16 @@ def _run_flips(model: WaveletModel, keys: np.ndarray):
     index found by exact floor division; at ``k < d``, ``chi(0) = (-1)**k
     C(d - 1, k) != 0``.  The integers have ``chi``'s dtype, whose guard
     (``WaveletModel``) covers every one of them.  Rows are taken in blocks
-    of about ``LOOKUP_BLOCK`` (row, coordinate) pairs, with one pair of
-    ``searchsorted`` per coordinate per block for the run bounds.
+    of about ``LOOKUP_BLOCK`` (row, coordinate) pairs, with the run bounds
+    (``_run_bounds``) looked up once per block.
     """
     n, d, chi, runs = model.n, model.d, model.chi, model.runs
     steps = chi - chi[0]
     twice = 2 * chi[0]
     step = max(1, LOOKUP_BLOCK // d)
     for lo in range(0, len(keys), step):
-        block = keys[lo : lo + step]
-        bounds = np.stack([np.searchsorted(model.run_keys[j], block[:, j], side)
-                           for side in ("left", "right") for j in range(d)], axis=1).tolist()
-        for row in bounds:
-            ranks = np.concatenate([runs[j, row[j] : row[d + j]] for j in range(d)])
+        for starts, ends in zip(*_run_bounds(model.run_keys, keys[lo : lo + step])):
+            ranks = np.concatenate([run[a:b] for run, a, b in zip(runs, starts, ends)])
             ranks.sort()
             # Each distinct rank starts at one of at[:-1]; b is the gap to the next.
             new = np.ones(len(ranks) + 1, dtype=bool)
@@ -662,19 +645,20 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     correctly rounded.  At ``k < d`` the flips come from the query's
     coordinate runs (``_run_flips``).  At ``k = d`` it is the upper median
     of the ``W`` values in x's cell (+1 if empty), read off the cell's run
-    or, on the chi route, its matching samples, in O(W) memory per row.
+    or, past 63 bits, its matching samples, in O(W) memory per row.
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
     keys = _query_keys(model, points)
-    values, order = model.samples.values, model.order
-    if order is None:  # k = d: the upper median of x's cell
-        if model.tables is None:
-            cells = (values[(model.samples.digit_keys == row).all(axis=1)] for row in keys)
-        else:
-            runs, bounds = model.tables.ranks, model.tables.bounds
-            cells = (values[runs[bounds[p] : bounds[p + 1]]] for at in model.tables.positions(keys) for p in at[:, 0])
-        # y + 0.0 is +0.0 for y = -0.0, as fsum([0.0, y]) is.
-        return np.array([np.partition(y, len(y) // 2)[len(y) // 2] + 0.0 if len(y) else 1.0 for y in cells])
-    return np.array([math.fsum([(s_0 + s_n) / 2, *(values[order[f - 1]] * before)])
-                     for s_0, s_n, f, before in _run_flips(model, keys)], dtype=np.float64)
+    values, order, runs = model.samples.values, model.order, model.runs
+    if order is not None:
+        return np.array([math.fsum([(s_0 + s_n) / 2, *(values[order[f - 1]] * before)])
+                         for s_0, s_n, f, before in _run_flips(model, keys)], dtype=np.float64)
+    # k = d: the upper median of x's cell.
+    if runs is None:
+        cells = (values[(model.samples.digit_keys == row).all(axis=1)] for row in keys)
+    else:
+        codes = _subset_codes(keys, range(model.d), model.r)[:, None]
+        cells = (values[runs[0, a:b]] for (a,), (b,) in zip(*_run_bounds(model.run_keys, codes)))
+    # y + 0.0 is +0.0 for y = -0.0, as fsum([0.0, y]) is.
+    return np.array([np.partition(y, len(y) // 2)[len(y) // 2] + 0.0 if len(y) else 1.0 for y in cells])

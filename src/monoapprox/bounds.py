@@ -12,7 +12,7 @@ their component values so results can be audited term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Upper estimate for the Berry-Esseen constant (conservative default for the
 #: certificate: a larger constant only weakens the claimed lower bound).
@@ -267,10 +267,6 @@ class EpshatCertificate:
     q_mass: float
     q: float
 
-    @property
-    def gamma(self) -> float:
-        return _exp_or_inf(self.log_gamma)
-
 
 def lb_epshat(
     p: LbParams,
@@ -382,24 +378,13 @@ def lb_curve(p: LbParams, eps: float, d: int) -> LbCurveResult:
             False, math.nan, math.nan, "outside", math.nan, math.nan, math.nan, math.nan
         )
     if eps >= p.eps0 * math.sqrt(p.d0 / d):
-        tau = p.tau0 * p.eps0 / eps
-        alpha, beta = scaled_band(p, tau)
+        regime, tau = "scaling", p.tau0 * p.eps0 / eps
         log_n = log_n0 + sqrt_d * (p.eps0 / eps) - sqrt_d0
-        log_strong = math.log(p.nu) + tau * sqrt_d * math.log(2.0)
-        return LbCurveResult(
-            True, _exp_or_inf(log_n), log_n, "scaling", tau, alpha, beta,
-            _exp_or_inf(log_strong),
-        )
-    tau = p.tau0 * math.sqrt(d / p.d0)
+    else:
+        regime, tau = "monotone-fallback", p.tau0 * math.sqrt(d / p.d0)
+        log_n = log_n0 + d / sqrt_d0 - sqrt_d0
     alpha, beta = scaled_band(p, tau)
-    log_n = log_n0 + d / sqrt_d0 - sqrt_d0
     log_strong = math.log(p.nu) + tau * sqrt_d * math.log(2.0)
     return LbCurveResult(
-        True, _exp_or_inf(log_n), log_n, "monotone-fallback", tau, alpha, beta,
-        _exp_or_inf(log_strong),
+        True, _exp_or_inf(log_n), log_n, regime, tau, alpha, beta, _exp_or_inf(log_strong)
     )
-
-
-def with_berry_esseen(p: LbParams, c0: float) -> LbParams:
-    """Copy of a parameter set with a different Berry-Esseen constant."""
-    return replace(p, c0=c0)

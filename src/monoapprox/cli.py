@@ -30,7 +30,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .bounds import (
     n_det_curse,
     n_ran_upper_breakdown,
     ub_error_breakdown,
-    with_berry_esseen,
 )
 from .budget import BudgetExceededError
 from .functions import family_from_spec
@@ -245,7 +244,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> list[dict]:
 def cmd_bounds(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     eps_grid = cfg.eps_grid or [1 / 15, 0.1, 0.25, 0.5]
     d_grid = cfg.d_grid or [2, 10, 100]
-    params = with_berry_esseen(default_lb_params(), cfg.c0)
+    params = replace(default_lb_params(), c0=cfg.c0)
     rows = []
     for eps in eps_grid:
         for d in d_grid:

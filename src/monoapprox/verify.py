@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable
@@ -161,7 +162,8 @@ def _check_cell_statistics() -> CheckResult:
     # sort of each query cell, linear is 2**(r d) S/n, sign is sgn S and
     # generalized is the upper median (+1 when empty, +0.0 for a zero).
     # Values are multiples of 1/8, so every sum is exact in any order; d = 8,
-    # r = 8 (r d = 64 bits) takes the chi route, the others the tables.
+    # r = 8 (r d = 64 bits) takes the chi route and matches digits, the
+    # others read the tables and the full-cell runs.
     rng = np.random.default_rng(41)
     routes = set()
     for d, r, n in ((1, 2, 1), (2, 2, 60), (3, 1, 40), (2, 6, 400), (8, 8, 300)):
@@ -403,7 +405,7 @@ def _check_certificate() -> CheckResult:
     )]
     # The conservative Berry-Esseen constant reproduces the reference value;
     # the sharp lower estimate lands visibly away.
-    sharp = bounds.lb_epshat(bounds.with_berry_esseen(params, bounds.BERRY_ESSEEN_LOWER), params.d0)
+    sharp = bounds.lb_epshat(replace(params, c0=bounds.BERRY_ESSEEN_LOWER), params.d0)
     ok = (abs(cert.value - 0.0666667) <= 1e-3 and params.c0 == bounds.BERRY_ESSEEN_UPPER == 0.4748
           and abs(sharp.value - 0.0666667) > 1e-3)
     detail = (f"epshat(d=100) = {cert.value!r}, reference 0.0666667 (|diff| <= 1e-3: {ok}, C0 = {params.c0}; "

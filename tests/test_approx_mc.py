@@ -1,6 +1,7 @@
 import math
 import copy
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -467,18 +468,18 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
     queries = np.concatenate([rng.random((4, d)), points[:4], np.ones((1, d))])
     query_keys = _cell_keys(queries, r)
     # Small shapes always fit the real floor; generalized models keep no
-    # tables at k < d.
-    if mode == "generalized" and k < d:
+    # tables.
+    if mode == "generalized":
         assert model.tables is None
     else:
         assert floor == 0 or model.tables is not None
     if mode == "generalized":
         # Each output is the threshold-cut sum over that row's flip
-        # numerators.  At k < d the model reads its coordinate runs, and
-        # their flips are the reference's; at k = d, with the real floor,
-        # the tables hold the full cell's runs instead.
-        assert (model.runs is not None) == (k < d)
-        assert floor == 0 or k < d or model.tables.ranks is not None
+        # numerators.  At k < d the model reads its d coordinate runs, and
+        # their flips are the reference's; at k = d (r d <= 9 bits here) it
+        # reads one run row, the full cell's samples.
+        assert (model.order is not None) == (k < d)
+        assert model.runs.shape == model.run_keys.shape == (d if k < d else 1, n)
         reference = _flip_signs(model, queries)
         expected = np.array([_telescoped_reference(model, signs) for signs in reference]).tobytes()
         with mock.patch.object(approx_mc, "LOOKUP_BLOCK", block):
@@ -504,8 +505,8 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
        st.sampled_from(["linear", "sign", "generalized"]), st.integers(0, 2**32 - 1), st.data())
 def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
     # Subsets with at most n cells are binned by dense code; with the dense
-    # route taken away every subset takes the sorted pairs instead.  Both
-    # must give the same tables, bit for bit.
+    # route taken away every subset is grouped instead.  Both must give the
+    # same tables, bit for bit.
     k = data.draw(st.integers(0, d))
     rng = np.random.default_rng(seed)
     points = rng.random((max(n // 3, 1), d))[rng.integers(0, max(n // 3, 1), n)]
@@ -514,70 +515,83 @@ def test_dense_and_unique_builds_agree(d, r, n, sign_valued, mode, seed, data):
     dense = WaveletModel(k, mode, samples).tables
     with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
         unique = WaveletModel(k, mode, samples).tables
-    if mode == "generalized" and k < d:  # no tables at all
+    if mode == "generalized":  # no tables at all
         assert dense is None and unique is None
         return
-    runs = mode == "generalized" and k == d
-    for name in ("pack", "offsets", "keys", "weights", "ranks", "bounds"):
+    assert [f.name for f in fields(dense)] == ["pack", "offsets", "keys", "weights"]
+    for name in ("pack", "offsets", "keys", "weights"):
         got, expected = getattr(dense, name), getattr(unique, name)
-        assert (got is None) == (expected is None) == (name in ("ranks", "bounds") and not runs)
-        if got is not None:
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_dense_route_choice():
-    # mc-gen-d2's and mc-linear-d4's subsets have at most n cells and are
-    # binned by dense code; mc-sign-d4's 2**28 cells take the sorted pairs.
-    # One argsort is left where the pair would pass 63 bits: d = k = 8, r =
-    # 7 codes 56 bits, and n = 1000 needs 10 more for the sample index.  No
+    # mc-linear-d4's subsets have at most n cells and are binned by dense
+    # code; mc-sign-d4's 2**28 cells are grouped by the sorted pairs, and so
+    # are mc-gen-d2's samples, by full-cell code, without _cell_route.  One
+    # argsort is left where the pair would pass 63 bits: d = k = 8, r = 7
+    # codes 56 bits, and n = 1000 needs 10 more for the sample index.  No
     # build calls np.unique.
     rng = np.random.default_rng(11)
 
     def routes(d, k, r, n, mode):
+        """The route of each subset, the number of groupings and the number of argsorts among them."""
         samples = SampleSet(rng.random((n, d)), rng.uniform(-1.0, 1.0, n)).with_resolution(r)
         with mock.patch.object(approx_mc, "_cell_route", wraps=approx_mc._cell_route) as route, \
+                mock.patch.object(approx_mc, "_grouped", wraps=approx_mc._grouped) as grouped, \
+                mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
                 mock.patch.object(np, "unique", side_effect=AssertionError("np.unique")):
             WaveletModel(k, mode, samples)
-        return {call.args[0]: approx_mc._cell_route(*call.args) for call in route.call_args_list}
+        subsets = {call.args[0]: approx_mc._cell_route(*call.args) for call in route.call_args_list}
+        return subsets, grouped.call_count, argsort.call_count
 
-    assert set(routes(2, 2, 6, 5000, "generalized").values()) == {"dense"}
-    assert set(routes(4, 2, 4, 4096, "linear").values()) == {"dense"}
-    assert set(routes(4, 4, 7, 2000, "sign").values()) == {"pairs"}
-    assert set(routes(8, 8, 7, 1000, "sign").values()) == {"argsort"}
+    assert routes(2, 2, 6, 5000, "generalized") == ({}, 1, 0)
+    assert routes(8, 8, 7, 1000, "generalized") == ({}, 1, 1)
+    linear, _, _ = routes(4, 2, 4, 4096, "linear")
+    assert len(linear) == 11 and set(linear.values()) == {"dense"}
+    assert routes(4, 4, 7, 2000, "sign") == ({(0, 1, 2, 3): "sorted"}, 1, 0)
+    assert routes(8, 8, 7, 1000, "sign") == ({tuple(range(8)): "sorted"}, 1, 1)
     # 2**18 cells of a 3-subset, 18 + 16 bits with the sample index.
-    assert routes(8, 3, 6, 50000, "sign")[(5, 6, 7)] == "pairs"
+    subsets, grouped, argsorts = routes(8, 3, 6, 50000, "sign")
+    assert subsets[(5, 6, 7)] == "sorted" and grouped == 56 and argsorts == 0
 
 
-def _sparse_route(subset, r, n, cell_route=approx_mc._cell_route):
-    """``_cell_route`` with the dense route taken away: the sorted pairs take its subsets."""
-    route = cell_route(subset, r, n)
-    return "pairs" if route == "dense" else route
+def _sparse_route(subset, r, n):
+    """``_cell_route`` with the dense route taken away: every subset is grouped."""
+    return "sorted"
 
 
-def _unique_cell_sums(digit_keys, subset, r, values, runs):
-    """The sparse build by np.unique with its inverse, then bincount, over compact codes."""
+def _unique_cell_sums(digit_keys, subset, r, values):
+    """The sparse build by np.unique with its inverse, over compact codes.
+
+    Returns the cells, their value sums (bincount) and the grouping: the
+    codes sorted, and the sample indices by a stable argsort of the inverse.
+    """
     slots = np.zeros(digit_keys.shape[1], dtype=np.int64)
     slots[list(subset)] = 1 << (r * np.arange(len(subset), dtype=np.int64))
     cells, inverse = np.unique(digit_keys.astype(np.int64) @ slots, return_inverse=True)
     sums = np.bincount(inverse, weights=values, minlength=len(cells))
-    if not runs:
-        return cells, sums, None, None
-    counts = np.bincount(inverse, minlength=len(cells))
-    return cells, sums, np.argsort(inverse, kind="stable"), counts
+    index = np.argsort(inverse, kind="stable")
+    return cells, sums, cells[inverse[index]], index
 
 
-def _assert_sparse_build_matches_reference(points, values, subset, r, runs):
+def _assert_sparse_build_matches_reference(points, values, subset, r):
     keys = _cell_keys(points, r)
     n = len(values)
+    cells, sums, sorted_codes, index = _unique_cell_sums(keys, subset, r, values)
     with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
-        route = approx_mc._cell_route(subset, r, n)
-        got = approx_mc._cell_sums(keys, subset, r, values, runs)
+        got = approx_mc._cell_sums(keys, subset, r, values)
+    for part, expected in zip(got, (cells, sums)):  # bit for bit, float sums included
+        assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        got_codes, got_index = approx_mc._grouped(approx_mc._subset_codes(keys, subset, r), r * len(subset))
     pair_bits = r * len(subset) + (n - 1).bit_length()
-    assert route == ("pairs" if pair_bits <= 63 else "argsort")
-    for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values, runs)):
-        assert (part is None) == (expected is None)
-        if expected is not None:  # bit for bit, float sums included
-            assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
+    assert argsort.call_count == (pair_bits > 63)
+    assert got_codes.dtype == np.int64 and got_codes.tobytes() == sorted_codes.tobytes()
+    assert got_index.dtype == np.int32
+    # The pairs keep each code's indices ascending; the argsort may not.
+    if pair_bits > 63:
+        got_index = got_index[np.lexsort((got_index, got_codes))]
+    assert np.array_equal(got_index, index)
 
 
 # (d, r) shapes: r = 8, 9 and 16 give uint8/uint16 keys; all of (8, 7) past
@@ -588,15 +602,15 @@ _SPARSE_SHAPES = [(1, 1), (2, 3), (3, 2), (4, 7), (3, 8), (2, 16), (8, 7), (7, 9
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_SPARSE_SHAPES), st.integers(0, 300), st.sampled_from(["sign", "uniform", "tied"]),
-       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
-def test_sorted_pair_build_matches_unique_reference(shape, n, kind, one_cell, runs, seed, data):
+       st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_sorted_pair_build_matches_unique_reference(shape, n, kind, one_cell, seed, data):
     d, r = shape
     subset = tuple(sorted(data.draw(st.sets(st.integers(0, d - 1)))))
     rng = np.random.default_rng(seed)
     points = np.tile(rng.random((1, d)), (n, 1)) if one_cell else rng.random((n, d))
     values = {"sign": lambda: rng.choice([-1.0, 1.0], n), "uniform": lambda: rng.uniform(-1.0, 1.0, n),
               "tied": lambda: np.round(rng.uniform(-1.0, 1.0, n), 1)}[kind]()
-    _assert_sparse_build_matches_reference(points, values, subset, r, runs)
+    _assert_sparse_build_matches_reference(points, values, subset, r)
 
 
 @pytest.mark.parametrize("n, d, r, subset, one_cell", [
@@ -609,8 +623,7 @@ def test_sorted_pair_build_named_cases(n, d, r, subset, one_cell):
     rng = np.random.default_rng(n + d + r)
     points = np.tile(rng.random((1, d)), (n, 1)) if one_cell else rng.random((n, d))
     values = np.round(rng.uniform(-1.0, 1.0, n), 1)  # tied values
-    for runs in (False, True):
-        _assert_sparse_build_matches_reference(points, values, subset, r, runs)
+    _assert_sparse_build_matches_reference(points, values, subset, r)
 
 
 @pytest.mark.parametrize("r", [1, 7, 8, 9, 16, 17])
@@ -641,9 +654,11 @@ def test_fit_memory_gate():
     assert model.samples.digit_keys.dtype == np.uint8
     assert peak < 20e6, f"fit peaked at {peak / 1e6:.1f} MB"
     # mc-gen-d2's generalized build: n = 726 374, d = k = 2, r = 6.  At
-    # k = d it keeps no value permutation, and its runs come from one radix
-    # argsort of the 16-bit cell codes: the build, samples excluded, peaks
-    # below 15 MB (11.7 MB measured; 19.0 MB with the value argsort).
+    # k = d it keeps no value permutation and no tables, and its one run
+    # row comes from one np.sort of the (full-cell code, sample index)
+    # pairs (_grouped), the index written straight into int32: the build,
+    # samples excluded, peaks below 15 MB (11.7 MB measured; 19.0 MB with
+    # the value argsort).
     samples = draw_samples(2, 726_374, Affine(2), 0).with_resolution(6)
     tracemalloc.start()
     try:
@@ -651,7 +666,7 @@ def test_fit_memory_gate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.order is None
+    assert model.order is None and model.tables is None and model.runs.dtype == np.int32
     assert peak < 15e6, f"generalized build peaked at {peak / 1e6:.1f} MB"
     # A k < d generalized build: d = 8, k = 3, r = 4, n = 20 000.  Its
     # coordinate runs hold n d = 160 000 ranks and it builds no tables: the
@@ -690,11 +705,13 @@ def test_projection_tables_route_choice():
     # 93 tables could hold 236673 cells: more than n d = 160000, but within
     # the entry floor, so they are built.
     assert len(model(8, 3, 4, 20000).tables.offsets) == 93
-    # Generalized tables at k = d add the full cell's n rank entries.  k =
-    # d = 2, r = 6 (mc-gen-d2's shape): one run per occupied cell.
-    tables = model(2, 2, 6, 3000, "generalized").tables
-    assert len(tables.offsets) == 1
-    assert len(tables.ranks) == 3000 and len(tables.bounds) == len(tables.keys) + 1
+    # A generalized model at k = d keeps no tables but one run row: the
+    # full cell's n samples.  k = d = 2, r = 6 (mc-gen-d2's shape).
+    generalized = model(2, 2, 6, 3000, "generalized")
+    assert generalized.tables is None and generalized.order is None
+    assert generalized.runs.shape == generalized.run_keys.shape == (1, 3000)
+    # Past r d = 63 bits it keeps no runs either, and matches digits.
+    assert model(8, 8, 8, 50, "generalized").runs is None
     # At k < d a generalized model keeps its n d coordinate ranks and no
     # tables, whatever the limit: its outputs read only the ranks.
     generalized = model(8, 3, 4, 20000, "generalized")
@@ -704,9 +721,11 @@ def test_projection_tables_route_choice():
         assert model(3, 2, 1, 100, "generalized").tables is None
         assert model(3, 2, 1, 100).tables is not None
         # k = d keeps one run of n entries, never more than n d.
-        assert model(3, 3, 1, 100, "generalized").tables.ranks is not None
-    # Linear and sign tables keep no rank runs.
-    assert model(2, 2, 6, 3000).tables.ranks is None
+        assert model(3, 3, 1, 100, "generalized").runs.shape == (1, 100)
+    # Linear and sign models keep no runs, and their tables only the sums.
+    sign = model(2, 2, 6, 3000)
+    assert sign.runs is None and sign.run_keys is None and sign.order is None
+    assert [f.name for f in fields(sign.tables)] == ["pack", "offsets", "keys", "weights"]
 
 
 def test_projection_tables_refused_without_listing_subsets():
@@ -714,20 +733,27 @@ def test_projection_tables_refused_without_listing_subsets():
     # of the up to 2**d subsets is listed.
     rng = np.random.default_rng(9)
 
-    def tables(d, k, r, n, runs=False):
+    def model(d, k, r, n, mode=None):
+        """The model, or with no mode the tables alone, built with subset listing forbidden."""
         samples = SampleSet(rng.random((n, d)), rng.choice([-1.0, 1.0], n)).with_resolution(r)
         with mock.patch.object(approx_mc, "combinations", side_effect=AssertionError("listed")):
-            return approx_mc.ProjectionTables.build(samples, k, True, runs)
+            if mode is None:
+                return approx_mc.ProjectionTables.build(samples, k, True)
+            return WaveletModel(k, mode, samples)
 
     # k = d: one subset, but r d = 80 bits.
-    assert tables(40, 40, 2, 10) is None
+    assert model(40, 40, 2, 10) is None
     # k < d: r d = 40 bits plus bitlen(#T - 1) = 40 for #T = sum_{t<=20} C(40, t).
-    assert tables(40, 20, 1, 10) is None
+    assert model(40, 20, 1, 10) is None
     # 2510 subsets fit the key (48 + 12 bits), but could hold about 4.88M
     # entries, more than max(n d, TABLE_ENTRY_FLOOR) = 2**22.
-    assert tables(12, 6, 4, 2000) is None
-    # Generalized at k = d: the same check on the key.
-    assert tables(40, 40, 2, 10, runs=True) is None
+    assert model(12, 6, 4, 2000) is None
+    # The models take the same checks; a generalized one at k = d builds no
+    # tables, and past 63 bits no runs either.
+    assert model(40, 40, 2, 10, "sign").tables is None
+    assert model(12, 6, 4, 2000, "linear").tables is None
+    generalized = model(40, 40, 2, 10, "generalized")
+    assert generalized.tables is None and generalized.runs is None
 
 
 def test_blocked_lookup_bounds_memory():
@@ -848,12 +874,14 @@ def test_generalized_all_positive_samples():
 
 def test_generalized_empty_information_returns_plus_one():
     # At k = d a query reads its own cell alone: with no sample there, the
-    # generalized and sign outputs are +1 (sgn(0) = +1), on the tables and on
-    # the chi route (r d = 64 bits at d = 8, r = 8).
+    # generalized and sign outputs are +1 (sgn(0) = +1), on the runs and the
+    # tables, and on the digit-matching and chi routes (r d = 64 bits at
+    # d = 8, r = 8).
     for d, r in ((2, 1), (8, 8)):
         samples = SampleSet(np.full((3, d), 0.1), np.full(3, -1.0)).with_resolution(r)
         generalized, sign = WaveletModel(d, "generalized", samples), WaveletModel(d, "sign", samples)
-        assert (generalized.tables is None) == (sign.tables is None) == (d == 8)
+        assert (generalized.runs is None) == (sign.tables is None) == (d == 8)
+        assert generalized.tables is None
         assert eval_generalized(generalized, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
         assert eval_sign(sign, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
 
@@ -933,10 +961,10 @@ def _exact_threshold_cut_sum(samples, k, x):
        st.integers(0, 2**32 - 1), st.data())
 def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
     # The output is the exact rational threshold-cut sum, correctly rounded:
-    # at k < d from the coordinate runs (no tables), at k = d as the cell's
-    # median, on the tables and on the chi route (tables dropped).  Samples in draw order
-    # and presorted by value give the same bytes.  Covers n = 1, tied values
-    # and chi(0) != 0 (k < d).
+    # at k < d from the coordinate runs, at k = d as the cell's median, on
+    # the full-cell run and by matching digits (runs dropped).  Samples in
+    # draw order and presorted by value give the same bytes.  Covers n = 1,
+    # tied values and chi(0) != 0 (k < d).
     k = data.draw(st.integers(0, d))
     rng = np.random.default_rng(seed)
     points = rng.random((max(n // 2, 1), d))[rng.integers(0, max(n // 2, 1), n)]
@@ -946,12 +974,14 @@ def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
     queries = np.concatenate([rng.random((4, d)), points[:3]])
     expected = np.array([_exact_threshold_cut_sum(samples, k, x) for x in queries]).tobytes()
     for given_samples in (samples, samples.sorted()):
-        tables = WaveletModel(k, "generalized", given_samples)
-        chi = copy.copy(tables)
-        object.__setattr__(chi, "tables", None)
-        assert (tables.tables is None) == (tables.chi[0] != 0) == (k < d)
-        assert eval_generalized(tables, queries).tobytes() == expected
-        assert eval_generalized(chi, queries).tobytes() == expected
+        runs = WaveletModel(k, "generalized", given_samples)
+        matching = copy.copy(runs)
+        if k == d:
+            object.__setattr__(matching, "runs", None)
+        assert runs.tables is None and runs.runs is not None
+        assert (runs.order is not None) == (runs.chi[0] != 0) == (k < d)
+        assert eval_generalized(runs, queries).tobytes() == expected
+        assert eval_generalized(matching, queries).tobytes() == expected
 
 
 @settings(max_examples=150, deadline=None)
