@@ -11,7 +11,6 @@ from .approx_mc import (
     SampleSet,
     WaveletModel,
     chi_table,
-    chi_value,
     draw_samples,
     estimate_coefficients,
     eval_generalized,

@@ -23,25 +23,24 @@ expansion with every coefficient replaced by its sample mean.
 
 The key computational fact: the reconstruction of a single sample depends on
 the query point only through the count ``b`` of coordinates whose first ``r``
-binary digits match the sample's.  The integer table ``chi(b)`` tabulates
-``n * [reconstruction of one unit sample](x)`` for ``b = 0..d``, so
-``h(x) = (1/n) * sum_i y_i * chi(b_i(x))`` and a fitted model of any mode is
-built from its samples (with digit keys); no coefficient is stored.
+binary digits match the sample's.  Per coordinate the kernel is ``2**r
+[same r-cell] - 1``, so over coordinate subsets ``T`` with ``|T| <= k``
 
-Per coordinate the kernel is ``2**r [same r-cell] - 1``, so ``chi`` itself
-expands over coordinate subsets ``T`` with ``|T| <= k``:
-
-    sum_i y_i chi(b_i(x)) = sum_T c_T * S_T(x),
+    n h(x) = sum_T c_T * S_T(x),
 
 with ``c_T = 2**(r|T|) (-1)**(k-|T|) C(d-|T|-1, k-|T|)`` for ``|T| < d``,
 ``c_T = 2**(r d)`` for ``|T| = d`` (at ``k = d`` only the full cell is left),
 and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
-coordinates of ``T``.  Linear and sign models store the nonzero ``c_T S_T``
-in one sorted table (``ProjectionTables``) of compact codes, so ``m``
-queries cost one ``searchsorted`` over their ``m #T`` keys, taken in blocks
-of bounded size.  Where the tables may not be built
+coordinates of ``T``.  A sample matching x in ``b`` coordinates shares its
+cell in exactly the subsets of those, so ``h(x) = (1/n) sum_i y_i
+chi(b_i(x))`` with the integer table ``chi(b) = sum_{t <= min(b, k)} C(b, t)
+c_t``; no coefficient is stored.  Linear and sign models store the nonzero
+``c_T S_T`` in one sorted table (``ProjectionTables``) of compact codes, so
+``m`` queries cost one ``searchsorted`` over their ``m #T`` keys, taken in
+blocks of bounded size.  Where the tables may not be built
 (``ProjectionTables.build``), and for generalized models, ``h`` takes the
-chi route instead: an O(n d) digit comparison per query row.
+chi route instead, an O(n d) digit comparison per query row; only there does
+a model hold ``chi``.
 
 The generalized mode needs no subset table: it reads runs, the samples
 grouped by a cell key (``WaveletModel``).  At ``k < d`` a sample that
@@ -104,6 +103,9 @@ TABLE_ENTRY_FLOOR = 1 << 22
 # queries a batch holds.  200 queries of one table (mc-sign-d4) and 500 of
 # 11 tables (mc-linear-d4) are each one block.
 LOOKUP_BLOCK = 1 << 16
+
+# The finest resolution whose digit keys fit in int64 (``_cell_keys``).
+MAX_RESOLUTION = 62
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -182,7 +184,11 @@ def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:
     The minimum puts ``x = 1`` in the last (right-closed) cell, as
     ``haar_basis.cell_of_point`` does.  uint8/uint16 keys are clamped before
     the cast, so ``x = 1`` cannot wrap to 0; int64 keys after it, exactly.
+    Past ``r = MAX_RESOLUTION`` the product ``2**r`` at ``x = 1`` does not
+    fit in int64.
     """
+    if r > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {r}")
     scale = 1 << r
     if r > 16:
         return np.minimum((points * scale).astype(np.int64), scale - 1)
@@ -196,36 +202,6 @@ def _subset_codes(digit_keys: np.ndarray, subset, r: int) -> np.ndarray:
     for s, j in enumerate(subset):
         codes |= np.left_shift(digit_keys[:, j], r * s, dtype=np.int64)
     return codes
-
-
-def chi_value(b: int, d: int, k: int, r: int) -> int:
-    """Contribution table entry for a digit-match count ``b``.
-
-    Equals ``sum_{l=0}^{min(b,k)} C(b,l) (2**r - 1)**l *
-    sum_{m=0}^{min(d-b,k-l)} C(d-b,m) (-1)**m``, computed in exact integers.
-    The inner alternating sum collapses to ``(-1)**M * C(N-1, M)`` with
-    ``N = d-b`` and ``M = min(N, k-l)``, which avoids cancellation entirely.
-    """
-    if not 0 <= b <= d:
-        raise ValueError(f"b must be in [0, {d}], got {b}")
-    if not 0 <= k <= d or r < 1:
-        raise ValueError("need 0 <= k <= d and r >= 1")
-    block = (1 << r) - 1
-    total = 0
-    for l in range(min(b, k) + 1):
-        rest = d - b
-        if rest == 0:
-            inner = 1
-        else:
-            m = min(rest, k - l)
-            inner = (-1) ** m * math.comb(rest - 1, m)
-        total += math.comb(b, l) * block**l * inner
-    return total
-
-
-def chi_table(d: int, k: int, r: int) -> tuple[int, ...]:
-    """chi(b) for b = 0..d; depends only on the algorithm parameters."""
-    return tuple(chi_value(b, d, k, r) for b in range(d + 1))
 
 
 def estimate_coefficients(
@@ -262,16 +238,20 @@ def estimate_coefficients(
 
 
 def subset_coefficient(t: int, d: int, k: int, r: int) -> int:
-    """Weight ``c_T`` of a coordinate subset of size ``t`` (see the module docstring).
-
-    ``chi(b) = sum_{t <= min(b, k)} C(b, t) c_t``: a sample shares x's cell
-    in every coordinate of exactly the subsets of its ``b`` matching ones.
-    """
+    """Weight ``c_T`` of a coordinate subset of size ``t`` (see the module docstring)."""
     if not 0 <= t <= k <= d or r < 1:
         raise ValueError("need 0 <= t <= k <= d and r >= 1")
     if t == d:
         return 1 << (r * d)
     return (1 << (r * t)) * (-1) ** (k - t) * math.comb(d - t - 1, k - t)
+
+
+def chi_table(d: int, k: int, r: int) -> tuple[int, ...]:
+    """chi(b) = sum_{t <= min(b, k)} C(b, t) c_t for b = 0..d, over the subset weights ``subset_coefficient``."""
+    if k < 0:
+        raise ValueError("need 0 <= k <= d and r >= 1")
+    weights = [subset_coefficient(t, d, k, r) for t in range(k + 1)]
+    return tuple(sum(math.comb(b, t) * weights[t] for t in range(min(b, k) + 1)) for b in range(d + 1))
 
 
 def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
@@ -422,10 +402,11 @@ class WaveletModel:
     come in any order.  Everything else is built here and cannot be passed
     in:
 
-    * ``chi``, the table of the chi identity for ``k``;
     * ``exact``: every sample value is +-1, so numerators are integers;
     * linear and sign modes: ``tables``, the projection sums, or None where
       they cannot or may not be built (see ``ProjectionTables.build``);
+    * where ``tables`` is None (the chi route, and every generalized model):
+      ``chi``, the table of the chi identity for ``k``;
     * generalized mode: ``runs``, groups of samples, with row ``j`` of
       ``run_keys`` holding the sorted key of each entry of row ``j``, so
       x's group is where ``run_keys[j]`` equals x's key (``_run_bounds``).
@@ -446,7 +427,7 @@ class WaveletModel:
     k: int
     mode: str
     samples: SampleSet
-    chi: np.ndarray = field(init=False, repr=False)
+    chi: np.ndarray | None = field(init=False, repr=False)
     exact: bool = field(init=False)
     tables: ProjectionTables | None = field(init=False, repr=False)
     order: np.ndarray | None = field(init=False, repr=False)
@@ -460,23 +441,11 @@ class WaveletModel:
             raise ValueError("samples must carry digit keys")
         if self.n == 0:
             raise ValueError("a model needs at least one sample")
-        table = chi_table(self.d, self.k, self.r)
-        # Every integer a query forms is at most max(3 n, 4) max|chi| in
-        # size.  Sign numerators sum_i y_i chi(b_i) (|y_i| = 1) have partial
-        # sums within n max|chi|.  In _run_flips a step chi(b) - chi(0) is
-        # within 2 max|chi| and a drop -2 (chi(b) - chi(0)) within 4 max|chi|,
-        # the one term that can pass 3 n max|chi| (at n = 1); the partial
-        # sums of at most n steps are within 2 n max|chi|, n chi(0) and n g_0
-        # within n max|chi|.  Each partial sum of n g_0 and the drops is a
-        # level n g_i + 2 chi(0) i with i <= n, within 3 n max|chi|, and a
-        # crossing index is within half a level plus 1.  Below 2**63 no
-        # int64 operation can wrap; otherwise numpy carries exact Python
-        # integers.
-        exact_in_int64 = max(3 * self.n, 4) * max(abs(c) for c in table) < 2**63
-        chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
+        if not 0 <= self.k <= self.d:
+            raise ValueError(f"k must be in [0, {self.d}], got {self.k}")
         values = self.samples.values
         exact = bool(np.all(np.abs(values) == 1.0))
-        tables = order = runs = run_keys = None
+        tables = chi = order = runs = run_keys = None
         keys = self.samples.digit_keys
         if self.mode != "generalized":
             tables = ProjectionTables.build(self.samples, self.k, exact)
@@ -492,6 +461,21 @@ class WaveletModel:
         elif self.r * self.d <= 63:  # k = d: the samples grouped by full-cell code
             codes, index = _grouped(_subset_codes(keys, range(self.d), self.r), self.r * self.d)
             run_keys, runs = codes[None], index[None]
+        if tables is None:
+            table = chi_table(self.d, self.k, self.r)
+            # Every integer a query forms is at most max(3 n, 4) max|chi| in
+            # size.  Sign numerators sum_i y_i chi(b_i) (|y_i| = 1) have
+            # partial sums within n max|chi|.  In _run_flips a step chi(b) -
+            # chi(0) is within 2 max|chi| and a drop -2 (chi(b) - chi(0))
+            # within 4 max|chi|, the one term that can pass 3 n max|chi| (at
+            # n = 1); the partial sums of at most n steps are within 2 n
+            # max|chi|, n chi(0) and n g_0 within n max|chi|.  Each partial
+            # sum of n g_0 and the drops is a level n g_i + 2 chi(0) i with
+            # i <= n, within 3 n max|chi|, and a crossing index is within
+            # half a level plus 1.  Below 2**63 no int64 operation can wrap;
+            # otherwise numpy carries exact Python integers.
+            exact_in_int64 = max(3 * self.n, 4) * max(abs(c) for c in table) < 2**63
+            chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
         for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("order", order),
                             ("runs", runs), ("run_keys", run_keys)):
             if isinstance(value, np.ndarray):

@@ -73,6 +73,11 @@ class UbErrorBound:
         return self.resolution_term + self.tail_term + self.estimation_term
 
 
+def _log_index_bound(d: int, k: int, r: int) -> float:
+    """``log #A`` of the analytic index-set bound ``#A <= exp(k (1 + log(d/k) + r log 2))``."""
+    return k * (1.0 + math.log(d / k) + math.log(2.0) * r)
+
+
 def ub_error_breakdown(p: McParams) -> UbErrorBound:
     """Component values of the error bound ``5d/2**r + 4 sqrt(dr)/(k+1) + 4 #A/n``.
 
@@ -82,7 +87,7 @@ def ub_error_breakdown(p: McParams) -> UbErrorBound:
     """
     resolution_term = 5.0 * p.d / 2.0**p.r
     tail_term = 4.0 * math.sqrt(p.d * p.r) / (p.k + 1)
-    log_set_bound = p.k * (1.0 + math.log(p.d / p.k) + math.log(2.0) * p.r)
+    log_set_bound = _log_index_bound(p.d, p.k, p.r)
     try:
         estimation_term = 4.0 * math.exp(log_set_bound) / p.n
     except OverflowError:  # #A or n past the float range
@@ -108,7 +113,7 @@ def choose_params(eps: float, d: int) -> McParams:
         raise ValueError("d must be positive")
     r = math.ceil(math.log2(15.0 * d / eps))
     k = min(int(12.0 * math.sqrt(d * r) / eps), d)
-    log_set_bound = k * (1.0 + math.log(d / k) + math.log(2.0) * r)
+    log_set_bound = _log_index_bound(d, k, r)
     try:
         n = math.ceil(12.0 / eps * math.exp(log_set_bound))
     except OverflowError:

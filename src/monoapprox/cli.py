@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .approx_det import eval_grid, fit_grid, grid_error_bound
-from .approx_mc import MODES, eval_generalized, eval_linear, eval_sign, fit
+from .approx_mc import MAX_RESOLUTION, MODES, eval_generalized, eval_linear, eval_sign, fit
 from .bounds import (
     BERRY_ESSEEN_UPPER,
     DEFAULT_UPPER_C,
@@ -153,7 +153,10 @@ class _UsageError(Exception):
 
 def _mc_params(cfg: ExperimentConfig) -> McParams:
     if cfg.eps is not None:
-        return choose_params(cfg.eps, cfg.d)
+        params = choose_params(cfg.eps, cfg.d)
+        if params.r > MAX_RESOLUTION:
+            raise _UsageError(f"--eps {cfg.eps} at --d {cfg.d} needs r = {params.r}, above {MAX_RESOLUTION}")
+        return params
     if cfg.k is None or cfg.r is None or cfg.n is None:
         raise _UsageError("mc runs need either --eps or all of --k, --r, --n")
     return McParams(cfg.d, cfg.k, cfg.r, cfg.n, 0.5)
@@ -229,7 +232,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> list[dict]:
         if cfg.k is None or cfg.r is None:
             raise _UsageError("mc convergence needs --k and --r")
         for n in cfg.n_grid or [64, 256, 1024, 4096]:
-            params = McParams(cfg.d, cfg.k, cfg.r, n, cfg.eps or 0.5)
+            params = McParams(cfg.d, cfg.k, cfg.r, n, 0.5)
             errs = [_score(cfg, _truth(cfg, rep), n, n * cfg.replications + rep, params).value
                     for rep in range(cfg.replications)]
             rows.append({"n": n, "error": float(np.mean(errs)), "std_error": _std_error(errs),
@@ -358,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--n-grid", type=_int_list)
     conv.add_argument("--k", type=int)
     conv.add_argument("--r", type=int)
-    conv.add_argument("--eps", type=float)
     conv.add_argument("--mode", choices=MODES)
     conv.add_argument("--replications", type=int, default=4)
     conv.add_argument("--n-probe", type=int)
@@ -394,6 +396,8 @@ def _check_flags(cfg: ExperimentConfig) -> None:
                 raise _UsageError(f"--{name.replace('_', '-')} must be at least {low}, got {v}")
     if cfg.k is not None and cfg.k > cfg.d:
         raise _UsageError(f"--k must be at most --d = {cfg.d}, got {cfg.k}")
+    if cfg.r is not None and cfg.r > MAX_RESOLUTION:
+        raise _UsageError(f"--r must be at most {MAX_RESOLUTION}, got {cfg.r}")
     if cfg.eps is not None and not 0.0 < cfg.eps < 1.0:
         raise _UsageError(f"--eps must lie in (0, 1), got {cfg.eps}")
     if any(0 < len(grid) < 3 for grid in (cfg.m_grid, cfg.n_grid)):

@@ -194,8 +194,8 @@ def index_set_size(d: int, k: int, r: int) -> IndexSetSize:
 
     The exact value is ``sum_{l=0}^{k} C(d, l) * (2**r - 1)**l``, computed in
     arbitrary-precision integers.  The bound is ``2**(r*k) * (e*d/k)**k``
-    (evaluated in floating point; for ``k = 0`` the exact count is 1 and the
-    bound is reported as 1.0).
+    (evaluated in floating point, ``inf`` past its range; for ``k = 0`` the
+    exact count is 1 and the bound is reported as 1.0).
     """
     _validate_dkr(d, k, r)
     block = (1 << r) - 1
@@ -203,5 +203,8 @@ def index_set_size(d: int, k: int, r: int) -> IndexSetSize:
     if k == 0:
         bound = 1.0
     else:
-        bound = math.exp(k * (1.0 + math.log(d / k)) + r * k * math.log(2.0))
+        try:
+            bound = math.exp(k * (1.0 + math.log(d / k)) + r * k * math.log(2.0))
+        except OverflowError:
+            bound = math.inf
     return IndexSetSize(exact, bound)

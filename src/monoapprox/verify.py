@@ -101,7 +101,7 @@ def _check_chi_table() -> CheckResult:
         for r in range(1, 4):
             for k in range(0, d + 1):
                 indices = list(haar_basis.enumerate_indices(d, k, r))
-                table = [approx_mc.chi_value(b, d, k, r) for b in range(d + 1)]
+                table = approx_mc.chi_table(d, k, r)
                 for pattern in product((True, False), repeat=d):
                     x = [0.1 if matched else 0.9 for matched in pattern]
                     expected = pair_kernel(indices, [0.1] * d, x)

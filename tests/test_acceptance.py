@@ -148,7 +148,8 @@ FAULTS = [
     ("orthonormality", haar_basis, "psi_d", _altered(haar_basis.psi_d, lambda v: 1.01 * v)),
     ("index-count", haar_basis, "index_set_size",
      _altered(haar_basis.index_set_size, lambda size: size._replace(exact=size.exact + 1))),
-    ("chi-table", approx_mc, "chi_value", _altered(approx_mc.chi_value, lambda v: v + 1)),
+    ("chi-table", approx_mc, "chi_table",
+     _altered(approx_mc.chi_table, lambda table: tuple(v + 1 for v in table))),
     ("flip-recursion", approx_mc, "_run_flips",
      _altered(approx_mc._run_flips, lambda rows: ((-s_0, *rest) for s_0, *rest in rows))),
     ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),

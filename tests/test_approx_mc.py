@@ -15,7 +15,6 @@ from monoapprox.approx_mc import (
     SampleSet,
     WaveletModel,
     chi_table,
-    chi_value,
     draw_samples,
     estimate_coefficients,
     eval_generalized,
@@ -122,6 +121,9 @@ def test_estimate_coefficients_respects_table_budget():
     samples = draw_samples(3, 10, boxbslash(3), 0)
     with pytest.raises(BudgetExceededError):
         estimate_coefficients(samples, 3, 3, 3, budget=100)
+    # At d = k = 20, r = 50 the analytic #A bound is past the float range.
+    with pytest.raises(BudgetExceededError):
+        estimate_coefficients(draw_samples(20, 10, boxbslash(20), 0), 20, 20, 50)
 
 
 def test_sample_set_validation():
@@ -148,8 +150,10 @@ def test_sample_set_rejects_bad_digit_keys():
         assert np.array_equal(keyed.with_resolution(r + 1).digit_keys, _cell_keys(points, r + 1))
         assert keyed.with_resolution(r + 1).points is keyed.points  # validated once, shared
         assert np.array_equal(keyed.sorted().digit_keys, _cell_keys(points[::-1], r))
-    with pytest.raises(ValueError):
-        SampleSet(points, values, resolution=0)
+    # At r = 63, x = 1.0 gave the key -2**63; past it, an OverflowError.
+    for r in (0, 63, 64):
+        with pytest.raises(ValueError, match="resolution"):
+            SampleSet(points, values, resolution=r)
 
 
 def test_sample_set_rejects_non_finite_points():
@@ -173,13 +177,17 @@ def test_wavelet_model_rejects_empty_sample_set():
 def test_wavelet_model_validation():
     samples = draw_samples(2, 8, boxbslash(2), 1)
     keyed = samples.with_resolution(2)
-    model = WaveletModel(1, "sign", keyed)
+    # A table-backed model neither holds chi nor builds it; a generalized one reads it.
+    with mock.patch.object(approx_mc, "chi_table", side_effect=AssertionError("chi_table called")):
+        model = WaveletModel(1, "sign", keyed)
     assert (model.d, model.r, model.n) == (2, 2, 8)  # read off the samples
-    assert model.chi.tolist() == list(chi_table(2, 1, 2))
+    assert model.tables is not None and model.chi is None
+    assert WaveletModel(1, "generalized", keyed).chi.tolist() == list(chi_table(2, 1, 2))
     with pytest.raises(ValueError):
         WaveletModel(1, "sign", samples)  # digit keys missing
-    with pytest.raises(ValueError):
-        WaveletModel(3, "sign", keyed)  # k > d
+    for k in (3, -1):  # k outside [0, d]
+        with pytest.raises(ValueError):
+            WaveletModel(k, "sign", keyed)
     with pytest.raises(ValueError):
         WaveletModel(1, "typo", keyed)
     with pytest.raises(TypeError):
@@ -273,7 +281,8 @@ def test_object_route_keeps_sums_exact():
     samples = SampleSet(np.tile(point, (n, 1)), np.ones(n)).with_resolution(r)
     sign = WaveletModel(k, "sign", samples)
     generalized = WaveletModel(k, "generalized", samples)
-    assert sign.chi.dtype == object and chi_value(d, d, k, r) == 2**56
+    assert chi_table(d, k, r)[d] == 2**56
+    assert sign.tables.weights.dtype == generalized.chi.dtype == object
     assert eval_sign(sign, point) == 1.0
     assert eval_generalized(generalized, point) == 1.0
     assert reconstruction_value(sign, point) == (n * 2**56) / n
@@ -439,9 +448,11 @@ def test_int64_numerators_above_2_53_divide_exactly():
 
 
 def _chi_route(model, keys):
-    """``n h(x)`` summed over every sample through chi: the reference route."""
+    """``n h(x)`` summed over every sample through chi, in Python integers: the reference route."""
     values = model.samples.values
-    return np.dot(values.astype(np.int64) if model.exact else values, _chi_at(model, keys))
+    b = (model.samples.digit_keys == keys).sum(axis=1)
+    chi = np.array(chi_table(model.d, model.k, model.r), dtype=object)
+    return np.dot(values.astype(np.int64) if model.exact else values, chi[b])
 
 
 @settings(max_examples=150, deadline=None)
@@ -626,18 +637,20 @@ def test_sorted_pair_build_named_cases(n, d, r, subset, one_cell):
     _assert_sparse_build_matches_reference(points, values, subset, r)
 
 
-@pytest.mark.parametrize("r", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("r", [1, 7, 8, 9, 16, 17, 62])
 def test_cell_keys_narrow_dtype_match_int64_formula(r):
     # The clamp comes before the cast: at r = 8, x = 1.0 gives 256, which
-    # would wrap to 0 in uint8.
+    # would wrap to 0 in uint8.  The grid holds the first 2**17 cell edges.
     scale = 1 << r
-    grid = np.arange(scale) / scale
+    grid = np.arange(min(scale, 1 << 17)) / scale
     coords = np.concatenate([[0.0], grid, np.nextafter(grid, 1.0), [np.nextafter(1.0, 0.0), 1.0]])
     points = np.stack([coords, coords[::-1]], axis=1)
     keys = _cell_keys(points, r)
     assert keys.dtype == (np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.int64)
     assert np.array_equal(keys, np.minimum((points * scale).astype(np.int64), scale - 1))
-    assert keys[-1, 0] == keys[-2, 0] == scale - 1 and keys[-1, 1] == 0
+    assert keys[-1, 0] == scale - 1 and keys[-1, 1] == 0
+    # The largest float below 1 is 1 - 2**-53: in the last cell up to r = 53.
+    assert keys[-2, 0] == scale - (1 << max(r - 53, 0))
 
 
 def test_fit_memory_gate():
@@ -819,24 +832,30 @@ def test_point_keys_match_cell_of_point():
 
 def test_subset_coefficients_sum_to_chi():
     # Sample and query agree in exactly b coordinates: the subsets T they
-    # share a cell in are those inside the b matching coordinates.
+    # share a cell in are those inside the b matching coordinates, so chi(b)
+    # = sum_t C(b, t) c_t.  Inverted over the brute-force kernel, c_t =
+    # sum_{b <= t} (-1)**(t - b) C(t, b) chi(b), and c_t = 0 past k.
     for d in range(1, 6):
-        for k in range(d + 1):
-            for r in (1, 2, 5):
-                for b in range(d + 1):
-                    total = sum(math.comb(b, t) * subset_coefficient(t, d, k, r)
-                                for t in range(min(b, k) + 1))
-                    assert total == chi_value(b, d, k, r)
+        for r in (1, 2, 5):
+            if r * d > 10:  # at most 2**10 indices per kernel
+                continue
+            for k in range(d + 1):
+                chi = [brute_chi(b, d, k, r) for b in range(d + 1)]
+                for t in range(d + 1):
+                    c_t = sum((-1) ** (t - b) * math.comb(t, b) * chi[b] for b in range(t + 1))
+                    assert c_t == (subset_coefficient(t, d, k, r) if t <= k else 0)
     assert subset_coefficient(1, 3, 3, 2) == 0  # k = d: only the full cell is left
 
 
 def test_chi_value_examples():
-    assert chi_value(1, 1, 1, 1) == 2
-    assert chi_value(0, 1, 1, 1) == 0
+    assert chi_table(1, 1, 1) == (0, 2)
+    for d, k, r in ((2, -1, 1), (2, 3, 1), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            chi_table(d, k, r)
     for d in (1, 2, 3):
         for r in (1, 2):
-            assert chi_value(d, d, d, r) == 2 ** (r * d)
-            assert chi_value(d, d, d, r) == brute_chi(d, d, d, r)
+            assert chi_table(d, d, r)[d] == 2 ** (r * d)
+            assert chi_table(d, d, r)[d] == brute_chi(d, d, d, r)
 
 
 def brute_chi(b, d, k, r):
@@ -851,12 +870,7 @@ def brute_chi(b, d, k, r):
 def test_chi_value_matches_brute_force(d, r, data):
     k = data.draw(st.integers(0, d))
     b = data.draw(st.integers(0, d))
-    assert chi_value(b, d, k, r) == brute_chi(b, d, k, r)
-
-
-def test_chi_table_contents():
-    d, k, r = 3, 2, 2
-    assert chi_table(d, k, r) == tuple(chi_value(b, d, k, r) for b in range(d + 1))
+    assert chi_table(d, k, r)[b] == brute_chi(b, d, k, r)
 
 
 # ---------------------------------------------------------------------------

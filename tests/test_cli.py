@@ -209,6 +209,11 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         _MC + ["--k", "1", "--r", "1", "--n", "0"],
         _MC + ["--k", "3", "--r", "1", "--n", "8"],
         _MC + ["--eps", "0"],
+        _MC + ["--k", "1", "--r", "63", "--n", "10"],
+        _MC + ["--k", "1", "--r", "64", "--n", "10"],
+        _MC + ["--eps", "1e-18"],  # the formula's r is 65
+        ["convergence", "--algo", "mc", "--d", "2", "--family", "affine", "--k", "1", "--r", "1",
+         "--eps", "0.5"],
         ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", "16,32"],
         ["verify", "--only", ","],
         _DET[:-1] + ["bogus"],
@@ -229,6 +234,7 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
     ],
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
+         "r-63", "r-64", "formula-r-65", "convergence-eps",
          "two-grid-sizes", "verify-only-names-no-check", "family-unknown",
          "family-bad-int", "family-unknown-argument", "family-m-0", "family-m-negative",
          "family-t-negative", "family-argument-of-affine",

@@ -124,3 +124,4 @@ def test_index_set_size_examples():
     assert size.exact == 37
     assert size.bound == pytest.approx(16 * (3 * math.e / 2) ** 2, rel=1e-12)
     assert index_set_size(7, 0, 3).exact == 1
+    assert index_set_size(20, 20, 50) == (2 ** 1000, math.inf)  # the bound past the float range
