@@ -11,7 +11,10 @@ Sign convention: ``sgn(0) = +1`` throughout, so sign-valued oracles never
 return zero.
 
 Lattices of points reach oracles in blocks of at most ``LATTICE_BLOCK``
-rows (``lattice_blocks``), never as one array of all the points.
+rows (``lattice_blocks``), never as one array of all the points.  The step
+and level-set families tabulate their values once, at construction (level
+sets while ``2**d <= LATTICE_BLOCK``), so a batch costs one pass per
+coordinate and one gather.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ def _batch(points, d: int) -> np.ndarray:
     return pts
 
 
+def _row_sums(points, d: int) -> np.ndarray:
+    """Row sums of an (m, d) batch, rounded as ``sum(axis=1)`` rounds them."""
+    pts = _batch(points, d)
+    if d >= 8:  # numpy adds 8 or more terms pairwise, not left to right
+        return pts.sum(axis=1)
+    total = pts[:, 0].copy()
+    for j in range(1, d):
+        total += pts[:, j]
+    return total
+
+
 def as_points(points, d: int) -> np.ndarray:
     """``points`` as a float (m, d) array inside [0, 1]^d, or ValueError."""
     pts = _batch(points, d)
@@ -73,7 +87,8 @@ class Boxbslash:
             raise ValueError("d must be positive")
 
     def __call__(self, points) -> np.ndarray:
-        s = np.asarray(points, dtype=float).sum(axis=1) - self.d / 2.0
+        s = _row_sums(points, self.d)
+        s -= self.d / 2.0
         return np.where(s >= 0.0, 1.0, -1.0)
 
 
@@ -94,11 +109,15 @@ class StepFamily:
     where ``delta_i`` is a 0/1 perturbation bit per subcube.  Every bit
     assignment yields a monotone function: moving one step up any coordinate
     raises ``|i|_1`` by one, which dominates any change in ``delta``.
+
+    The ``m**d`` cell values are computed once, at construction; a batch
+    forms each point's row-major cell code and gathers its value.
     """
 
     d: int
     m: int
     delta: np.ndarray = field(repr=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.m < 1:
@@ -113,23 +132,24 @@ class StepFamily:
         arr = np.ascontiguousarray(delta, dtype=np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "delta", arr)
+        level = arr.copy()  # |i|_1 + delta_i
+        for j in range(self.d):
+            level += np.arange(self.m).reshape((-1,) + (1,) * (self.d - 1 - j))
+        object.__setattr__(self, "_values", (2.0 * level / self.denominator - 1.0).ravel())
 
     @property
     def denominator(self) -> int:
         return self.d * (self.m - 1) + 1
 
     def __call__(self, points) -> np.ndarray:
-        # Column by column: |i|_1 and the row-major cell code, then one gather.
         columns = _batch(points, self.d).T
-        level = np.zeros(columns.shape[1], dtype=np.int64)
         code = np.zeros(columns.shape[1], dtype=np.intp)
         for column in columns:
-            cell = np.minimum((column * self.m).astype(np.intp), self.m - 1)
-            level += cell
+            cell = (column * self.m).astype(np.intp)
+            np.minimum(cell, self.m - 1, out=cell)
             code *= self.m
             code += cell
-        level += self.delta.ravel()[code]
-        return 2.0 * level / self.denominator - 1.0
+        return self._values[code]
 
 
 def random_delta(d: int, m: int, seed) -> np.ndarray:
@@ -159,14 +179,17 @@ class LevelSetFunction:
     lies below the vertex; otherwise +1.  Members of ``U`` all have weight
     ``t``, and ``t <= b <= d``.
 
-    ``U`` is stored as a set of bit-packed vertices; a batch tests every
-    member against all query vertices at once.
+    ``U`` is stored as a set of bit-packed vertices.  While ``2**d <=
+    LATTICE_BLOCK``, the ±1 value of every vertex is tabulated at
+    construction, and a batch gathers from the table at its vertices' masks.
+    Past that, a batch tests every member against all its vertices at once.
     """
 
     d: int
     t: int
     b: int
     members: FrozenSet[int]
+    _values: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.t <= self.b <= self.d:
@@ -174,17 +197,27 @@ class LevelSetFunction:
         for u in self.members:
             if u < 0 or u >= (1 << self.d) or u.bit_count() != self.t:
                 raise ValueError(f"member {u:b} does not have weight {self.t}")
+        values = None
+        if 1 << self.d <= LATTICE_BLOCK:
+            up = np.zeros(1 << self.d, dtype=bool)
+            up[np.fromiter(self.members, dtype=np.intp, count=len(self.members))] = True
+            weights = np.zeros(1 << self.d, dtype=np.int8)
+            for j in range(self.d):  # close up along bit j: v[:, 1] holds the masks with bit j
+                v = up.reshape(-1, 2, 1 << j)
+                v[:, 1] |= v[:, 0]
+                weights.reshape(-1, 2, 1 << j)[:, 1] += 1
+            values = np.where(up | (weights > self.b), 1.0, -1.0)
+        object.__setattr__(self, "_values", values)
 
     def __call__(self, points) -> np.ndarray:
         columns = _batch(points, self.d).T
-        weights = np.zeros(columns.shape[1], dtype=np.int64)
-        masks = np.zeros(columns.shape[1], dtype=np.int64)
+        masks = np.zeros(columns.shape[1], dtype=np.intp)
         for column in columns[::-1]:  # Horner: coordinate j ends up at bit j
-            bit = column >= 0.5
-            weights += bit
             masks <<= 1
-            masks += bit
-        covered = weights > self.b
+            masks += column >= 0.5
+        if self._values is not None:
+            return self._values[masks]
+        covered = (columns >= 0.5).sum(axis=0) > self.b
         for u in self.members:
             covered |= (masks & u) == u
         return np.where(covered, 1.0, -1.0)
@@ -231,8 +264,16 @@ class Affine:
 
     d: int
 
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError("d must be positive")
+
     def __call__(self, points) -> np.ndarray:
-        return 2.0 * np.asarray(points, dtype=float).sum(axis=1) / self.d - 1.0
+        s = _row_sums(points, self.d)
+        s *= 2.0
+        s /= self.d
+        s -= 1.0
+        return s
 
 
 class _Snapped:
@@ -242,7 +283,7 @@ class _Snapped:
         self.r = r
 
     def __call__(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+        pts = _batch(points, self.d)
         scale = 1 << self.r
         cells = np.minimum((pts * scale).astype(np.int64), scale - 1)
         return eval_batch(self.oracle, (cells + 0.5) / scale)

@@ -112,26 +112,105 @@ def test_level_set_rejects_wrong_weight_member():
         level_set_function(3, 2, 3, [(1, 0, 0)])
 
 
+def _level_set_rule(truth, points):
+    """Brute-force up-set membership of the half-split vertex of each point."""
+    expected = []
+    for p in points:
+        mask = sum(1 << j for j, v in enumerate(p) if v >= 0.5)
+        witnessed = any(mask & u == u for u in truth.members)
+        expected.append(1.0 if mask.bit_count() > truth.b or witnessed else -1.0)
+    return expected
+
+
 def test_level_set_batch_matches_scalar():
-    # At d up to 10, with coordinates 0, exactly j/m (1/2 among them) and 1.0.
+    # At d up to 12, with coordinates 0, exactly j/m (1/2 among them) and 1.0.
     rng = np.random.default_rng(1)
-    for d, t, b in ((1, 1, 1), (4, 2, 3), (5, 1, 5), (7, 3, 4), (10, 2, 6), (10, 4, 10)):
+    for d, t, b in ((1, 1, 1), (4, 2, 3), (5, 1, 5), (7, 3, 4), (10, 2, 6), (10, 4, 10), (12, 3, 7)):
         truth = level_set_function(d, t, b, sample_U(d, t, 0.5, 7 + d))
         points = _edge_points(d, 4, rng)
-        expected = []
-        for p in points:
-            # Brute-force up-set membership of the half-split vertex of p.
-            mask = sum(1 << j for j, v in enumerate(p) if v >= 0.5)
-            witnessed = any(mask & u == u for u in truth.members)
-            expected.append(1.0 if mask.bit_count() > truth.b or witnessed else -1.0)
-        assert np.array_equal(truth(points), expected)
+        assert np.array_equal(truth(points), _level_set_rule(truth, points))
+
+
+def test_level_set_routes_agree_with_the_rule():
+    # The vertex table is built while 2**d <= LATTICE_BLOCK (d <= 15);
+    # past that the members are tested one by one.  Both give the rule.
+    rng = np.random.default_rng(2)
+    for d, tabulated in ((15, True), (16, False)):
+        truth = level_set_function(d, 2, d // 2, sample_U(d, 2, 0.3, d))
+        assert (truth._values is not None) is tabulated
+        points = _edge_points(d, 4, rng, n=100)
+        assert np.array_equal(truth(points), _level_set_rule(truth, points))
 
 
 def test_families_reject_wrong_widths():
-    for oracle in (step_function(2, 2, np.zeros((2, 2))), level_set_function(2, 1, 2, [])):
+    oracles = (
+        step_function(2, 2, np.zeros((2, 2))),
+        level_set_function(2, 1, 2, []),
+        Affine(2),
+        boxbslash(2),
+        snap_to_grid(Affine(2), 2, 3),
+    )
+    for oracle in oracles:
         for bad in (np.full((3, 1), 0.5), np.full((3, 3), 0.5), np.full(3, 0.5)):
             with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
                 oracle(bad)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be positive"):
+            Affine(d)
+
+
+# The kernels the column sums and value tables replaced, kept as references.
+def _reference_step(truth, points):
+    columns = np.asarray(points, dtype=float).T
+    level = np.zeros(columns.shape[1], dtype=np.int64)
+    code = np.zeros(columns.shape[1], dtype=np.intp)
+    for column in columns:
+        cell = np.minimum((column * truth.m).astype(np.intp), truth.m - 1)
+        level += cell
+        code *= truth.m
+        code += cell
+    level += truth.delta.ravel()[code]
+    return 2.0 * level / truth.denominator - 1.0
+
+
+def _reference_level_set(truth, points):
+    columns = np.asarray(points, dtype=float).T
+    weights = np.zeros(columns.shape[1], dtype=np.int64)
+    masks = np.zeros(columns.shape[1], dtype=np.int64)
+    for column in columns[::-1]:
+        bit = column >= 0.5
+        weights += bit
+        masks <<= 1
+        masks += bit
+    covered = weights > truth.b
+    for u in truth.members:
+        covered |= (masks & u) == u
+    return np.where(covered, 1.0, -1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+def test_family_kernels_match_their_references(d, seed, data):
+    # Byte for byte, at d = 1 to 12 (d >= 8 sums pairwise), on random points
+    # and on points whose coordinates are 0, exactly j/m, 0.5 and 1.0.
+    m = data.draw(st.integers(1, max(m for m in range(1, 7) if m**d <= 4096)))
+    edges = np.union1d(np.arange(m + 1) / m, [0.5])
+    rows = st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)), min_size=d, max_size=d)
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([
+        np.array(data.draw(st.lists(rows, min_size=1, max_size=40)), dtype=float),
+        rng.random((200, d)),
+        rng.choice(edges, (200, d)),
+    ])
+    sums = np.ascontiguousarray(points).sum(axis=1)
+    assert Affine(d)(points).tobytes() == (2.0 * sums / d - 1.0).tobytes()
+    assert boxbslash(d)(points).tobytes() == np.where(sums - d / 2.0 >= 0.0, 1.0, -1.0).tobytes()
+    step = step_function(d, m, random_delta(d, m, seed))
+    assert step(points).tobytes() == _reference_step(step, points).tobytes()
+    t = data.draw(st.integers(1, d))
+    b = data.draw(st.integers(t, d))
+    level = level_set_function(d, t, b, sample_U(d, t, data.draw(st.sampled_from([0.0, 0.3, 1.0])), seed))
+    assert level(points).tobytes() == _reference_level_set(level, points).tobytes()
 
 
 def test_level_set_monotone_under_bit_flips():
