@@ -79,7 +79,7 @@ from itertools import combinations
 import numpy as np
 
 from .budget import check_budget
-from .functions import as_points, eval_batch
+from .functions import LATTICE_BLOCK, as_points, eval_batch
 from .haar_basis import MultiIndex, enumerate_indices, haar_transform, index_set_size
 
 MODES = ("linear", "sign", "generalized")
@@ -114,8 +114,8 @@ class SampleSet:
     Once a resolution ``r`` is fixed, ``digit_keys[i][j]`` caches the index of
     the resolution-``r`` dyadic cell containing ``points[i][j]``, in ``[0,
     2**r)``, uint8 for r <= 8 and uint16 for r <= 16.  The keys are always
-    computed from the points, never passed in.  Arrays are frozen after
-    construction.
+    computed from the points, never passed in.  Points and values are checked
+    ``LATTICE_BLOCK`` rows at a time.  Arrays are frozen after construction.
     """
 
     points: np.ndarray
@@ -128,9 +128,10 @@ class SampleSet:
         values = np.asarray(self.values, dtype=float)
         if points.shape[0] != values.shape[0]:
             raise ValueError("points and values must have equal length")
-        if points.size and not ((points >= 0.0) & (points <= 1.0)).all():  # NaN fails too
+        blocks = [slice(lo, lo + LATTICE_BLOCK) for lo in range(0, len(values), LATTICE_BLOCK)]
+        if not all(((points[b] >= 0.0) & (points[b] <= 1.0)).all() for b in blocks):  # NaN fails too
             raise ValueError("sample points must lie in [0, 1]^d")
-        if values.size and (np.abs(values).max() > 1.0 or not np.isfinite(values).all()):
+        if not all((np.abs(values[b]) <= 1.0).all() for b in blocks):  # NaN and +-inf too
             raise ValueError("sample values must lie in [-1, 1]")
         points.flags.writeable = False
         values.flags.writeable = False
@@ -169,38 +170,53 @@ class SampleSet:
 def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
     """Draw n i.i.d. uniform points and record oracle values; deterministic in seed.
 
-    Raises ValueError if the oracle returns a value outside [-1, 1].
+    Points and values are filled ``LATTICE_BLOCK`` rows at a time, one oracle
+    call per block, with the points of one ``rng.random((n, d))``; a single
+    block keeps the oracle's own value array.  Raises ValueError if the
+    oracle returns a value outside [-1, 1].
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     rng = np.random.default_rng(seed)
-    points = rng.random((n, d))
-    return SampleSet(points, eval_batch(oracle, points))
+    points = np.empty((n, d))
+    if n <= LATTICE_BLOCK:
+        return SampleSet(points, eval_batch(oracle, rng.random(out=points)))
+    values = np.empty(n)
+    for lo in range(0, n, LATTICE_BLOCK):
+        block = rng.random(out=points[lo : lo + LATTICE_BLOCK])
+        values[lo : lo + LATTICE_BLOCK] = eval_batch(oracle, block)
+    return SampleSet(points, values)
 
 
 def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:
     """Resolution-r cell index ``min(floor(x * 2**r), 2**r - 1)`` of every coordinate.
 
     The minimum puts ``x = 1`` in the last (right-closed) cell, as
-    ``haar_basis.cell_of_point`` does.  uint8/uint16 keys are clamped before
-    the cast, so ``x = 1`` cannot wrap to 0; int64 keys after it, exactly.
-    Past ``r = MAX_RESOLUTION`` the product ``2**r`` at ``x = 1`` does not
-    fit in int64.
+    ``haar_basis.cell_of_point`` does.  Keys are clamped before the cast, so
+    ``x = 1`` cannot wrap to 0 in uint8/uint16, and past ``r = 53``, where
+    ``2**r - 1`` is no float, again after it, exactly.  Past ``r =
+    MAX_RESOLUTION`` the product ``2**r`` at ``x = 1`` does not fit in
+    int64.  Rows are keyed ``LATTICE_BLOCK`` at a time.
     """
     if r > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {r}")
     scale = 1 << r
-    if r > 16:
-        return np.minimum((points * scale).astype(np.int64), scale - 1)
-    cells = points * scale
-    return np.minimum(cells, scale - 1, out=cells).astype(np.uint8 if r <= 8 else np.uint16)
+    keys = np.empty(np.shape(points), dtype=np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.int64)
+    for lo in range(0, len(keys), LATTICE_BLOCK):
+        np.minimum(points[lo : lo + LATTICE_BLOCK] * scale, scale - 1, out=keys[lo : lo + LATTICE_BLOCK],
+                   casting="unsafe")
+    if r > 53:
+        np.minimum(keys, scale - 1, out=keys)
+    return keys
 
 
 def _subset_codes(digit_keys: np.ndarray, subset, r: int) -> np.ndarray:
-    """Compact int64 cell codes: digit ``subset[s]`` at bit ``r s``, or-ed in one key column at a time."""
+    """Compact int64 cell codes: digit ``subset[s]`` at bit ``r s``, or-ed in column by column, block by block."""
     codes = np.zeros(len(digit_keys), dtype=np.int64)
-    for s, j in enumerate(subset):
-        codes |= np.left_shift(digit_keys[:, j], r * s, dtype=np.int64)
+    for lo in range(0, len(codes), LATTICE_BLOCK):
+        block = codes[lo : lo + LATTICE_BLOCK]
+        for s, j in enumerate(subset):
+            block |= np.left_shift(digit_keys[lo : lo + LATTICE_BLOCK, j], r * s, dtype=np.int64)
     return codes
 
 
@@ -271,7 +287,9 @@ def _grouped(codes: np.ndarray, width: int):
     One ``np.sort`` of ``code << b | i`` (``i < 2**b``, ``b = bitlen(n -
     1)``) where ``width + b <= 63``, which leaves each code's indices
     ascending; one ``np.argsort`` past that, in any order within a code.
-    The index is int32 below ``n = 2**31``.  ``codes`` is consumed.
+    The pairs sort as uint32 where ``width + b <= 32`` (3.2 ms, not 6.8, at
+    mc-gen-d2's 12 + 20 bits).  The index is int32 below ``n = 2**31``.
+    ``codes`` is consumed.
     """
     n = len(codes)
     index = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
@@ -280,11 +298,13 @@ def _grouped(codes: np.ndarray, width: int):
         order = np.argsort(codes)
         index[:] = order
         return codes[order], index
-    codes <<= bits
-    codes |= index
-    codes.sort()
-    np.bitwise_and(codes, (1 << bits) - 1, out=index, casting="unsafe")
-    codes >>= bits
+    pairs = np.empty(n, dtype=np.uint32) if width + bits <= 32 else codes
+    np.left_shift(codes, bits, out=pairs, casting="unsafe")
+    # In the pairs' own dtype: uint32 | int32 would compute in int64, 3x slower.
+    np.bitwise_or(pairs, index, out=pairs, dtype=pairs.dtype, casting="unsafe")
+    pairs.sort()
+    np.bitwise_and(pairs, (1 << bits) - 1, out=index, casting="unsafe")
+    np.right_shift(pairs, bits, out=codes, casting="unsafe")
     return codes, index
 
 
@@ -292,10 +312,11 @@ def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: 
     """Occupied T-cells, as sorted compact codes (``_subset_codes``), and the sum of ``values`` over each.
 
     Few cells are binned by one bincount of the codes; else the codes are
-    grouped (``_grouped``) and each cell's rank goes back to its samples.
-    Both add in sample order, so the float64 sums carry the same bits (for
-    +-1 values, integers of size at most n < 2**53: exact).  The n-sized
-    temporaries are freed on return.
+    grouped (``_grouped``) and each cell's rank goes back to its samples
+    through intp index blocks (numpy scatters through an int32 index more
+    slowly than it converts it).  Both add in sample order, so the float64
+    sums carry the same bits (for +-1 values, integers of size at most n <
+    2**53: exact).  The n-sized temporaries are freed on return.
     """
     codes = _subset_codes(digit_keys, subset, r)
     if _cell_route(subset, r, len(values)) == "dense":
@@ -306,7 +327,11 @@ def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: 
     first = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     cells = codes[first]
-    codes[index] = np.cumsum(first) - 1
+    rank = -1
+    for lo in range(0, len(codes), LATTICE_BLOCK):
+        ranks = np.cumsum(first[lo : lo + LATTICE_BLOCK]) + rank
+        codes[index[lo : lo + LATTICE_BLOCK].astype(np.intp)] = ranks
+        rank = ranks[-1]
     return cells, np.bincount(codes, weights=values, minlength=len(cells))
 
 
@@ -444,7 +469,7 @@ class WaveletModel:
         if not 0 <= self.k <= self.d:
             raise ValueError(f"k must be in [0, {self.d}], got {self.k}")
         values = self.samples.values
-        exact = bool(np.all(np.abs(values) == 1.0))
+        exact = all((np.abs(values[lo : lo + LATTICE_BLOCK]) == 1.0).all() for lo in range(0, self.n, LATTICE_BLOCK))
         tables = chi = order = runs = run_keys = None
         keys = self.samples.digit_keys
         if self.mode != "generalized":

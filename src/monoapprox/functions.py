@@ -11,7 +11,8 @@ Sign convention: ``sgn(0) = +1`` throughout, so sign-valued oracles never
 return zero.
 
 Lattices of points reach oracles in blocks of at most ``LATTICE_BLOCK``
-rows (``lattice_blocks``), never as one array of all the points.  The step
+rows (``lattice_blocks``), never as one array of all the points, and so do
+the random samples of ``approx_mc.draw_samples``.  The step
 and level-set families tabulate their values once, at construction (level
 sets while ``2**d <= LATTICE_BLOCK``), so a batch costs one pass per
 coordinate and one gather.
@@ -30,7 +31,8 @@ from .budget import check_budget
 
 # Rows of one lattice block (1 MB of points at d = 4).  fit_grid of a step
 # oracle at d = 4, m = 32 took 28 ms in 29791-row blocks, 84 ms in 961-row
-# blocks and 93 ms in one (2 CPUs, numpy 2.4).
+# blocks and 93 ms in one (2 CPUs, numpy 2.4).  Sample draws, their checks
+# and their digit keys (approx_mc) go in blocks of this many rows too.
 LATTICE_BLOCK = 1 << 15
 
 
@@ -97,7 +99,7 @@ def boxbslash(d: int) -> Boxbslash:
     return Boxbslash(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFamily:
     """Piecewise-constant monotone function on the uniform m-grid.
 
@@ -111,13 +113,14 @@ class StepFamily:
     raises ``|i|_1`` by one, which dominates any change in ``delta``.
 
     The ``m**d`` cell values are computed once, at construction; a batch
-    forms each point's row-major cell code and gathers its value.
+    forms each point's row-major cell code and gathers its value.  Instances
+    compare and hash by identity, as ``delta`` is an array.
     """
 
     d: int
     m: int
     delta: np.ndarray = field(repr=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.m < 1:

@@ -28,7 +28,7 @@ from monoapprox.approx_mc import (
     _numerators,
     _query_keys,
 )
-from monoapprox.functions import Affine, boxbslash, snap_to_grid
+from monoapprox.functions import LATTICE_BLOCK, Affine, boxbslash, eval_batch, family_from_spec, snap_to_grid
 from monoapprox.haar_basis import MultiIndex, cell_of_point, enumerate_indices, psi_1d, psi_d
 from monoapprox.verify import pair_kernel
 
@@ -653,6 +653,121 @@ def test_cell_keys_narrow_dtype_match_int64_formula(r):
     assert keys[-2, 0] == scale - (1 << max(r - 53, 0))
 
 
+# The whole-array sample path that the blocked one replaced: the references
+# of the block-edge tests below.
+def _whole_draw(d, n, oracle, seed):
+    points = np.random.default_rng(seed).random((n, d))
+    return points, eval_batch(oracle, points)
+
+
+def _whole_cell_keys(points, r):
+    scale = 1 << r
+    if r > 16:
+        return np.minimum((points * scale).astype(np.int64), scale - 1)
+    cells = points * scale
+    return np.minimum(cells, scale - 1, out=cells).astype(np.uint8 if r <= 8 else np.uint16)
+
+
+def _whole_subset_codes(digit_keys, subset, r):
+    codes = np.zeros(len(digit_keys), dtype=np.int64)
+    for s, j in enumerate(subset):
+        codes |= np.left_shift(digit_keys[:, j], r * s, dtype=np.int64)
+    return codes
+
+
+def _whole_grouped(codes, width):
+    n = len(codes)
+    index = np.arange(n, dtype=np.int32)
+    bits = (n - 1).bit_length()
+    if width + bits > 63:
+        order = np.argsort(codes)
+        index[:] = order
+        return codes[order], index
+    codes <<= bits
+    codes |= index
+    codes.sort()
+    np.bitwise_and(codes, (1 << bits) - 1, out=index, casting="unsafe")
+    codes >>= bits
+    return codes, index
+
+
+def _same_bytes(got, expected):
+    return got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+_B = LATTICE_BLOCK
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 3]), st.integers(1, 4), st.sampled_from([1, 7, 8, 9, 16, 17]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_blocked_sample_path_matches_whole_array_reference(n, d, r, seed, data):
+    # Blocks of LATTICE_BLOCK rows, at n on both sides of one and two block
+    # edges: points, values, digit keys, subset codes and groupings match the
+    # whole-array code byte for byte.
+    oracle = family_from_spec("step:m=4", d, seed)
+    samples = draw_samples(d, n, oracle, seed)
+    points, values = _whole_draw(d, n, oracle, seed)
+    assert _same_bytes(samples.points, points) and _same_bytes(samples.values, values)
+    # Cell edges 0, j / 2**r and 1.0, most of them at the block edges.
+    rng = np.random.default_rng(seed)
+    rows = np.unique(np.concatenate([rng.integers(0, n, 64), [0, n - 1], np.arange(_B - 2, _B + 2) % n]))
+    points = points.copy()
+    points[rows] = rng.integers(0, (1 << r) + 1, (len(rows), d)) / (1 << r)
+    keys = SampleSet(points, values, resolution=r).digit_keys
+    assert _same_bytes(keys, _whole_cell_keys(points, r))
+    subset = tuple(data.draw(st.permutations(range(d)))[: data.draw(st.integers(1, d))])
+    codes = approx_mc._subset_codes(keys, subset, r)
+    assert _same_bytes(codes, _whole_subset_codes(keys, subset, r))
+    width = r * len(subset)
+    for got, expected in zip(approx_mc._grouped(codes.copy(), width), _whole_grouped(codes.copy(), width)):
+        assert _same_bytes(got, expected)
+    # The cell ranks go back to the samples one block at a time; the float
+    # sums still add in sample order.
+    with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
+        got = approx_mc._cell_sums(keys, subset, r, values)
+    for part, expected in zip(got, _unique_cell_sums(keys, subset, r, values)):
+        assert _same_bytes(part, expected)
+
+
+@pytest.mark.parametrize("n, width", [(_B + 1, 16), (_B + 1, 17), (2 * _B + 3, 15), (2 * _B + 3, 16), (_B, 17)])
+@pytest.mark.parametrize("distinct", [3, None])
+def test_grouped_at_the_uint32_pair_width(n, width, distinct):
+    # code << b | i fills 32 bits (sorted as uint32, the top bit set for
+    # the largest codes) or 33 (int64); both group as the int64 pairs did.
+    rng = np.random.default_rng(n + width)
+    top = (1 << width) - 1
+    pool = rng.integers(0, top + 1, distinct) if distinct else None
+    codes = rng.choice(pool, n) if distinct else rng.integers(0, top + 1, n)
+    codes[rng.integers(0, n, 50)] = top
+    codes[rng.integers(0, n, 50)] = 0
+    bits = (n - 1).bit_length()
+    assert width + bits in (32, 33)
+    for got, expected in zip(approx_mc._grouped(codes.copy(), width), _whole_grouped(codes.copy(), width)):
+        assert _same_bytes(got, expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -np.inf])
+def test_bad_sample_in_the_last_block_is_rejected(bad):
+    n = 2 * _B + 3
+
+    def oracle(x):  # bad at the draw's last row only, in its 3-row last block
+        out = np.zeros(len(x))
+        out[-1] = bad if len(x) == 3 else 0.0
+        return out
+
+    with pytest.raises(ValueError, match=r"sample values must lie in \[-1, 1\]"):
+        draw_samples(2, n, oracle, 0)
+    points, values = np.full((n, 2), 0.5), np.ones(n)
+    points[-1, 1] = -0.25 if np.isinf(bad) else bad
+    with pytest.raises(ValueError, match=r"sample points must lie in \[0, 1\]\^d"):
+        SampleSet(points, values)
+    points[-1, 1] = 0.5
+    for last, exact in ((0.5, False), (-1.0, True)):  # only the last block may hold a value other than +-1
+        values[-1] = last
+        assert WaveletModel(2, "sign", SampleSet(points.copy(), values.copy(), resolution=3)).exact is exact
+
+
 def test_fit_memory_gate():
     # mc-sign-d4's fit: 200k samples in d = 4.  Its n d digit keys are
     # uint8 (0.8 MB, not 6.4 MB in int64), and its n-sized temporaries keep
@@ -695,6 +810,18 @@ def test_fit_memory_gate():
         tracemalloc.stop()
     assert model.runs.shape == (8, 20_000) and model.tables is None
     assert peak < 3e6, f"k < d generalized build peaked at {peak / 1e6:.1f} MB"
+    # The whole mc-gen-d2 fit, samples and keys included.  The points are
+    # drawn, evaluated, checked and keyed in blocks of LATTICE_BLOCK rows, so
+    # no pass makes an n-sized temporary: the traced peak stays below 32 MB
+    # (30.6 MB measured; 34.9 MB with whole-array passes).
+    tracemalloc.start()
+    try:
+        model = fit(family_from_spec("step:m=4", 2, 0), 2, 2, 6, 726_374, 0, "generalized")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.samples.digit_keys.dtype == np.uint8 and model.runs.dtype == np.int32
+    assert peak < 32e6, f"mc-gen-d2 fit peaked at {peak / 1e6:.1f} MB"
 
 
 def test_projection_tables_route_choice():

@@ -90,6 +90,16 @@ def test_step_function_rejects_incomplete_delta():
         step_function(1, 2, [0, 2])
 
 
+def test_step_function_hashes_and_compares_by_identity():
+    # With an ndarray field, dataclass equality raised the array truth-value
+    # error and hash() raised TypeError (unhashable type: 'numpy.ndarray').
+    f = step_function(2, 2, [[0, 1], [1, 0]])
+    twin = step_function(2, 2, f.delta)
+    assert hash(f) == hash(f) and len({f, twin, f}) == 2
+    assert f == f and f != twin and not f == twin
+    assert np.array_equal(f(np.array([[0.1, 0.9], [0.9, 0.9]])), twin(np.array([[0.1, 0.9], [0.9, 0.9]])))
+
+
 def test_random_delta_reproducible():
     assert np.array_equal(random_delta(2, 3, 5), random_delta(2, 3, 5))
 
