@@ -7,15 +7,24 @@ point is a one-row batch.  Fitted models follow the same protocol through
 points)``.  Families constructed here are immutable after construction and
 safe to share across threads.
 
+An oracle may also offer ``on_columns(columns)``: its values at the points
+whose j-th coordinates are ``columns[j]``, d arrays that broadcast together,
+in an array of their broadcast shape.  It never writes into the columns.
+Every family here has it, and its ``__call__`` is ``on_columns`` of the
+batch's columns; threshold cuts and snapped oracles have it when their inner
+oracle does.  ``lattice_values`` hands such an oracle each lattice slab as
+per-axis coordinates, with no array of points; any other callable gets the
+slab's points in blocks of at most ``LATTICE_BLOCK`` rows
+(``lattice_blocks``), as it gets the random samples of
+``approx_mc.draw_samples``.
+
 Sign convention: ``sgn(0) = +1`` throughout, so sign-valued oracles never
 return zero.
 
-Lattices of points reach oracles in blocks of at most ``LATTICE_BLOCK``
-rows (``lattice_blocks``), never as one array of all the points, and so do
-the random samples of ``approx_mc.draw_samples``.  The step
-and level-set families tabulate their values once, at construction (level
-sets while ``2**d <= LATTICE_BLOCK``), so a batch costs one pass per
-coordinate and one gather.
+The step and level-set families tabulate their values once, at
+construction (level sets while ``2**d <= LATTICE_BLOCK``), so a batch costs
+one pass per coordinate and one gather, and a lattice slab a pass or two
+over the slab and one gather, whatever d.
 """
 
 from __future__ import annotations
@@ -29,10 +38,11 @@ import numpy as np
 
 from .budget import check_budget
 
-# Rows of one lattice block (1 MB of points at d = 4).  fit_grid of a step
-# oracle at d = 4, m = 32 took 28 ms in 29791-row blocks, 84 ms in 961-row
-# blocks and 93 ms in one (2 CPUs, numpy 2.4).  Sample draws, their checks
-# and their digit keys (approx_mc) go in blocks of this many rows too.
+# Points of one lattice slab or block (1 MB of points at d = 4).  fit_grid of
+# a step oracle at d = 4, m = 32 takes 12 ms in 29791-point slabs of per-axis
+# columns and 28 ms in blocks of points of that size, against 84 ms in
+# 961-point blocks and 93 ms in one (2 CPUs, numpy 2.4).  Sample draws, their
+# checks and their digit keys (approx_mc) go in blocks of this many rows too.
 LATTICE_BLOCK = 1 << 15
 
 
@@ -55,14 +65,44 @@ def _batch(points, d: int) -> np.ndarray:
     return pts
 
 
-def _row_sums(points, d: int) -> np.ndarray:
-    """Row sums of an (m, d) batch, rounded as ``sum(axis=1)`` rounds them."""
-    pts = _batch(points, d)
-    if d >= 8:  # numpy adds 8 or more terms pairwise, not left to right
-        return pts.sum(axis=1)
-    total = pts[:, 0].copy()
-    for j in range(1, d):
-        total += pts[:, j]
+def _horner(total, base: int, term):
+    """``total * base + term``, in place when ``total`` already has that shape.
+
+    ``total`` must be a scalar or an array of the caller's own, never a
+    column it was given.
+    """
+    if np.shape(total) != np.shape(term):
+        return (total * base if base != 1 else total) + term
+    if base != 1:
+        total *= base
+    total += term
+    return total
+
+
+def _column_sums(columns) -> np.ndarray:
+    """Sums of columns that broadcast together, rounded as ``sum(axis=1)`` rounds rows.
+
+    numpy adds fewer than 8 terms left to right; from 8 it keeps 8 running
+    partials and adds them pairwise, splitting past 128 terms at a multiple
+    of 8.  The result is always a new array.  A batch, one ``(d, n)`` array,
+    is summed by numpy itself from d = 9, where that is faster.
+    """
+    n = len(columns)
+    if isinstance(columns, np.ndarray) and n >= 9:
+        return columns.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sums(columns[:half]) + _column_sums(columns[half:])
+    if n < 8:
+        total, rest = np.array(columns[0], dtype=float), columns[1:]
+    else:
+        r = list(columns[:8])
+        for i in range(8, n - n % 8, 8):
+            r = [r[j] + columns[i + j] for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = columns[n - n % 8 :]
+    for column in rest:
+        total = _horner(total, 1, column)
     return total
 
 
@@ -89,7 +129,10 @@ class Boxbslash:
             raise ValueError("d must be positive")
 
     def __call__(self, points) -> np.ndarray:
-        s = _row_sums(points, self.d)
+        return self.on_columns(_batch(points, self.d).T)
+
+    def on_columns(self, columns) -> np.ndarray:
+        s = _column_sums(columns)
         s -= self.d / 2.0
         return np.where(s >= 0.0, 1.0, -1.0)
 
@@ -145,13 +188,14 @@ class StepFamily:
         return self.d * (self.m - 1) + 1
 
     def __call__(self, points) -> np.ndarray:
-        columns = _batch(points, self.d).T
-        code = np.zeros(columns.shape[1], dtype=np.intp)
-        for column in columns:
+        return self.on_columns(_batch(points, self.d).T)
+
+    def on_columns(self, columns) -> np.ndarray:
+        code = np.intp(0)
+        for column in columns:  # Horner: the row-major cell code
             cell = (column * self.m).astype(np.intp)
             np.minimum(cell, self.m - 1, out=cell)
-            code *= self.m
-            code += cell
+            code = _horner(code, self.m, cell)
         return self._values[code]
 
 
@@ -213,14 +257,18 @@ class LevelSetFunction:
         object.__setattr__(self, "_values", values)
 
     def __call__(self, points) -> np.ndarray:
-        columns = _batch(points, self.d).T
-        masks = np.zeros(columns.shape[1], dtype=np.intp)
+        return self.on_columns(_batch(points, self.d).T)
+
+    def on_columns(self, columns) -> np.ndarray:
+        masks = weights = np.intp(0)
         for column in columns[::-1]:  # Horner: coordinate j ends up at bit j
-            masks <<= 1
-            masks += column >= 0.5
+            bit = column >= 0.5
+            masks = _horner(masks, 2, bit)
+            if self._values is None:
+                weights = _horner(weights, 1, bit)
         if self._values is not None:
             return self._values[masks]
-        covered = (columns >= 0.5).sum(axis=0) > self.b
+        covered = weights > self.b
         for u in self.members:
             covered |= (masks & u) == u
         return np.where(covered, 1.0, -1.0)
@@ -252,6 +300,11 @@ class _Thresholded:
         vals = eval_batch(self.oracle, points)
         return np.where(vals >= self.t, 1.0, -1.0)
 
+    @property
+    def on_columns(self):  # AttributeError when the inner oracle has none
+        inner = self.oracle.on_columns
+        return lambda columns: np.where(inner(columns) >= self.t, 1.0, -1.0)
+
 
 def threshold(oracle, t: float) -> Callable:
     """Sign-valued cut of an oracle: ``x -> sgn(oracle(x) - t)``, sgn(0) = +1.
@@ -272,7 +325,10 @@ class Affine:
             raise ValueError("d must be positive")
 
     def __call__(self, points) -> np.ndarray:
-        s = _row_sums(points, self.d)
+        return self.on_columns(_batch(points, self.d).T)
+
+    def on_columns(self, columns) -> np.ndarray:
+        s = _column_sums(columns)
         s *= 2.0
         s /= self.d
         s -= 1.0
@@ -286,10 +342,17 @@ class _Snapped:
         self.r = r
 
     def __call__(self, points) -> np.ndarray:
-        pts = _batch(points, self.d)
+        return eval_batch(self.oracle, self._snap(_batch(points, self.d)))
+
+    @property
+    def on_columns(self):  # AttributeError when the inner oracle has none
+        inner = self.oracle.on_columns
+        return lambda columns: inner([self._snap(column) for column in columns])
+
+    def _snap(self, x):
+        """The midpoints of the resolution-r cells of ``x``, elementwise."""
         scale = 1 << self.r
-        cells = np.minimum((pts * scale).astype(np.int64), scale - 1)
-        return eval_batch(self.oracle, (cells + 0.5) / scale)
+        return (np.minimum((x * scale).astype(np.int64), scale - 1) + 0.5) / scale
 
 
 def snap_to_grid(oracle, d: int, r: int):
@@ -303,25 +366,59 @@ def snap_to_grid(oracle, d: int, r: int):
     return _Snapped(oracle, d, r)
 
 
-def lattice_blocks(coords, d: int):
-    """Yield ``(index, points)``: the lattice ``coords**d`` in C order, block by block.
-
-    A block is the sub-lattice of the trailing ``t`` axes, ``t >= 1`` the
-    largest with ``len(coords)**t <= LATTICE_BLOCK``, at the leading
-    coordinates ``coords[index]``: ``values[index]`` of the lattice's value
-    array.  ``points`` is one buffer; only its leading columns change.
-    """
-    coords = np.asarray(coords, dtype=float)
-    size = len(coords)
+def _slab_axes(size: int, d: int) -> int:
+    """``t >= 1``, the most trailing axes with ``size**t <= LATTICE_BLOCK``."""
     t = 1
     while t < d and size ** (t + 1) <= LATTICE_BLOCK:
         t += 1
+    return t
+
+
+def lattice_blocks(coords, d: int):
+    """Yield ``(index, points)``: the lattice ``coords**d`` in C order, block by block.
+
+    A block is the slab of the trailing ``t`` axes (``_slab_axes``) at the
+    leading coordinates ``coords[index]``: ``values[index]`` of the
+    lattice's value array.  ``points`` is one buffer; only its leading
+    columns change.
+    """
+    coords = np.asarray(coords, dtype=float)
+    size = len(coords)
+    t = _slab_axes(size, d)
     points = np.empty((size**t, d))
     for j in range(t):
         points.reshape(size**j, size, size ** (t - 1 - j), d)[..., d - t + j] = coords[:, None]
     for index in np.ndindex(*(size,) * (d - t)):
         points[:, : d - t] = coords[list(index)]
         yield index, points
+
+
+def lattice_values(oracle, coords, d: int) -> np.ndarray:
+    """The oracle on the lattice ``coords**d``, as an array of shape ``(len(coords),)*d``.
+
+    Filled slab by slab, in the slabs of ``lattice_blocks``.  An oracle with
+    ``on_columns`` gets each slab as columns: ``coords`` along each of its
+    trailing axes, and one-element arrays for its leading coordinates.  Any
+    other callable gets the slab's points through ``eval_batch``.
+    """
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    coords = np.asarray(coords, dtype=float)
+    size = len(coords)
+    values = np.empty((size,) * d)
+    on_columns = getattr(oracle, "on_columns", None)
+    if on_columns is None:
+        for index, points in lattice_blocks(coords, d):
+            values[index] = eval_batch(oracle, points).reshape(values.shape[len(index) :])
+        return values
+    t = _slab_axes(size, d)
+    trailing = [coords.reshape((size,) + (1,) * (t - 1 - j)) for j in range(t)]
+    for index in np.ndindex(*(size,) * (d - t)):
+        slab = on_columns([coords[i : i + 1].reshape((1,) * t) for i in index] + trailing)
+        if np.shape(slab) != (size,) * t:
+            raise ValueError(f"on_columns returned shape {np.shape(slab)} for a slab of shape {(size,) * t}")
+        values[index] = slab
+    return values
 
 
 def lattice_is_monotone(values: np.ndarray) -> bool:
@@ -338,14 +435,14 @@ def is_monotone_on_grid(oracle, d: int, resolution: int, budget: int | None = No
 
     Evaluates the oracle at the ``resolution**d`` cell midpoints and verifies
     that every coordinate-successor pair is nondecreasing.  True iff no
-    violation is found.
+    violation is found; a NaN value raises ValueError.
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
     check_budget(resolution**d, budget, what="lattice points")
-    values = np.empty((resolution,) * d)
-    for index, points in lattice_blocks((np.arange(resolution) + 0.5) / resolution, d):
-        values[index] = eval_batch(oracle, points).reshape(values.shape[len(index) :])
+    values = lattice_values(oracle, (np.arange(resolution) + 0.5) / resolution, d)
+    if np.isnan(values).any():
+        raise ValueError("the oracle returned NaN on the lattice")
     return lattice_is_monotone(values)
 
 

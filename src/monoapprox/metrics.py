@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import check_budget
-from .functions import eval_batch, lattice_blocks
+from .functions import eval_batch, lattice_values
 from .haar_basis import MultiIndex, haar_transform, psi_1d, split_index
 
 
@@ -38,10 +38,7 @@ class ErrorEstimate:
 def grid_midpoint_values(f, d: int, resolution: int, budget: int | None = None) -> np.ndarray:
     """Oracle values at all resolution-cell midpoints, shape (2**resolution,)*d."""
     check_budget((1 << resolution) ** d, budget)
-    values = np.empty((1 << resolution,) * d)
-    for index, points in lattice_blocks((np.arange(1 << resolution) + 0.5) / (1 << resolution), d):
-        values[index] = eval_batch(f, points).reshape(values.shape[len(index) :])
-    return values
+    return lattice_values(f, (np.arange(1 << resolution) + 0.5) / (1 << resolution), d)
 
 
 def _spot_check_piecewise(f, g, d: int, resolution: int) -> None:

@@ -286,6 +286,47 @@ def _check_families_monotone() -> CheckResult:
     return True, "all family members pass the lattice monotonicity check"
 
 
+def _family_rule(oracle, points: np.ndarray) -> np.ndarray:
+    """A family's values at an (n, d) batch by its defining rule, not its kernel."""
+    d = points.shape[1]
+    if isinstance(oracle, functions.StepFamily):
+        cells = np.minimum((points * oracle.m).astype(np.intp), oracle.m - 1)
+        return 2.0 * (cells.sum(axis=1) + oracle.delta[tuple(cells.T)]) / oracle.denominator - 1.0
+    if isinstance(oracle, functions.LevelSetFunction):
+        bits = points >= 0.5
+        masks = bits.astype(np.intp) @ (1 << np.arange(d))
+        covered = bits.sum(axis=1) > oracle.b
+        for u in oracle.members:
+            covered |= (masks & u) == u
+        return np.where(covered, 1.0, -1.0)
+    if isinstance(oracle, functions.Affine):
+        return 2.0 * points.sum(axis=1) / d - 1.0
+    if isinstance(oracle, functions.Boxbslash):
+        return np.where(points.sum(axis=1) - d / 2.0 >= 0.0, 1.0, -1.0)
+    if isinstance(oracle, functions._Thresholded):
+        return np.where(_family_rule(oracle.oracle, points) >= oracle.t, 1.0, -1.0)
+    scale = 1 << oracle.r  # a _Snapped oracle
+    return _family_rule(oracle.oracle, (np.minimum((points * scale).astype(np.int64), scale - 1) + 0.5) / scale)
+
+
+def _check_lattice_route() -> CheckResult:
+    # (2, 200) takes 199 slabs of one axis each; the others are one slab.
+    for d, m in ((4, 5), (9, 3), (2, 200)):
+        step = functions.step_function(d, 3, functions.random_delta(d, 3, d))
+        oracles = (step, functions.level_set_function(d, 1, max(1, d // 2), functions.sample_U(d, 1, 0.5, d)),
+                   functions.Affine(d), functions.boxbslash(d), functions.threshold(step, 0.1),
+                   functions.snap_to_grid(functions.Affine(d), d, 2))
+        coords = np.arange(1, m) / m
+        points = np.stack(np.meshgrid(*[coords] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        for oracle in oracles:
+            rule = _family_rule(oracle, points).tobytes()
+            by_columns = functions.lattice_values(oracle, coords, d).tobytes()
+            by_blocks = functions.lattice_values(lambda batch: oracle(batch), coords, d).tobytes()
+            if not by_columns == by_blocks == rule:
+                return False, f"{type(oracle).__name__} at d={d}, m={m}: lattice bytes differ between routes"
+    return True, "every family and wrapper: the same lattice bytes by columns, by blocks and by its rule"
+
+
 def _check_threshold_monotone() -> CheckResult:
     rng = np.random.default_rng(23)
     oracle = functions.step_function(2, 4, functions.random_delta(2, 4, 3))
@@ -507,6 +548,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "grid-sandwich": _check_grid_sandwich,
     "grid-rate": _check_grid_rate,
     "families-monotone": _check_families_monotone,
+    "lattice-route": _check_lattice_route,
     "threshold-monotone": _check_threshold_monotone,
     "parseval": _check_parseval,
     "tail-mass": _check_tail_mass,

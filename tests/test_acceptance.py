@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from monoapprox import approx_det, approx_mc, bounds, haar_basis, metrics
+from monoapprox import approx_det, approx_mc, bounds, functions, haar_basis, metrics
 from monoapprox.approx_mc import eval_sign, fit
 from monoapprox.bounds import choose_params, ub_error, ub_error_breakdown
 from monoapprox.cli import ExperimentConfig, cmd_convergence
@@ -155,6 +155,8 @@ FAULTS = [
     ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),
     ("cell-statistics", approx_mc, "eval_generalized", _lower_median),
     ("grid-guarantee", approx_det, "eval_grid", _upper_corner),
+    ("lattice-route", functions.StepFamily, "on_columns",
+     _altered(functions.StepFamily.on_columns, lambda v: v + 1e-12)),
     ("parseval", metrics, "coefficient_tensor", _altered(metrics.coefficient_tensor, lambda v: 1.001 * v)),
     ("bakhvalov", metrics, "bakhvalov_step_error", _altered(metrics.bakhvalov_step_error, lambda v: v + 1e-9)),
     ("curse", bounds, "n_det_curse", _altered(bounds.n_det_curse, lambda v: 2 * v)),

@@ -176,9 +176,10 @@ def test_monotone_checks_see_falls_between_and_inside_blocks():
 
 
 def test_fit_grid_memory_gate():
-    # d = 4, m = 32 (det-grid-d4): 923521 lattice values (7.4 MB) and one
-    # block of 29791 points.  Peak 9.4 MB measured; 75-118 MB with one
-    # array of all the points.
+    # d = 4, m = 32 (det-grid-d4): 923521 lattice values (7.4 MB) and the
+    # temporaries of one 29791-point slab.  Peak 8.42 MB measured from
+    # per-axis columns, 9.37 MB with a block of points per slab, and 75-118
+    # MB with one array of all the points.
     truth = step_function(4, 4, random_delta(4, 4, 0))
     tracemalloc.start()
     try:
@@ -186,4 +187,4 @@ def test_fit_grid_memory_gate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6, f"fit_grid peaked at {peak / 1e6:.1f} MB"
+    assert peak < 9e6, f"fit_grid peaked at {peak / 1e6:.2f} MB"

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoapprox import functions
+from monoapprox import functions, metrics
+from monoapprox.approx_det import fit_grid
 from monoapprox.budget import BudgetExceededError
 from monoapprox.functions import (
     LATTICE_BLOCK,
     Affine,
+    Boxbslash,
+    LevelSetFunction,
+    StepFamily,
+    _column_sums,
     boxbslash,
     eval_batch,
     family_from_spec,
     is_monotone_on_grid,
     lattice_blocks,
+    lattice_values,
     level_set_function,
     random_delta,
     sample_U,
@@ -295,6 +301,206 @@ def test_lattice_blocks_at_the_block_edge(d, size):
     # 181**2 = 32761 <= 2**15 < 182**2 and 32**3 = 2**15 < 33**3: one axis
     # more or less per block.  A single axis longer than a block is one block.
     _check_lattice_blocks(size, d)
+
+
+def test_lattice_entry_points_reject_d_below_one():
+    # They raised IndexError from lattice_blocks.
+    ones = lambda x: np.ones(len(x))  # noqa: E731
+    with pytest.raises(ValueError, match="d must be positive"):
+        is_monotone_on_grid(ones, 0, 3)
+    with pytest.raises(ValueError, match="d must be positive"):
+        metrics.grid_midpoint_values(ones, 0, 2)
+    with pytest.raises(ValueError, match="d must be positive"):
+        metrics.l1_exact_dyadic(ones, ones, 0, 2)
+
+
+def test_is_monotone_on_grid_rejects_nan():
+    # Every comparison with NaN is False, so the check answered True.
+    with pytest.raises(ValueError, match="NaN"):
+        is_monotone_on_grid(lambda x: np.full(len(x), np.nan), 2, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        is_monotone_on_grid(lambda x: np.where(x[:, 0] > 0.7, np.nan, 0.0), 2, 3)
+
+
+# The batch kernels that on_columns replaced, kept as references.
+def _replaced_row_sums(points, d):
+    pts = np.asarray(points, dtype=float)
+    if d >= 8:
+        return pts.sum(axis=1)
+    total = pts[:, 0].copy()
+    for j in range(1, d):
+        total += pts[:, j]
+    return total
+
+
+def _replaced_affine(d, points):
+    s = _replaced_row_sums(points, d)
+    s *= 2.0
+    s /= d
+    s -= 1.0
+    return s
+
+
+def _replaced_boxbslash(d, points):
+    s = _replaced_row_sums(points, d)
+    s -= d / 2.0
+    return np.where(s >= 0.0, 1.0, -1.0)
+
+
+def _replaced_step(truth, points):
+    columns = np.asarray(points, dtype=float).T
+    code = np.zeros(columns.shape[1], dtype=np.intp)
+    for column in columns:
+        cell = (column * truth.m).astype(np.intp)
+        np.minimum(cell, truth.m - 1, out=cell)
+        code *= truth.m
+        code += cell
+    return truth._values[code]
+
+
+def _replaced_level_set(truth, points):
+    columns = np.asarray(points, dtype=float).T
+    masks = np.zeros(columns.shape[1], dtype=np.intp)
+    for column in columns[::-1]:
+        masks <<= 1
+        masks += column >= 0.5
+    if truth._values is not None:
+        return truth._values[masks]
+    covered = (columns >= 0.5).sum(axis=0) > truth.b
+    for u in truth.members:
+        covered |= (masks & u) == u
+    return np.where(covered, 1.0, -1.0)
+
+
+def _replaced_kernel(oracle):
+    """The oracle with its family kernel swapped for the replaced one: no ``on_columns``."""
+    if isinstance(oracle, StepFamily):
+        return lambda points: _replaced_step(oracle, points)
+    if isinstance(oracle, LevelSetFunction):
+        return lambda points: _replaced_level_set(oracle, points)
+    if isinstance(oracle, Affine):
+        return lambda points: _replaced_affine(oracle.d, points)
+    if isinstance(oracle, Boxbslash):
+        return lambda points: _replaced_boxbslash(oracle.d, points)
+    if isinstance(oracle, functions._Thresholded):
+        return threshold(_replaced_kernel(oracle.oracle), oracle.t)
+    inner, scale = _replaced_kernel(oracle.oracle), 1 << oracle.r  # snapped
+
+    def snapped(points):
+        cells = np.minimum((np.asarray(points, dtype=float) * scale).astype(np.int64), scale - 1)
+        return eval_batch(inner, (cells + 0.5) / scale)
+
+    return snapped
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64, LATTICE_BLOCK]), st.data())
+def test_lattice_values_match_the_replaced_block_route(d, seed, block, data):
+    # Byte for byte: a family's lattice from per-axis columns against the
+    # replaced kernel on blocks of points, for all four families and both
+    # wrappers, with coordinates 0, exactly j/m, 0.5 and 1.0 in any order
+    # and with repeats.  Small blocks give several leading axes per slab,
+    # and level sets past 2**d > block test their members one by one.
+    m = data.draw(st.integers(1, 6))
+    edges = np.union1d(np.arange(m + 1) / m, [0.5])
+    size = data.draw(st.integers(1, max(s for s in range(1, 9) if s**d <= 4096)))
+    coords = np.array(data.draw(st.lists(st.sampled_from(edges), min_size=size, max_size=size)))
+    t = data.draw(st.integers(1, d))
+    with mock.patch.object(functions, "LATTICE_BLOCK", block):
+        level = level_set_function(d, t, data.draw(st.integers(t, d)),
+                                   sample_U(d, t, data.draw(st.sampled_from([0.0, 0.3, 1.0])), seed))
+        step_m = max(m, 2) if d <= 6 else 2
+        step = step_function(d, step_m, random_delta(d, step_m, seed))
+        oracles = [step, level, Affine(d), boxbslash(d),
+                   threshold(step, data.draw(st.sampled_from([-0.5, 0.0, 0.2]))),
+                   snap_to_grid(data.draw(st.sampled_from([Affine(d), level])), d, data.draw(st.integers(0, 3)))]
+        for oracle in oracles:
+            reference = _replaced_kernel(oracle)
+            assert not hasattr(reference, "on_columns")
+            got = lattice_values(oracle, coords, d)
+            assert got.shape == (size,) * d
+            assert got.tobytes() == lattice_values(reference, coords, d).tobytes()
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 100, 129, 200, 300])
+def test_column_sums_round_as_numpy_row_sums(d):
+    # A batch ((d, n) array) and a list of its columns both round as
+    # sum(axis=1): left to right below 8 terms, pairwise from 8.
+    rng = np.random.default_rng(d)
+    points = rng.random((500, d)) * 10.0 ** rng.integers(-8, 9, (500, d)) * rng.choice([-1.0, 1.0], (500, d))
+    expected = points.sum(axis=1).tobytes()
+    assert _column_sums(points.T).tobytes() == expected
+    assert _column_sums(list(points.T)).tobytes() == expected
+
+
+@pytest.mark.parametrize("d", [9, 16, 17])
+def test_column_sums_broadcast_as_lattice_row_sums(d):
+    # Columns along their own axes sum like the rows of their lattice.
+    rng = np.random.default_rng(d)
+    coords = rng.random((d, 2)) * 10.0 ** rng.integers(-8, 9, (d, 2))
+    columns = [c.reshape((2,) + (1,) * (d - 1 - j)) for j, c in enumerate(coords)]
+    points = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(-1, d)
+    assert _column_sums(columns).ravel().tobytes() == points.sum(axis=1).tobytes()
+
+
+def _all_oracles(d):
+    step = step_function(d, 3, random_delta(d, 3, d))
+    level = level_set_function(d, 1, d, sample_U(d, 1, 0.5, d))
+    return [step, level, Affine(d), boxbslash(d), threshold(step, 0.0), snap_to_grid(Affine(d), d, 2)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 9])
+def test_kernels_leave_their_points_unchanged(d):
+    # At d = 1 the column sum was once a view of the batch, which Affine
+    # then scaled in place.
+    rng = np.random.default_rng(d)
+    for oracle in _all_oracles(d):
+        points = rng.random((50, d))
+        before = points.tobytes()
+        oracle(points)
+        oracle.on_columns(points.T)
+        oracle.on_columns(list(points.T))
+        assert points.tobytes() == before
+
+
+def test_family_lattices_never_call_the_batch_kernel():
+    # Families are evaluated from per-axis columns; __call__ is not used.
+    d = 3
+    patches = [mock.patch.object(cls, "__call__", side_effect=AssertionError(cls.__name__))
+               for cls in (StepFamily, LevelSetFunction, Affine, Boxbslash)]
+    for patch in patches:
+        patch.start()
+    try:
+        for oracle in _all_oracles(d)[:4]:
+            assert fit_grid(oracle, d, 5).lattice_values.shape == (4,) * d
+            assert is_monotone_on_grid(oracle, d, 4)
+            assert metrics.grid_midpoint_values(oracle, d, 2).shape == (4,) * d
+    finally:
+        for patch in patches:
+            patch.stop()
+
+
+def test_callables_still_get_blocks_of_points():
+    # Anything without on_columns gets (n, d) batches of at most LATTICE_BLOCK rows.
+    shapes = []
+
+    def oracle(points):
+        shapes.append(points.shape)
+        return points.sum(axis=1) / 4
+    assert is_monotone_on_grid(oracle, 4, 20)
+    assert fit_grid(oracle, 2, 300).lattice_values.shape == (299, 299)
+    assert all(n <= LATTICE_BLOCK and width in (2, 4) for n, width in shapes)
+    assert sum(n for n, width in shapes if width == 4) == 20**4
+    assert sum(n for n, width in shapes if width == 2) == 299**2
+
+
+def test_on_columns_must_return_the_slab_shape():
+    class Flat:
+        def on_columns(self, columns):
+            return 0.0
+
+    with pytest.raises(ValueError, match=r"on_columns returned shape \(\) for a slab of shape \(3, 3\)"):
+        lattice_values(Flat(), [0.2, 0.5, 0.7], 2)
 
 
 def test_is_monotone_budget():
