@@ -11,8 +11,7 @@ An oracle may also offer ``on_columns(columns)``: its values at the points
 whose j-th coordinates are ``columns[j]``, d arrays that broadcast together,
 in an array of their broadcast shape.  It never writes into the columns.
 Every family here has it, and its ``__call__`` is ``on_columns`` of the
-batch's columns; threshold cuts and snapped oracles have it when their inner
-oracle does.  ``lattice_values`` hands such an oracle each lattice slab as
+batch's columns.  ``lattice_values`` hands such an oracle each lattice slab as
 per-axis coordinates, with no array of points; any other callable gets the
 slab's points in blocks of at most ``LATTICE_BLOCK`` rows
 (``lattice_blocks``), as it gets the random samples of
@@ -65,16 +64,22 @@ def _batch(points, d: int) -> np.ndarray:
     return pts
 
 
-def _horner(total, base: int, term):
-    """``total * base + term``, in place when ``total`` already has that shape.
+def _width(columns, d: int):
+    """``columns``, or the ValueError of ``_batch`` unless there are d of them."""
+    if len(columns) != d:
+        raise ValueError(f"points must have shape (m, {d}), got {len(columns)} columns")
+    return columns
 
-    ``total`` must be a scalar or an array of the caller's own, never a
-    column it was given.
+
+def _horner(total, base: int, term):
+    """``total * base + term``, in place when ``total`` has the term's shape.
+
+    In place saves a batch one new array per coordinate; ``total`` must then
+    be the caller's own array, never a column it was given.
     """
     if np.shape(total) != np.shape(term):
-        return (total * base if base != 1 else total) + term
-    if base != 1:
-        total *= base
+        return total * base + term
+    total *= base
     total += term
     return total
 
@@ -84,12 +89,9 @@ def _column_sums(columns) -> np.ndarray:
 
     numpy adds fewer than 8 terms left to right; from 8 it keeps 8 running
     partials and adds them pairwise, splitting past 128 terms at a multiple
-    of 8.  The result is always a new array.  A batch, one ``(d, n)`` array,
-    is summed by numpy itself from d = 9, where that is faster.
+    of 8.  The result is always a new array.
     """
     n = len(columns)
-    if isinstance(columns, np.ndarray) and n >= 9:
-        return columns.sum(axis=0)
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _column_sums(columns[:half]) + _column_sums(columns[half:])
@@ -102,7 +104,10 @@ def _column_sums(columns) -> np.ndarray:
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
         rest = columns[n - n % 8 :]
     for column in rest:
-        total = _horner(total, 1, column)
+        if np.shape(total) == np.shape(column):
+            total += column  # the total is never a column it was given
+        else:
+            total = total + column
     return total
 
 
@@ -132,7 +137,7 @@ class Boxbslash:
         return self.on_columns(_batch(points, self.d).T)
 
     def on_columns(self, columns) -> np.ndarray:
-        s = _column_sums(columns)
+        s = _column_sums(_width(columns, self.d))
         s -= self.d / 2.0
         return np.where(s >= 0.0, 1.0, -1.0)
 
@@ -192,7 +197,7 @@ class StepFamily:
 
     def on_columns(self, columns) -> np.ndarray:
         code = np.intp(0)
-        for column in columns:  # Horner: the row-major cell code
+        for column in _width(columns, self.d):  # Horner: the row-major cell code
             cell = (column * self.m).astype(np.intp)
             np.minimum(cell, self.m - 1, out=cell)
             code = _horner(code, self.m, cell)
@@ -261,11 +266,11 @@ class LevelSetFunction:
 
     def on_columns(self, columns) -> np.ndarray:
         masks = weights = np.intp(0)
-        for column in columns[::-1]:  # Horner: coordinate j ends up at bit j
+        for column in _width(columns, self.d)[::-1]:  # Horner: coordinate j ends up at bit j
             bit = column >= 0.5
             masks = _horner(masks, 2, bit)
             if self._values is None:
-                weights = _horner(weights, 1, bit)
+                weights = weights + bit
         if self._values is not None:
             return self._values[masks]
         covered = weights > self.b
@@ -300,11 +305,6 @@ class _Thresholded:
         vals = eval_batch(self.oracle, points)
         return np.where(vals >= self.t, 1.0, -1.0)
 
-    @property
-    def on_columns(self):  # AttributeError when the inner oracle has none
-        inner = self.oracle.on_columns
-        return lambda columns: np.where(inner(columns) >= self.t, 1.0, -1.0)
-
 
 def threshold(oracle, t: float) -> Callable:
     """Sign-valued cut of an oracle: ``x -> sgn(oracle(x) - t)``, sgn(0) = +1.
@@ -328,7 +328,7 @@ class Affine:
         return self.on_columns(_batch(points, self.d).T)
 
     def on_columns(self, columns) -> np.ndarray:
-        s = _column_sums(columns)
+        s = _column_sums(_width(columns, self.d))
         s *= 2.0
         s /= self.d
         s -= 1.0
@@ -342,17 +342,10 @@ class _Snapped:
         self.r = r
 
     def __call__(self, points) -> np.ndarray:
-        return eval_batch(self.oracle, self._snap(_batch(points, self.d)))
-
-    @property
-    def on_columns(self):  # AttributeError when the inner oracle has none
-        inner = self.oracle.on_columns
-        return lambda columns: inner([self._snap(column) for column in columns])
-
-    def _snap(self, x):
-        """The midpoints of the resolution-r cells of ``x``, elementwise."""
+        pts = _batch(points, self.d)
         scale = 1 << self.r
-        return (np.minimum((x * scale).astype(np.int64), scale - 1) + 0.5) / scale
+        cells = np.minimum((pts * scale).astype(np.int64), scale - 1)
+        return eval_batch(self.oracle, (cells + 0.5) / scale)
 
 
 def snap_to_grid(oracle, d: int, r: int):

@@ -324,7 +324,7 @@ def _check_lattice_route() -> CheckResult:
             by_blocks = functions.lattice_values(lambda batch: oracle(batch), coords, d).tobytes()
             if not by_columns == by_blocks == rule:
                 return False, f"{type(oracle).__name__} at d={d}, m={m}: lattice bytes differ between routes"
-    return True, "every family and wrapper: the same lattice bytes by columns, by blocks and by its rule"
+    return True, "every family by columns and by blocks, and every wrapper, gives the lattice bytes of its rule"
 
 
 def _check_threshold_monotone() -> CheckResult:

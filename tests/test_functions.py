@@ -443,10 +443,10 @@ def test_column_sums_broadcast_as_lattice_row_sums(d):
     assert _column_sums(columns).ravel().tobytes() == points.sum(axis=1).tobytes()
 
 
-def _all_oracles(d):
+def _families(d):
     step = step_function(d, 3, random_delta(d, 3, d))
     level = level_set_function(d, 1, d, sample_U(d, 1, 0.5, d))
-    return [step, level, Affine(d), boxbslash(d), threshold(step, 0.0), snap_to_grid(Affine(d), d, 2)]
+    return [step, level, Affine(d), boxbslash(d)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 9])
@@ -454,13 +454,27 @@ def test_kernels_leave_their_points_unchanged(d):
     # At d = 1 the column sum was once a view of the batch, which Affine
     # then scaled in place.
     rng = np.random.default_rng(d)
-    for oracle in _all_oracles(d):
+    for oracle in _families(d):
         points = rng.random((50, d))
         before = points.tobytes()
         oracle(points)
+        threshold(oracle, 0.0)(points)
+        snap_to_grid(oracle, d, 2)(points)
         oracle.on_columns(points.T)
         oracle.on_columns(list(points.T))
         assert points.tobytes() == before
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_lattices_reject_a_family_of_another_width(d):
+    # A family gets d columns per slab; too few or too many is the ValueError
+    # a batch of the wrong width gets, not a silently wrong lattice.
+    for width in (d - 1, d + 1):
+        for oracle in _families(width):
+            for evaluate in (lambda: fit_grid(oracle, d, 4), lambda: is_monotone_on_grid(oracle, d, 3),
+                             lambda: metrics.grid_midpoint_values(oracle, d, 2)):
+                with pytest.raises(ValueError, match=rf"points must have shape \(m, {width}\)"):
+                    evaluate()
 
 
 def test_family_lattices_never_call_the_batch_kernel():
@@ -471,7 +485,7 @@ def test_family_lattices_never_call_the_batch_kernel():
     for patch in patches:
         patch.start()
     try:
-        for oracle in _all_oracles(d)[:4]:
+        for oracle in _families(d):
             assert fit_grid(oracle, d, 5).lattice_values.shape == (4,) * d
             assert is_monotone_on_grid(oracle, d, 4)
             assert metrics.grid_midpoint_values(oracle, d, 2).shape == (4,) * d
