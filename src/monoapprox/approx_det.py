@@ -15,6 +15,9 @@ a block of points.  A fit holds the values and one slab's temporaries: an
 8.4 MB peak (tracemalloc) at d = 4, m = 32 (923521 points) for the step
 family, against 9.4 MB in blocks of points and 75-118 MB for one array of
 all the points.
+
+A fitted ``GridModel`` is a column oracle (``functions.ColumnOracle``), so
+a model's own lattices, as in its exact L1 error, are read by columns too.
 """
 
 from __future__ import annotations
@@ -27,12 +30,18 @@ import numpy as np
 from .budget import check_budget
 # eval_batch is no longer called here, but stays a module attribute: the
 # benchmark's tracer wraps approx_det.eval_batch by name.
-from .functions import as_points, eval_batch, lattice_is_monotone, lattice_values  # noqa: F401
+from .functions import ColumnOracle, _width, eval_batch, lattice_is_monotone, lattice_values  # noqa: F401
 
 
 @dataclass(frozen=True)
-class GridModel:
-    """Fitted deterministic approximant: interior lattice values on the m-grid."""
+class GridModel(ColumnOracle):
+    """Fitted deterministic approximant: interior lattice values on the m-grid.
+
+    Its output on a subcube is the midpoint of the corner knowledge: the
+    stored value at the lower corner, or -1 when any coordinate of that
+    corner lies on the lower boundary, and the stored value at the upper
+    corner, or +1 when any coordinate lies on the upper boundary.
+    """
 
     d: int
     m: int
@@ -51,6 +60,20 @@ class GridModel:
         values = np.ascontiguousarray(values)
         values.flags.writeable = False
         object.__setattr__(self, "lattice_values", values)
+
+    def on_columns(self, columns) -> np.ndarray:
+        m = self.m
+        # Row-major flat indices of the lower and upper corners, column by column.
+        low = high = 0
+        on_low = on_high = False
+        for column in _width(columns, self.d):
+            cell = np.minimum((column * m).astype(np.intp), m - 1)
+            low = low * (m - 1) + np.maximum(cell - 1, 0)
+            high = high * (m - 1) + np.minimum(cell, m - 2)
+            on_low = on_low | (cell == 0)
+            on_high = on_high | (cell == m - 1)
+        values = self.lattice_values.ravel()
+        return 0.5 * (np.where(on_low, -1.0, values[low]) + np.where(on_high, 1.0, values[high]))
 
 
 def fit_grid(oracle, d: int, m: int, budget: int | None = None) -> GridModel:
@@ -73,25 +96,8 @@ def fit_grid(oracle, d: int, m: int, budget: int | None = None) -> GridModel:
 
 
 def eval_grid(model: GridModel, points) -> np.ndarray:
-    """Midpoint of the corner knowledge for the subcube containing each point.
-
-    Lower-corner knowledge is the stored value, or -1 when any coordinate of
-    the corner lies on the lower boundary; upper-corner knowledge is the
-    stored value, or +1 when any coordinate lies on the upper boundary.
-    ``points`` is an (n, d) array; the result has shape (n,).
-    """
-    m = model.m
-    # Row-major flat indices of the lower and upper corners, column by column.
-    low = high = 0
-    on_low = on_high = False
-    for column in as_points(points, model.d).T:
-        cell = np.minimum((column * m).astype(np.intp), m - 1)
-        low = low * (m - 1) + np.maximum(cell - 1, 0)
-        high = high * (m - 1) + np.minimum(cell, m - 2)
-        on_low = on_low | (cell == 0)
-        on_high = on_high | (cell == m - 1)
-    values = model.lattice_values.ravel()
-    return 0.5 * (np.where(on_low, -1.0, values[low]) + np.where(on_high, 1.0, values[high]))
+    """The model's outputs at an (n, d) array of points: ``model(points)``."""
+    return model(points)
 
 
 def grid_error_bound(d: int, m: int) -> float:

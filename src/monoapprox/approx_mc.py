@@ -62,7 +62,8 @@ histograms, is the explicit coefficient route the identity is checked
 against.
 
 Every evaluation function takes the model and an ``(m, d)`` array of query
-points in [0, 1]^d and returns the ``(m,)`` array of outputs.
+points in [0, 1]^d and returns the ``(m,)`` array of outputs; a model is an
+oracle too, and ``model(points)`` runs the evaluation function of its mode.
 
 Outputs are approximations of the target but carry no monotonicity guarantee
 of their own; only boundedness (outputs in [-1, 1] for the generalized
@@ -171,16 +172,13 @@ def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
     """Draw n i.i.d. uniform points and record oracle values; deterministic in seed.
 
     Points and values are filled ``LATTICE_BLOCK`` rows at a time, one oracle
-    call per block, with the points of one ``rng.random((n, d))``; a single
-    block keeps the oracle's own value array.  Raises ValueError if the
-    oracle returns a value outside [-1, 1].
+    call per block, with the points of one ``rng.random((n, d))``.  Raises
+    ValueError if the oracle returns a value outside [-1, 1].
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     rng = np.random.default_rng(seed)
     points = np.empty((n, d))
-    if n <= LATTICE_BLOCK:
-        return SampleSet(points, eval_batch(oracle, rng.random(out=points)))
     values = np.empty(n)
     for lo in range(0, n, LATTICE_BLOCK):
         block = rng.random(out=points[lo : lo + LATTICE_BLOCK])
@@ -506,6 +504,11 @@ class WaveletModel:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def __call__(self, points) -> np.ndarray:
+        """``eval_linear``, ``eval_sign`` or ``eval_generalized`` by mode, looked up per call."""
+        evaluate = {"linear": eval_linear, "sign": eval_sign, "generalized": eval_generalized}[self.mode]
+        return evaluate(self, points)
 
     @property
     def d(self) -> int:

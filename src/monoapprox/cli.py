@@ -177,7 +177,9 @@ def _score(cfg: ExperimentConfig, truth, size: int, slot: int, params: McParams 
     ``params.k`` and ``params.r`` at ``n = size``.  ``slot`` is the
     replication index of the fit and probe seeds.  The fit and evaluation
     functions are looked up on every call, so a replaced module attribute
-    takes effect.
+    takes effect.  Models are callable, but the mode dict, ``_probe_eval`` and
+    the ``eval_*`` names stay: the benchmark's tracer wraps ``cli.eval_*``,
+    and its corrupted-output test needs the first call to answer one query.
     """
     if cfg.algo == "det":
         model, evaluate = fit_grid(truth, cfg.d, size, cfg.budget_cells), eval_grid

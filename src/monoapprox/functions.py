@@ -2,20 +2,18 @@
 
 An oracle is a callable mapping an ``(m, d)`` array of points of
 ``[0,1]^d`` to the ``(m,)`` array of its values in ``[-1, 1]``; a single
-point is a one-row batch.  Fitted models follow the same protocol through
-``eval_linear``/``eval_sign``/``eval_generalized``/``eval_grid(model,
-points)``.  Families constructed here are immutable after construction and
-safe to share across threads.
+point is a one-row batch.  Fitted models are oracles too: ``model(points)``.
+Families constructed here are immutable after construction and safe to share
+across threads.
 
 An oracle may also offer ``on_columns(columns)``: its values at the points
 whose j-th coordinates are ``columns[j]``, d arrays that broadcast together,
 in an array of their broadcast shape.  It never writes into the columns.
-Every family here has it, and its ``__call__`` is ``on_columns`` of the
-batch's columns.  ``lattice_values`` hands such an oracle each lattice slab as
-per-axis coordinates, with no array of points; any other callable gets the
-slab's points in blocks of at most ``LATTICE_BLOCK`` rows
-(``lattice_blocks``), as it gets the random samples of
-``approx_mc.draw_samples``.
+Every family here and the grid model are ``ColumnOracle``s: ``__call__``
+checks a batch with ``as_points`` and runs ``on_columns`` on its columns.
+``lattice_values`` hands such an oracle each lattice slab as per-axis
+coordinates, with no array of points; any other callable gets the slab's
+points, stacked from the same coordinates.
 
 Sign convention: ``sgn(0) = +1`` throughout, so sign-valued oracles never
 return zero.
@@ -56,16 +54,8 @@ def eval_batch(oracle, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _batch(points, d: int) -> np.ndarray:
-    """``points`` as a float (m, d) array, or ValueError."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"points must have shape (m, {d}), got {pts.shape}")
-    return pts
-
-
 def _width(columns, d: int):
-    """``columns``, or the ValueError of ``_batch`` unless there are d of them."""
+    """``columns``, or the ValueError of ``as_points`` unless there are d of them."""
     if len(columns) != d:
         raise ValueError(f"points must have shape (m, {d}), got {len(columns)} columns")
     return columns
@@ -113,14 +103,23 @@ def _column_sums(columns) -> np.ndarray:
 
 def as_points(points, d: int) -> np.ndarray:
     """``points`` as a float (m, d) array inside [0, 1]^d, or ValueError."""
-    pts = _batch(points, d)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"points must have shape (m, {d}), got {pts.shape}")
     if not ((pts >= 0.0) & (pts <= 1.0)).all():  # NaN fails too
         raise ValueError("points must lie in [0, 1]^d")
     return pts
 
 
+class ColumnOracle:
+    """An oracle of width ``d`` given by its column kernel ``on_columns``."""
+
+    def __call__(self, points) -> np.ndarray:
+        return self.on_columns(as_points(points, self.d).T)
+
+
 @dataclass(frozen=True)
-class Boxbslash:
+class Boxbslash(ColumnOracle):
     """Diagonal split function: sign of ``sum_j x_j - d/2``.
 
     Sign-valued and monotone; the split surface passes through the center of
@@ -132,9 +131,6 @@ class Boxbslash:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("d must be positive")
-
-    def __call__(self, points) -> np.ndarray:
-        return self.on_columns(_batch(points, self.d).T)
 
     def on_columns(self, columns) -> np.ndarray:
         s = _column_sums(_width(columns, self.d))
@@ -148,7 +144,7 @@ def boxbslash(d: int) -> Boxbslash:
 
 
 @dataclass(frozen=True, eq=False)
-class StepFamily:
+class StepFamily(ColumnOracle):
     """Piecewise-constant monotone function on the uniform m-grid.
 
     The cube is split into ``m**d`` subcubes indexed by ``i`` in
@@ -192,9 +188,6 @@ class StepFamily:
     def denominator(self) -> int:
         return self.d * (self.m - 1) + 1
 
-    def __call__(self, points) -> np.ndarray:
-        return self.on_columns(_batch(points, self.d).T)
-
     def on_columns(self, columns) -> np.ndarray:
         code = np.intp(0)
         for column in _width(columns, self.d):  # Horner: the row-major cell code
@@ -221,7 +214,7 @@ def _weight_t_masks(d: int, t: int):
 
 
 @dataclass(frozen=True)
-class LevelSetFunction:
+class LevelSetFunction(ColumnOracle):
     """Sign-valued monotone function determined by a random up-set seed.
 
     Points of the cube are identified with Boolean vertices through the half
@@ -260,9 +253,6 @@ class LevelSetFunction:
                 weights.reshape(-1, 2, 1 << j)[:, 1] += 1
             values = np.where(up | (weights > self.b), 1.0, -1.0)
         object.__setattr__(self, "_values", values)
-
-    def __call__(self, points) -> np.ndarray:
-        return self.on_columns(_batch(points, self.d).T)
 
     def on_columns(self, columns) -> np.ndarray:
         masks = weights = np.intp(0)
@@ -315,7 +305,7 @@ def threshold(oracle, t: float) -> Callable:
 
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(ColumnOracle):
     """Smooth monotone ramp ``(2/d) * sum_j x_j - 1``, spanning [-1, 1]."""
 
     d: int
@@ -323,9 +313,6 @@ class Affine:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("d must be positive")
-
-    def __call__(self, points) -> np.ndarray:
-        return self.on_columns(_batch(points, self.d).T)
 
     def on_columns(self, columns) -> np.ndarray:
         s = _column_sums(_width(columns, self.d))
@@ -342,9 +329,8 @@ class _Snapped:
         self.r = r
 
     def __call__(self, points) -> np.ndarray:
-        pts = _batch(points, self.d)
         scale = 1 << self.r
-        cells = np.minimum((pts * scale).astype(np.int64), scale - 1)
+        cells = np.minimum((as_points(points, self.d) * scale).astype(np.int64), scale - 1)
         return eval_batch(self.oracle, (cells + 0.5) / scale)
 
 
@@ -367,49 +353,34 @@ def _slab_axes(size: int, d: int) -> int:
     return t
 
 
-def lattice_blocks(coords, d: int):
-    """Yield ``(index, points)``: the lattice ``coords**d`` in C order, block by block.
-
-    A block is the slab of the trailing ``t`` axes (``_slab_axes``) at the
-    leading coordinates ``coords[index]``: ``values[index]`` of the
-    lattice's value array.  ``points`` is one buffer; only its leading
-    columns change.
-    """
-    coords = np.asarray(coords, dtype=float)
-    size = len(coords)
-    t = _slab_axes(size, d)
-    points = np.empty((size**t, d))
-    for j in range(t):
-        points.reshape(size**j, size, size ** (t - 1 - j), d)[..., d - t + j] = coords[:, None]
-    for index in np.ndindex(*(size,) * (d - t)):
-        points[:, : d - t] = coords[list(index)]
-        yield index, points
-
-
 def lattice_values(oracle, coords, d: int) -> np.ndarray:
     """The oracle on the lattice ``coords**d``, as an array of shape ``(len(coords),)*d``.
 
-    Filled slab by slab, in the slabs of ``lattice_blocks``.  An oracle with
-    ``on_columns`` gets each slab as columns: ``coords`` along each of its
-    trailing axes, and one-element arrays for its leading coordinates.  Any
-    other callable gets the slab's points through ``eval_batch``.
+    Filled slab by slab in C order.  A slab is the sub-lattice of the
+    trailing ``t`` axes (``_slab_axes``) at one choice of leading
+    coordinates, given as columns: ``coords`` along each of its trailing
+    axes, and one-element arrays for its leading coordinates.  An oracle with
+    ``on_columns`` gets the columns; any other callable gets the slab's
+    points, stacked from them, through ``eval_batch``.
     """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     coords = np.asarray(coords, dtype=float)
     size = len(coords)
+    t = _slab_axes(size, d)
+    shape = (size,) * t
     values = np.empty((size,) * d)
     on_columns = getattr(oracle, "on_columns", None)
-    if on_columns is None:
-        for index, points in lattice_blocks(coords, d):
-            values[index] = eval_batch(oracle, points).reshape(values.shape[len(index) :])
-        return values
-    t = _slab_axes(size, d)
     trailing = [coords.reshape((size,) + (1,) * (t - 1 - j)) for j in range(t)]
     for index in np.ndindex(*(size,) * (d - t)):
-        slab = on_columns([coords[i : i + 1].reshape((1,) * t) for i in index] + trailing)
-        if np.shape(slab) != (size,) * t:
-            raise ValueError(f"on_columns returned shape {np.shape(slab)} for a slab of shape {(size,) * t}")
+        columns = [coords[i : i + 1].reshape((1,) * t) for i in index] + trailing
+        if on_columns is None:
+            points = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, d)
+            slab = eval_batch(oracle, points).reshape(shape)
+        else:
+            slab = on_columns(columns)
+        if np.shape(slab) != shape:
+            raise ValueError(f"on_columns returned shape {np.shape(slab)} for a slab of shape {shape}")
         values[index] = slab
     return values
 

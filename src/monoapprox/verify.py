@@ -233,7 +233,7 @@ def _check_grid_guarantee() -> CheckResult:
     worst, count = 0.0, 0
     for truth, d, m in fits():
         model = approx_det.fit_grid(truth, d, m)
-        err = metrics.l1_exact_dyadic(truth, lambda points: approx_det.eval_grid(model, points), d, m.bit_length() - 1)
+        err = metrics.l1_exact_dyadic(truth, model, d, m.bit_length() - 1)
         if err.value > approx_det.grid_error_bound(d, m):
             return False, f"error {err.value} exceeds d/m = {d}/{m}"
         worst, count = max(worst, err.value * m / d), count + 1
@@ -247,7 +247,7 @@ def _check_grid_sandwich() -> CheckResult:
     for truth, d, seed in cases:
         model = approx_det.fit_grid(truth, d, m)
         xs = np.random.default_rng(seed).random((200, d))
-        for x, out in zip(xs, approx_det.eval_grid(model, xs)):
+        for x, out in zip(xs, model(xs)):
             cell = [min(int(xj * m), m - 1) for xj in x]
             lower = -1.0 if 0 in cell else float(model.lattice_values[tuple(c - 1 for c in cell)])
             upper = 1.0 if m - 1 in cell else float(model.lattice_values[tuple(cell)])
@@ -264,7 +264,7 @@ def _check_grid_rate() -> CheckResult:
         points = []
         for m in (16, 32, 64, 128):
             model = approx_det.fit_grid(truth, d, m)
-            err = metrics.l1_mc(truth, lambda points: approx_det.eval_grid(model, points), d, n_probe, (seed_head, m))
+            err = metrics.l1_mc(truth, model, d, n_probe, (seed_head, m))
             points.append(((m - 1) ** d, err.value))
         slope = metrics.fit_rate(points)
         slopes.append(f"{slope:.3f} (d={d})")
@@ -287,8 +287,14 @@ def _check_families_monotone() -> CheckResult:
 
 
 def _family_rule(oracle, points: np.ndarray) -> np.ndarray:
-    """A family's values at an (n, d) batch by its defining rule, not its kernel."""
+    """A family's or grid model's values at an (n, d) batch by its defining rule, not its kernel."""
     d = points.shape[1]
+    if isinstance(oracle, approx_det.GridModel):  # the midpoint of the corner knowledge
+        m, values = oracle.m, oracle.lattice_values
+        cells = np.minimum((points * m).astype(np.intp), m - 1)
+        lower = np.where((cells == 0).any(axis=1), -1.0, values[tuple(np.maximum(cells - 1, 0).T)])
+        upper = np.where((cells == m - 1).any(axis=1), 1.0, values[tuple(np.minimum(cells, m - 2).T)])
+        return 0.5 * (lower + upper)
     if isinstance(oracle, functions.StepFamily):
         cells = np.minimum((points * oracle.m).astype(np.intp), oracle.m - 1)
         return 2.0 * (cells.sum(axis=1) + oracle.delta[tuple(cells.T)]) / oracle.denominator - 1.0
@@ -315,16 +321,17 @@ def _check_lattice_route() -> CheckResult:
         step = functions.step_function(d, 3, functions.random_delta(d, 3, d))
         oracles = (step, functions.level_set_function(d, 1, max(1, d // 2), functions.sample_U(d, 1, 0.5, d)),
                    functions.Affine(d), functions.boxbslash(d), functions.threshold(step, 0.1),
-                   functions.snap_to_grid(functions.Affine(d), d, 2))
+                   functions.snap_to_grid(functions.Affine(d), d, 2), approx_det.fit_grid(functions.Affine(d), d, 4))
         coords = np.arange(1, m) / m
         points = np.stack(np.meshgrid(*[coords] * d, indexing="ij"), axis=-1).reshape(-1, d)
         for oracle in oracles:
             rule = _family_rule(oracle, points).tobytes()
             by_columns = functions.lattice_values(oracle, coords, d).tobytes()
-            by_blocks = functions.lattice_values(lambda batch: oracle(batch), coords, d).tobytes()
-            if not by_columns == by_blocks == rule:
+            by_points = functions.lattice_values(lambda batch: oracle(batch), coords, d).tobytes()
+            if not by_columns == by_points == rule:
                 return False, f"{type(oracle).__name__} at d={d}, m={m}: lattice bytes differ between routes"
-    return True, "every family by columns and by blocks, and every wrapper, gives the lattice bytes of its rule"
+    return True, ("every family and a fitted grid model by columns and by points, and every wrapper, "
+                  "gives the lattice bytes of its rule")
 
 
 def _check_threshold_monotone() -> CheckResult:

@@ -25,7 +25,6 @@ from monoapprox.approx_mc import eval_sign, fit
 from monoapprox.bounds import choose_params, ub_error, ub_error_breakdown
 from monoapprox.cli import ExperimentConfig, cmd_convergence
 from monoapprox.functions import (
-    as_points,
     level_set_function,
     random_delta,
     sample_U,
@@ -124,11 +123,12 @@ def test_registry_check(name):
     assert ok, detail
 
 
-def _upper_corner(model, points):
-    """``eval_grid`` answering the upper-corner knowledge instead of the midpoint."""
-    m, values = model.m, model.lattice_values
-    cells = np.minimum((as_points(points, model.d) * m).astype(np.int64), m - 1)
-    return np.where((cells == m - 1).any(axis=1), 1.0, values[tuple(np.minimum(cells, m - 2).T)])
+def _upper_corner(model, columns):
+    """``GridModel.on_columns`` answering the upper-corner knowledge instead of the midpoint."""
+    m = model.m
+    cells = np.broadcast_arrays(*[np.minimum((c * m).astype(np.int64), m - 1) for c in columns])
+    on_high = np.any([c == m - 1 for c in cells], axis=0)
+    return np.where(on_high, 1.0, model.lattice_values[tuple(np.minimum(c, m - 2) for c in cells)])
 
 
 def _lower_median(model, points):
@@ -154,9 +154,11 @@ FAULTS = [
      _altered(approx_mc._run_flips, lambda rows: ((-s_0, *rest) for s_0, *rest in rows))),
     ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),
     ("cell-statistics", approx_mc, "eval_generalized", _lower_median),
-    ("grid-guarantee", approx_det, "eval_grid", _upper_corner),
+    ("grid-guarantee", approx_det.GridModel, "on_columns", _upper_corner),
     ("lattice-route", functions.StepFamily, "on_columns",
      _altered(functions.StepFamily.on_columns, lambda v: v + 1e-12)),
+    ("lattice-route", approx_det.GridModel, "on_columns",
+     _altered(approx_det.GridModel.on_columns, lambda v: v + 1e-12)),
     ("parseval", metrics, "coefficient_tensor", _altered(metrics.coefficient_tensor, lambda v: 1.001 * v)),
     ("bakhvalov", metrics, "bakhvalov_step_error", _altered(metrics.bakhvalov_step_error, lambda v: v + 1e-9)),
     ("curse", bounds, "n_det_curse", _altered(bounds.n_det_curse, lambda v: 2 * v)),
@@ -165,7 +167,12 @@ FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("name, module, attribute, fault", FAULTS, ids=[row[0] for row in FAULTS])
+# A check's first row is named after it, a further row after its owner too.
+FAULT_IDS = [name if all(row[0] != name for row in FAULTS[:i]) else f"{name}-{owner.__name__}"
+             for i, (name, owner, *_) in enumerate(FAULTS)]
+
+
+@pytest.mark.parametrize("name, module, attribute, fault", FAULTS, ids=FAULT_IDS)
 def test_planted_fault_fails_its_check(name, module, attribute, fault):
     with mock.patch.object(module, attribute, fault):
         ok, _ = CHECKS[name]()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoapprox import functions, metrics
 from monoapprox.approx_det import fit_grid
+from monoapprox.approx_mc import fit
 from monoapprox.budget import BudgetExceededError
 from monoapprox.functions import (
     LATTICE_BLOCK,
@@ -20,7 +21,6 @@ from monoapprox.functions import (
     eval_batch,
     family_from_spec,
     is_monotone_on_grid,
-    lattice_blocks,
     lattice_values,
     level_set_function,
     random_delta,
@@ -275,24 +275,32 @@ def test_is_monotone_on_grid_examples():
 
 
 def _check_lattice_blocks(size, d, block=LATTICE_BLOCK):
+    # A recording callable, called through lattice_values: its batches are
+    # the slabs, and the values it answers must land where their rows lie.
     coords = (np.arange(size) + 0.5) / size
     reference = np.stack([g.ravel() for g in np.meshgrid(*[coords] * d, indexing="ij")], axis=-1)
     t = max([1] + [t for t in range(1, d + 1) if size**t <= block])
-    indices = []
+    batches = []
+
+    def record(points):
+        batches.append(points.copy())
+        return np.arange(len(points)) + len(points) * (len(batches) - 1.0)  # every slab has size**t rows
+
     with mock.patch.object(functions, "LATTICE_BLOCK", block):
-        for k, (index, points) in enumerate(lattice_blocks(coords, d)):
-            indices.append(index)
-            assert points.tobytes() == reference[k * size**t : (k + 1) * size**t].tobytes()
-    assert indices == list(np.ndindex(*(size,) * (d - t)))
+        values = lattice_values(record, coords, d)
+    assert len(batches) == size ** (d - t)
+    for k, points in enumerate(batches):
+        assert points.tobytes() == reference[k * size**t : (k + 1) * size**t].tobytes()
+    assert np.array_equal(values.ravel(), np.arange(size**d))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.sampled_from([1, 10, 100, LATTICE_BLOCK]), st.data())
 def test_lattice_blocks_yield_the_meshgrid_lattice(d, block, data):
-    # The blocks, in order, are the rows of the "ij" meshgrid lattice in C
-    # order, each the largest sub-lattice of trailing axes within the block
-    # size (at least one axis).  Sizes 1-40, at most 300 000 points in all;
-    # smaller blocks give several leading axes.
+    # A callable's batches, in order, are the rows of the "ij" meshgrid
+    # lattice in C order, each the largest sub-lattice of trailing axes
+    # within the block size (at least one axis).  Sizes 1-40, at most
+    # 300 000 points in all; smaller blocks give several leading axes.
     _check_lattice_blocks(data.draw(st.integers(1, min(40, round(300_000 ** (1 / d))))), d, block)
 
 
@@ -304,7 +312,7 @@ def test_lattice_blocks_at_the_block_edge(d, size):
 
 
 def test_lattice_entry_points_reject_d_below_one():
-    # They raised IndexError from lattice_blocks.
+    # They raised IndexError from the lattice's slabs.
     ones = lambda x: np.ones(len(x))  # noqa: E731
     with pytest.raises(ValueError, match="d must be positive"):
         is_monotone_on_grid(ones, 0, 3)
@@ -515,6 +523,34 @@ def test_on_columns_must_return_the_slab_shape():
 
     with pytest.raises(ValueError, match=r"on_columns returned shape \(\) for a slab of shape \(3, 3\)"):
         lattice_values(Flat(), [0.2, 0.5, 0.7], 2)
+
+
+# Every public oracle at d = 2, built on first use: the families, both
+# wrappers, a fitted grid model and a wavelet model of each mode.
+_ORACLES_D2 = {
+    "step": lambda: step_function(2, 4, random_delta(2, 4, 0)),
+    "levelset": lambda: level_set_function(2, 1, 2, sample_U(2, 1, 0.5, 0)),
+    "affine": lambda: Affine(2),
+    "boxbslash": lambda: boxbslash(2),
+    "threshold": lambda: threshold(Affine(2), 0.1),
+    "snapped": lambda: snap_to_grid(boxbslash(2), 2, 2),
+    "grid-model": lambda: fit_grid(Affine(2), 2, 4),
+    **{f"{mode}-model": (lambda mode=mode: fit(Affine(2), 2, 1, 2, 64, 0, mode))
+       for mode in ("linear", "sign", "generalized")},
+}
+
+
+@pytest.mark.parametrize("bad", [[[np.nan, 0.1]], [[np.inf, 0.1]], [[0.2, -np.inf]], [[-0.5, 0.5]],
+                                 [[0.5, 1.5]], [[0.1, 0.2, 0.3]], [0.1, 0.2]],
+                         ids=["nan", "inf", "-inf", "-0.5", "1.5", "width-3", "bare-point"])
+@pytest.mark.parametrize("name", list(_ORACLES_D2))
+def test_oracles_reject_points_outside_the_cube(name, bad):
+    # Families answered such points silently: a step function 0.0 at -0.5,
+    # Affine 3.0 at (2, 2), boxbslash -1.0 at (nan, 0.1).
+    oracle = _ORACLES_D2[name]()
+    assert oracle([[0.0, 1.0], [0.3, 0.7]]).shape == (2,)
+    with pytest.raises(ValueError, match="points must"):
+        oracle(bad)
 
 
 def test_is_monotone_budget():
