@@ -80,7 +80,7 @@ from itertools import combinations
 import numpy as np
 
 from .budget import check_budget
-from .functions import LATTICE_BLOCK, as_points, eval_batch
+from .functions import LATTICE_BLOCK, _answer, as_points, eval_batch
 from .haar_basis import MultiIndex, enumerate_indices, haar_transform, index_set_size
 
 MODES = ("linear", "sign", "generalized")
@@ -172,7 +172,8 @@ def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
     """Draw n i.i.d. uniform points and record oracle values; deterministic in seed.
 
     Points and values are filled ``LATTICE_BLOCK`` rows at a time, one oracle
-    call per block, with the points of one ``rng.random((n, d))``.  Raises
+    call per block, with the points of one ``rng.random((n, d))``; ``on_columns``
+    gets a block's columns, as ``SampleSet`` checks every point.  Raises
     ValueError if the oracle returns a value outside [-1, 1].
     """
     if d < 1 or n < 1:
@@ -180,9 +181,11 @@ def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
     rng = np.random.default_rng(seed)
     points = np.empty((n, d))
     values = np.empty(n)
+    kernel = getattr(oracle, "on_columns", None)
     for lo in range(0, n, LATTICE_BLOCK):
         block = rng.random(out=points[lo : lo + LATTICE_BLOCK])
-        values[lo : lo + LATTICE_BLOCK] = eval_batch(oracle, block)
+        values[lo : lo + LATTICE_BLOCK] = (  # no name holds a block's answer into the next block
+            eval_batch(oracle, block) if kernel is None else _answer(kernel(block.T), len(block)))
     return SampleSet(points, values)
 
 

@@ -143,6 +143,16 @@ def _altered(function, change):
     return lambda *args, **kwargs: change(function(*args, **kwargs))
 
 
+def _unmasked_is_monotone(values):
+    """``lattice_is_monotone`` without its boundary mask: every flat pair ``s`` apart counts."""
+    flat, stride = np.ravel(values), np.size(values)
+    for size in np.shape(values):
+        stride //= size
+        if size > 1 and not (flat[stride:] >= flat[:-stride]).all():
+            return False
+    return True
+
+
 # One planted fault per row: (check, module, attribute, replacement).
 FAULTS = [
     ("orthonormality", haar_basis, "psi_d", _altered(haar_basis.psi_d, lambda v: 1.01 * v)),
@@ -155,6 +165,7 @@ FAULTS = [
     ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),
     ("cell-statistics", approx_mc, "eval_generalized", _lower_median),
     ("grid-guarantee", approx_det.GridModel, "on_columns", _upper_corner),
+    ("families-monotone", functions, "lattice_is_monotone", _unmasked_is_monotone),
     ("lattice-route", functions.StepFamily, "on_columns",
      _altered(functions.StepFamily.on_columns, lambda v: v + 1e-12)),
     ("lattice-route", approx_det.GridModel, "on_columns",

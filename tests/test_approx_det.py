@@ -86,6 +86,41 @@ def test_grid_model_validation():
         GridModel(2, 3, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [2.0, -1.5, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("base", ["monotone", "falling"])
+@pytest.mark.parametrize("where", [(0, 0, 0), (2, 2, 2), (1, 1, 1), (0, 2, 1)])
+def test_grid_model_rejects_a_bad_value_anywhere(bad, base, where):
+    # The range is read from the two corners of a monotone lattice only; a
+    # bad value inside a monotone or falling lattice, or at a corner of a
+    # falling one, is found by the min/max of the whole lattice.
+    values = np.add.outer(np.add.outer(np.arange(3), np.arange(3)), np.arange(3)) / 6 - 0.5
+    if base == "falling":
+        values = values[::-1].copy()
+    assert GridModel(3, 4, values.copy()).monotone is (base == "monotone")
+    values[where] = bad
+    with pytest.raises(ValueError, match=r"lattice values must lie in \[-1, 1\]"):
+        GridModel(3, 4, values)
+
+
+def test_grid_model_monotone_is_derived():
+    assert GridModel(2, 3, [[-1.0, 0.0], [0.0, 1.0]]).monotone is True
+    assert GridModel(2, 3, [[-1.0, 0.0], [1.0, 0.5]]).monotone is False
+    assert GridModel(1, 2, [0.5]).monotone is True
+    with pytest.raises(TypeError):
+        GridModel(1, 2, [0.5], monotone=False)
+    with pytest.raises(AttributeError):
+        GridModel(1, 2, [0.5]).monotone = False
+
+
+def test_fit_grid_raises_on_nan_or_out_of_range_without_warning():
+    # The model checks its lattice before fit_grid would warn.
+    for oracle in (lambda x: np.where(x[:, 0] > 0.5, np.nan, 0.0), lambda x: 2.0 - x[:, 1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"lattice values must lie in \[-1, 1\]"):
+                fit_grid(oracle, 2, 4)
+
+
 def test_grid_guarantee_on_step_family_exhaustive():
     for bits in product((0, 1), repeat=4):
         truth = step_function(2, 2, np.array(bits).reshape(2, 2))

@@ -60,6 +60,30 @@ def test_draw_samples_rejects_out_of_range_values():
         draw_samples(1, 5, lambda x: np.full(len(x), 2.0), 0)
 
 
+def test_draw_samples_gives_families_their_columns():
+    # A family's kernel gets each block's columns, and SampleSet alone
+    # checks the points: the checked __call__ is not used, and points and
+    # values match one whole-array draw byte for byte.
+    n = LATTICE_BLOCK + 3
+    for oracle in (family_from_spec("step:m=4", 3, 5), family_from_spec("levelset:t=1", 3, 5), Affine(3)):
+        points = np.random.default_rng(8).random((n, 3))
+        with mock.patch.object(type(oracle), "__call__", side_effect=AssertionError("__call__")):
+            samples = draw_samples(3, n, oracle, 8)
+        assert samples.points.tobytes() == points.tobytes()
+        assert samples.values.tobytes() == oracle(points).tobytes()
+
+
+def test_draw_samples_rejects_a_wrong_shaped_kernel_answer():
+    class Flat:
+        def on_columns(self, columns):
+            return np.zeros(3)
+
+    with pytest.raises(ValueError, match=r"oracle returned shape \(3,\) for 5 points; expected \(5,\)"):
+        draw_samples(2, 5, Flat(), 0)
+    with pytest.raises(ValueError, match=r"oracle returned shape \(3,\) for 5 points; expected \(5,\)"):
+        draw_samples(2, 5, lambda x: np.zeros(3), 0)
+
+
 def test_sample_set_digit_keys_and_sorting():
     samples = draw_samples(2, 40, Affine(2), 5).with_resolution(3)
     for i in range(samples.n):

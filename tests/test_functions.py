@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoapprox import functions, metrics
-from monoapprox.approx_det import fit_grid
+from monoapprox.approx_det import GridModel, fit_grid
 from monoapprox.approx_mc import fit
 from monoapprox.budget import BudgetExceededError
 from monoapprox.functions import (
@@ -330,6 +330,72 @@ def test_is_monotone_on_grid_rejects_nan():
         is_monotone_on_grid(lambda x: np.where(x[:, 0] > 0.7, np.nan, 0.0), 2, 3)
 
 
+def _moveaxis_is_monotone(values):
+    """The per-axis check that the flat one replaced, NaN counted as a fall: the reference."""
+    values = np.asarray(values)
+    if np.isnan(values).any():
+        return False
+    for axis in range(values.ndim):
+        along = np.moveaxis(values, axis, 0)
+        if np.less(along[1:], along[:-1]).any():
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_lattice_is_monotone_matches_the_moveaxis_reference(d, data):
+    # A monotone lattice, a sum of nondecreasing per-axis profiles with ties.
+    # One steep axis makes every pair that leaves it a fall between flat
+    # neighbours that are no lattice neighbours (a row's last entry against
+    # the next row's first, for the last axis); a planted drop is a fall
+    # between lattice neighbours, and NaN is a fall wherever it sits.
+    shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    values = np.zeros(shape)
+    steep = data.draw(st.integers(-1, d - 1))
+    for j, size in enumerate(shape):
+        profile = np.cumsum(data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+        values = values + (100 if j == steep else 1) * profile.reshape((-1,) + (1,) * (d - 1 - j))
+    flat = values.reshape(-1)
+    plant = data.draw(st.sampled_from(["none", "drop", "nan"]))
+    axes = [j for j, size in enumerate(shape) if size > 1]
+    if plant == "drop" and axes:
+        axis = data.draw(st.sampled_from(axes))
+        index = [data.draw(st.integers(0, size - 1)) for size in shape]
+        index[axis] = data.draw(st.integers(0, shape[axis] - 2))
+        after = list(index)
+        after[axis] += 1
+        values[tuple(after)] = values[tuple(index)] - data.draw(st.sampled_from([0.5, 1e-9, 1000.0]))
+    elif plant == "nan":
+        flat[data.draw(st.integers(0, flat.size - 1))] = np.nan
+    values = values / (1.0 + np.abs(values[~np.isnan(values)]).max(initial=0.0))  # into [-1, 1], the order kept
+    expected = _moveaxis_is_monotone(values)
+    assert expected is (plant == "none" or (plant == "drop" and not axes))
+    assert functions.lattice_is_monotone(values) is expected
+    if d >= 1 and len(set(shape)) == 1:  # a grid model's lattice
+        if plant == "nan":
+            with pytest.raises(ValueError, match="lattice values must lie in"):
+                GridModel(d, shape[0] + 1, values)
+        else:
+            assert GridModel(d, shape[0] + 1, values).monotone is expected
+
+
+def test_lattice_is_monotone_named_cases():
+    assert functions.lattice_is_monotone(np.zeros((0, 3)))  # empty
+    assert functions.lattice_is_monotone(np.array(0.5))  # d = 0
+    assert not functions.lattice_is_monotone(np.array(np.nan))
+    assert not functions.lattice_is_monotone(np.full((1, 1, 1), np.nan))
+    assert functions.lattice_is_monotone(np.full((1, 1, 1), 0.25))
+    rows = np.array([[0.0, 0.5, 0.9], [0.1, 0.6, 1.0]])  # 0.9 then 0.1 in flat order
+    assert functions.lattice_is_monotone(rows)
+    assert not functions.lattice_is_monotone(rows[::-1])
+    assert not functions.lattice_is_monotone(rows[:, ::-1])
+    assert functions.lattice_is_monotone(np.asfortranarray(rows))
+    inner = np.arange(27.0).reshape(3, 3, 3)[:, ::-1, :]  # falls along axis 1 only
+    assert not functions.lattice_is_monotone(inner)
+    assert functions.lattice_is_monotone(inner[:, ::-1, :])
+
+
 # The batch kernels that on_columns replaced, kept as references.
 def _replaced_row_sums(points, d):
     pts = np.asarray(points, dtype=float)
@@ -533,6 +599,7 @@ _ORACLES_D2 = {
     "affine": lambda: Affine(2),
     "boxbslash": lambda: boxbslash(2),
     "threshold": lambda: threshold(Affine(2), 0.1),
+    "threshold-callable": lambda: threshold(lambda x: np.zeros(len(x)), 0.0),
     "snapped": lambda: snap_to_grid(boxbslash(2), 2, 2),
     "grid-model": lambda: fit_grid(Affine(2), 2, 4),
     **{f"{mode}-model": (lambda mode=mode: fit(Affine(2), 2, 1, 2, 64, 0, mode))
@@ -547,8 +614,12 @@ _ORACLES_D2 = {
 def test_oracles_reject_points_outside_the_cube(name, bad):
     # Families answered such points silently: a step function 0.0 at -0.5,
     # Affine 3.0 at (2, 2), boxbslash -1.0 at (nan, 0.1).
+    # A threshold cut of a plain callable, with no d, answered [1.] at (2, nan).
     oracle = _ORACLES_D2[name]()
     assert oracle([[0.0, 1.0], [0.3, 0.7]]).shape == (2,)
+    if name == "threshold-callable" and np.shape(bad) == (1, 3):
+        assert oracle(bad).tolist() == [1.0]  # no d to check: the batch's own width holds
+        return
     with pytest.raises(ValueError, match="points must"):
         oracle(bad)
 
