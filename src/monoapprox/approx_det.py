@@ -30,7 +30,7 @@ import numpy as np
 from .budget import check_budget
 # eval_batch is no longer called here, but stays a module attribute: the
 # benchmark's tracer wraps approx_det.eval_batch by name.
-from .functions import ColumnOracle, _width, eval_batch, lattice_is_monotone, lattice_values  # noqa: F401
+from .functions import ColumnOracle, _set_frozen, _width, eval_batch, lattice_is_monotone, lattice_values  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class GridModel(ColumnOracle):
     Its output on a subcube is the midpoint of the corner knowledge: the
     stored value at the lower corner, or -1 when any coordinate of that
     corner lies on the lower boundary, and the stored value at the upper
-    corner, or +1 when any coordinate lies on the upper boundary.
+    corner, or +1 when any coordinate lies on the upper boundary.  The lattice
+    is stored read-only: a writable one passed in is copied, a read-only one adopted.
     """
 
     d: int
@@ -61,9 +62,7 @@ class GridModel(ColumnOracle):
         low, high = (values.flat[0], values.flat[-1]) if monotone else (values.min(), values.max())
         if not (low >= -1.0 and high <= 1.0):  # NaN fails too
             raise ValueError("lattice values must lie in [-1, 1]")
-        values.flags.writeable = False
-        object.__setattr__(self, "lattice_values", values)
-        object.__setattr__(self, "monotone", monotone)
+        _set_frozen(self, lattice_values=values, monotone=monotone)
 
     def on_columns(self, columns) -> np.ndarray:
         m = self.m
@@ -89,7 +88,9 @@ def fit_grid(oracle, d: int, m: int, budget: int | None = None) -> GridModel:
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 and d >= 1")
     check_budget((m - 1) ** d, budget, what="lattice points")
-    model = GridModel(d, m, lattice_values(oracle, np.arange(1, m) / m, d))
+    values = lattice_values(oracle, np.arange(1, m) / m, d)
+    values.flags.writeable = False  # handed over: the model adopts its lattice
+    model = GridModel(d, m, values)
     if not model.monotone:
         warnings.warn(
             "lattice values are not monotone along every coordinate; "

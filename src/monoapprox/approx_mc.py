@@ -80,7 +80,7 @@ from itertools import combinations
 import numpy as np
 
 from .budget import check_budget
-from .functions import LATTICE_BLOCK, _answer, as_points, eval_batch
+from .functions import LATTICE_BLOCK, _answer, _set_frozen, as_points, eval_batch
 from .haar_basis import MultiIndex, enumerate_indices, haar_transform, index_set_size
 
 MODES = ("linear", "sign", "generalized")
@@ -116,7 +116,8 @@ class SampleSet:
     the resolution-``r`` dyadic cell containing ``points[i][j]``, in ``[0,
     2**r)``, uint8 for r <= 8 and uint16 for r <= 16.  The keys are always
     computed from the points, never passed in.  Points and values are checked
-    ``LATTICE_BLOCK`` rows at a time.  Arrays are frozen after construction.
+    ``LATTICE_BLOCK`` rows at a time.  Arrays are read-only after construction;
+    a writable one passed in is copied, a read-only one adopted (``_set_frozen``).
     """
 
     points: np.ndarray
@@ -134,20 +135,14 @@ class SampleSet:
             raise ValueError("sample points must lie in [0, 1]^d")
         if not all((np.abs(values[b]) <= 1.0).all() for b in blocks):  # NaN and +-inf too
             raise ValueError("sample values must lie in [-1, 1]")
-        points.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
+        _set_frozen(self, points=points, values=values)
         if self.resolution is not None:
             self._keyed(self.resolution)
 
     def _keyed(self, r: int) -> "SampleSet":
         if r < 1:
             raise ValueError("resolution must be positive")
-        keys = _cell_keys(self.points, r)
-        keys.flags.writeable = False
-        object.__setattr__(self, "resolution", r)
-        object.__setattr__(self, "digit_keys", keys)
+        _set_frozen(self, resolution=r, digit_keys=_cell_keys(self.points, r))
         return self
 
     @property
@@ -186,6 +181,7 @@ def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
         block = rng.random(out=points[lo : lo + LATTICE_BLOCK])
         values[lo : lo + LATTICE_BLOCK] = (  # no name holds a block's answer into the next block
             eval_batch(oracle, block) if kernel is None else _answer(kernel(block.T), len(block)))
+    points.flags.writeable = values.flags.writeable = False  # handed over: SampleSet adopts them
     return SampleSet(points, values)
 
 
@@ -355,6 +351,9 @@ class ProjectionTables:
     keys: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self) -> None:
+        _set_frozen(self, **vars(self))
+
     @classmethod
     def build(cls, samples: SampleSet, k: int, exact: bool) -> "ProjectionTables | None":
         """Tables of keyed samples, or None where they cannot or may not be built.
@@ -398,10 +397,10 @@ class ProjectionTables:
                 sums *= float(c)
             keys.append(cells)
             weights.append(sums)
-        tables = cls(pack, offsets, np.concatenate(keys), np.concatenate(weights))
-        for array in (tables.pack, tables.offsets, tables.keys, tables.weights):
+        arrays = (pack, offsets, np.concatenate(keys), np.concatenate(weights))
+        for array in arrays:  # handed over: the tables adopt them
             array.flags.writeable = False
-        return tables
+        return cls(*arrays)
 
     def numerator(self, keys: np.ndarray) -> np.ndarray:
         """``sum_T c_T S_T(x)`` for each row of an (m, d) digit-key matrix, in weight dtype.
@@ -447,7 +446,8 @@ class WaveletModel:
 
     Everything not listed for a mode is None.
 
-    Models need at least one sample.  They are immutable and thread-safe.
+    Models need at least one sample.  They are immutable and thread-safe:
+    every array they hold, samples and tables included, is read-only.
     """
 
     k: int
@@ -502,11 +502,7 @@ class WaveletModel:
             # otherwise numpy carries exact Python integers.
             exact_in_int64 = max(3 * self.n, 4) * max(abs(c) for c in table) < 2**63
             chi = np.asarray(table, dtype=np.int64 if exact_in_int64 else object)
-        for name, value in (("chi", chi), ("exact", exact), ("tables", tables), ("order", order),
-                            ("runs", runs), ("run_keys", run_keys)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        _set_frozen(self, chi=chi, exact=exact, tables=tables, order=order, runs=runs, run_keys=run_keys)
 
     def __call__(self, points) -> np.ndarray:
         """``eval_linear``, ``eval_sign`` or ``eval_generalized`` by mode, looked up per call."""

@@ -3,8 +3,9 @@
 An oracle is a callable mapping an ``(m, d)`` array of points of
 ``[0,1]^d`` to the ``(m,)`` array of its values in ``[-1, 1]``; a single
 point is a one-row batch.  Fitted models are oracles too: ``model(points)``.
-Families constructed here are immutable after construction and safe to share
-across threads.
+Families constructed here are immutable and safe to share across threads.
+Every array field, here and in ``approx_mc`` and ``approx_det``, is stored
+read-only by ``_set_frozen``; no constructor freezes its caller's array.
 
 An oracle may also offer ``on_columns(columns)``: its values at the points
 whose j-th coordinates are ``columns[j]``, d arrays that broadcast together,
@@ -54,6 +55,18 @@ def _answer(values, n: int) -> np.ndarray:
     if values.shape != (n,):
         raise ValueError(f"oracle returned shape {values.shape} for {n} points; expected ({n},)")
     return values
+
+
+def _set_frozen(obj, **fields) -> None:
+    """Set fields of a frozen dataclass, every array read-only: a read-only array is adopted,
+    a writable one that may share memory with the array passed for its field is copied
+    first, and any other, made by the object itself, is frozen in place."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            if np.may_share_memory(value, getattr(obj, name, None)):
+                value = value.copy()
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
 
 
 def _width(columns, d: int):
@@ -178,13 +191,11 @@ class StepFamily(ColumnOracle):
             )
         if not np.isin(delta, (0, 1)).all():
             raise ValueError("delta entries must be 0 or 1")
-        arr = np.ascontiguousarray(delta, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "delta", arr)
-        level = arr.copy()  # |i|_1 + delta_i
+        level = np.array(delta, dtype=np.int64)  # |i|_1 + delta_i
         for j in range(self.d):
             level += np.arange(self.m).reshape((-1,) + (1,) * (self.d - 1 - j))
-        object.__setattr__(self, "_values", (2.0 * level / self.denominator - 1.0).ravel())
+        _set_frozen(self, delta=np.ascontiguousarray(delta, dtype=np.int64),
+                    _values=(2.0 * level / self.denominator - 1.0).ravel())
 
     @property
     def denominator(self) -> int:
@@ -236,7 +247,7 @@ class LevelSetFunction(ColumnOracle):
     t: int
     b: int
     members: FrozenSet[int]
-    _values: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.t <= self.b <= self.d:
@@ -244,7 +255,6 @@ class LevelSetFunction(ColumnOracle):
         for u in self.members:
             if u < 0 or u >= (1 << self.d) or u.bit_count() != self.t:
                 raise ValueError(f"member {u:b} does not have weight {self.t}")
-        values = None
         if 1 << self.d <= LATTICE_BLOCK:
             up = np.zeros(1 << self.d, dtype=bool)
             up[np.fromiter(self.members, dtype=np.intp, count=len(self.members))] = True
@@ -253,8 +263,7 @@ class LevelSetFunction(ColumnOracle):
                 v = up.reshape(-1, 2, 1 << j)
                 v[:, 1] |= v[:, 0]
                 weights.reshape(-1, 2, 1 << j)[:, 1] += 1
-            values = np.where(up | (weights > self.b), 1.0, -1.0)
-        object.__setattr__(self, "_values", values)
+            _set_frozen(self, _values=np.where(up | (weights > self.b), 1.0, -1.0))
 
     def on_columns(self, columns) -> np.ndarray:
         masks = weights = np.intp(0)
@@ -288,10 +297,10 @@ def sample_U(d: int, t: int, p: float, seed) -> frozenset[int]:
     return frozenset(u for u in _weight_t_masks(d, t) if rng.random() < p)
 
 
+@dataclass(frozen=True, eq=False)
 class _Thresholded:
-    def __init__(self, oracle, t: float):
-        self.oracle = oracle
-        self.t = t
+    oracle: Callable
+    t: float
 
     def __call__(self, points) -> np.ndarray:
         width = getattr(self.oracle, "d", (np.shape(points) or (0,))[-1])  # no d: the batch's own width
@@ -324,11 +333,11 @@ class Affine(ColumnOracle):
         return s
 
 
+@dataclass(frozen=True, eq=False)
 class _Snapped:
-    def __init__(self, oracle, d: int, r: int):
-        self.oracle = oracle
-        self.d = d
-        self.r = r
+    oracle: Callable
+    d: int
+    r: int
 
     def __call__(self, points) -> np.ndarray:
         scale = 1 << self.r

@@ -96,7 +96,7 @@ def test_grid_model_rejects_a_bad_value_anywhere(bad, base, where):
     values = np.add.outer(np.add.outer(np.arange(3), np.arange(3)), np.arange(3)) / 6 - 0.5
     if base == "falling":
         values = values[::-1].copy()
-    assert GridModel(3, 4, values.copy()).monotone is (base == "monotone")
+    assert GridModel(3, 4, values).monotone is (base == "monotone")
     values[where] = bad
     with pytest.raises(ValueError, match=r"lattice values must lie in \[-1, 1\]"):
         GridModel(3, 4, values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoapprox import functions, metrics
 from monoapprox.approx_det import GridModel, fit_grid
-from monoapprox.approx_mc import fit
+from monoapprox.approx_mc import ProjectionTables, SampleSet, WaveletModel, fit
 from monoapprox.budget import BudgetExceededError
 from monoapprox.functions import (
     LATTICE_BLOCK,
@@ -104,6 +105,61 @@ def test_step_function_hashes_and_compares_by_identity():
     assert hash(f) == hash(f) and len({f, twin, f}) == 2
     assert f == f and f != twin and not f == twin
     assert np.array_equal(f(np.array([[0.1, 0.9], [0.9, 0.9]])), twin(np.array([[0.1, 0.9], [0.9, 0.9]])))
+
+
+def _ownership_case(name):
+    """``(make, inputs, outputs)``: ``make(*inputs)`` builds one object from the caller's arrays."""
+    rng = np.random.default_rng(24)
+    points, signs, query = rng.random((300, 3)), rng.choice([-1.0, 1.0], 300), rng.random((40, 3))
+    if name == "SampleSet":
+        return (lambda p, v: SampleSet(p, v, resolution=2), [points, rng.uniform(-1.0, 1.0, 300)],
+                lambda s: (s.points, s.values, s.digit_keys))
+    if name == "StepFamily":
+        return lambda delta: StepFamily(3, 4, delta), [random_delta(3, 4, 1)], lambda f: f(query)
+    if name == "LevelSetFunction":
+        return lambda: level_set_function(3, 1, 2, sample_U(3, 1, 0.5, 2)), [], lambda f: f(query)
+    if name == "GridModel":
+        lattice = fit_grid(Affine(3), 3, 5).lattice_values.copy()
+        return lambda values: GridModel(3, 5, values), [lattice], lambda model: model(query)
+    if name == "ProjectionTables":
+        samples = SampleSet(points, signs, resolution=2)
+        tables = ProjectionTables.build(samples, 2, True)
+        return (lambda *arrays: ProjectionTables(*arrays), [a.copy() for a in vars(tables).values()],
+                lambda t: t.numerator(samples.digit_keys[:40]))
+    mode, k = name.split("-")[1:]  # WaveletModel-<mode>-<k>
+    return (lambda p, v: WaveletModel(int(k), mode, SampleSet(p, v, resolution=2)), [points, signs],
+            lambda model: model(query))
+
+
+def _held_arrays(obj):
+    """Every array an object holds in its fields, and in the fields of the dataclasses among them."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from _held_arrays(value)
+
+
+@pytest.mark.parametrize("name", ["SampleSet", "StepFamily", "LevelSetFunction", "GridModel", "ProjectionTables",
+                                  "WaveletModel-sign-2", "WaveletModel-generalized-2", "WaveletModel-generalized-3"])
+def test_objects_own_read_only_arrays_and_never_freeze_the_callers(name):
+    # A writable array passed in is copied and stays writable; writing to it
+    # leaves the object's outputs as they were; every array the object holds
+    # is read-only; a read-only array passed in is adopted as it is.
+    make, inputs, outputs = _ownership_case(name)
+    obj = make(*inputs)
+    before = [np.asarray(out).tobytes() for out in outputs(obj)]
+    assert all(array.flags.writeable for array in inputs)
+    for array in inputs:
+        array[...] = 0
+    assert [np.asarray(out).tobytes() for out in outputs(obj)] == before
+    held = list(_held_arrays(obj))
+    assert held and not any(array.flags.writeable for array in held)
+    frozen = [array.copy() for array in _ownership_case(name)[1]]
+    for array in frozen:
+        array.flags.writeable = False
+    held = list(_held_arrays(make(*frozen)))
+    assert all(any(h is array for h in held) for array in frozen)
 
 
 def test_random_delta_reproducible():
@@ -255,6 +311,11 @@ def test_threshold_examples():
     cut = threshold(ramp, 0.0)
     assert cut([[0.25], [0.5]]).tolist() == [-1.0, 1.0]
     assert threshold(ramp, -2.0)([[0.1]]).tolist() == [1.0]
+    # The cut is immutable and, like the snapped wrapper, compares by identity.
+    for wrapper, name in ((cut, "t"), (snap_to_grid(ramp, 1, 2), "r")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(wrapper, name, 5)
+    assert cut([[0.25]]).tolist() == [-1.0] and cut != threshold(ramp, 0.0)
 
 
 @settings(max_examples=50)
@@ -475,12 +536,14 @@ def test_lattice_values_match_the_replaced_block_route(d, seed, block, data):
     # wrappers, with coordinates 0, exactly j/m, 0.5 and 1.0 in any order
     # and with repeats.  Small blocks give several leading axes per slab,
     # and level sets past 2**d > block test their members one by one.
+    # Sizes stop at 256 slabs: the slab count, not the lattice, sets this test's time.
     m = data.draw(st.integers(1, 6))
     edges = np.union1d(np.arange(m + 1) / m, [0.5])
-    size = data.draw(st.integers(1, max(s for s in range(1, 9) if s**d <= 4096)))
-    coords = np.array(data.draw(st.lists(st.sampled_from(edges), min_size=size, max_size=size)))
-    t = data.draw(st.integers(1, d))
     with mock.patch.object(functions, "LATTICE_BLOCK", block):
+        size = data.draw(st.integers(1, max(s for s in range(1, 9)
+                                            if s**d <= 4096 and s ** (d - functions._slab_axes(s, d)) <= 256)))
+        coords = np.array(data.draw(st.lists(st.sampled_from(edges), min_size=size, max_size=size)))
+        t = data.draw(st.integers(1, d))
         level = level_set_function(d, t, data.draw(st.integers(t, d)),
                                    sample_U(d, t, data.draw(st.sampled_from([0.0, 0.3, 1.0])), seed))
         step_m = max(m, 2) if d <= 6 else 2
