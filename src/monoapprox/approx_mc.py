@@ -160,7 +160,9 @@ class SampleSet:
     def sorted(self) -> "SampleSet":
         """The (point, value) pairs, stably sorted by value."""
         order = np.argsort(self.values, kind="stable")
-        return SampleSet(self.points[order], self.values[order], self.resolution)
+        points, values = self.points[order], self.values[order]
+        points.flags.writeable = values.flags.writeable = False  # handed over: SampleSet adopts them
+        return SampleSet(points, values, self.resolution)
 
 
 def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:

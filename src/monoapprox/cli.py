@@ -12,9 +12,10 @@ evaluated by its ``eval_*`` function in two calls, the first probe alone and
 then the rest (see ``_probe_eval``).
 
 Every malformed input (an unknown flag or a bad value, a ``--family`` the
-family parser rejects, det without ``--m``, mc without ``--eps`` or all of
-``--k --r --n``) prints one ``monoapprox: error:`` line to stderr and exits
-2; a budget violation exits 1.  Flag defaults are those of
+family parser rejects, a ``--c0`` the lower-bound certificate fails at, an
+``--out`` that cannot be written, det without ``--m``, mc without ``--eps``
+or all of ``--k --r --n``) prints one ``monoapprox: error:`` line to stderr
+and exits 2; a budget violation exits 1.  Flag defaults are those of
 ``ExperimentConfig``; only ``convergence --replications`` defaults to 4.
 
 Seeds: replication ``i`` of a run with master seed ``s`` derives its
@@ -125,8 +126,11 @@ def _emit(cfg: ExperimentConfig, rows: list[dict], extra: dict | None = None) ->
         _write_csv(rows, buffer)
         text = buffer.getvalue()
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -254,7 +258,10 @@ def cmd_bounds(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     for eps in eps_grid:
         for d in d_grid:
             upper = n_ran_upper_breakdown(eps, d, cfg.upper_c, cfg.det_branch)
-            curve = lb_curve(params, eps, d)
+            try:
+                curve = lb_curve(params, eps, d)
+            except ValueError as exc:  # eps and d are checked, so the certificate fails at this c0
+                raise _UsageError(f"--c0 {cfg.c0}: {exc}") from None
             rows.append(
                 {
                     "eps": eps,
@@ -386,22 +393,32 @@ def build_parser() -> argparse.ArgumentParser:
 # flags apply the bound to every entry.
 _FLAG_MINIMUM = {
     "d": 1, "k": 1, "r": 1, "n": 1, "m": 2, "replications": 1, "n_probe": 2,
-    "n_cap": 0, "m_grid": 2, "n_grid": 1,
+    "n_cap": 0, "m_grid": 2, "n_grid": 1, "d_grid": 1,
 }
+
+# The open interval each float flag must lie in; NaN lies in none.
+_FLAG_INTERVAL = {"eps": (0.0, 1.0), "eps_grid": (0.0, 1.0), "c0": (0.0, math.inf), "upper_c": (0.0, math.inf)}
+
+
+def _entries(cfg: ExperimentConfig, name: str) -> list:
+    """The values a flag holds: every entry of a grid flag, none of an unset one."""
+    value = getattr(cfg, name)
+    return value if isinstance(value, list) else [] if value is None else [value]
 
 
 def _check_flags(cfg: ExperimentConfig) -> None:
     for name, low in _FLAG_MINIMUM.items():
-        value = getattr(cfg, name)
-        for v in value if isinstance(value, list) else [value]:
-            if v is not None and v < low:
+        for v in _entries(cfg, name):
+            if v < low:
                 raise _UsageError(f"--{name.replace('_', '-')} must be at least {low}, got {v}")
+    for name, (low, high) in _FLAG_INTERVAL.items():
+        for v in _entries(cfg, name):
+            if not low < v < high:
+                raise _UsageError(f"--{name.replace('_', '-')} must lie in ({low:g}, {high:g}), got {v}")
     if cfg.k is not None and cfg.k > cfg.d:
         raise _UsageError(f"--k must be at most --d = {cfg.d}, got {cfg.k}")
     if cfg.r is not None and cfg.r > MAX_RESOLUTION:
         raise _UsageError(f"--r must be at most {MAX_RESOLUTION}, got {cfg.r}")
-    if cfg.eps is not None and not 0.0 < cfg.eps < 1.0:
-        raise _UsageError(f"--eps must lie in (0, 1), got {cfg.eps}")
     if any(0 < len(grid) < 3 for grid in (cfg.m_grid, cfg.n_grid)):
         raise _UsageError("a fitted slope needs at least three grid sizes")
 

@@ -59,11 +59,13 @@ def _answer(values, n: int) -> np.ndarray:
 
 def _set_frozen(obj, **fields) -> None:
     """Set fields of a frozen dataclass, every array read-only: a read-only array is adopted,
-    a writable one that may share memory with the array passed for its field is copied
-    first, and any other, made by the object itself, is frozen in place."""
+    a writable one that may share memory with the object passed for its field is copied
+    first, and any other, made by the object itself, is frozen in place.  A list or tuple
+    passed is never compared: ``np.asarray`` always builds a new array from one."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray) and value.flags.writeable:
-            if np.may_share_memory(value, getattr(obj, name, None)):
+            passed = getattr(obj, name, None)
+            if not isinstance(passed, (list, tuple)) and np.may_share_memory(value, passed):
                 value = value.copy()
             value.flags.writeable = False
         object.__setattr__(obj, name, value)

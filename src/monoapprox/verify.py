@@ -5,8 +5,9 @@ enumeration, exact integer arithmetic, closed forms) and compares it against
 the library implementation, returning ``(ok, detail)``.  The registry backs
 ``monoapprox verify``, and the acceptance suite runs every entry, so a check
 runs at one scale: the sizes, seeds and tolerances the tests hold the library
-to.  ``pair_kernel`` and ``brute_average_error`` are the exact references the
-tests import as well.
+to.  ``pair_kernel``, ``brute_average_error`` and ``family_rule`` are the
+exact references the tests import as well; ``family_rule`` is the one
+vectorised statement of each family's defining rule.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _check_families_monotone() -> CheckResult:
     return True, "all family members pass the lattice monotonicity check"
 
 
-def _family_rule(oracle, points: np.ndarray) -> np.ndarray:
+def family_rule(oracle, points: np.ndarray) -> np.ndarray:
     """A family's or grid model's values at an (n, d) batch by its defining rule, not its kernel."""
     d = points.shape[1]
     if isinstance(oracle, approx_det.GridModel):  # the midpoint of the corner knowledge
@@ -310,9 +311,9 @@ def _family_rule(oracle, points: np.ndarray) -> np.ndarray:
     if isinstance(oracle, functions.Boxbslash):
         return np.where(points.sum(axis=1) - d / 2.0 >= 0.0, 1.0, -1.0)
     if isinstance(oracle, functions._Thresholded):
-        return np.where(_family_rule(oracle.oracle, points) >= oracle.t, 1.0, -1.0)
+        return np.where(family_rule(oracle.oracle, points) >= oracle.t, 1.0, -1.0)
     scale = 1 << oracle.r  # a _Snapped oracle
-    return _family_rule(oracle.oracle, (np.minimum((points * scale).astype(np.int64), scale - 1) + 0.5) / scale)
+    return family_rule(oracle.oracle, (np.minimum((points * scale).astype(np.int64), scale - 1) + 0.5) / scale)
 
 
 def _check_lattice_route() -> CheckResult:
@@ -325,7 +326,7 @@ def _check_lattice_route() -> CheckResult:
         coords = np.arange(1, m) / m
         points = np.stack(np.meshgrid(*[coords] * d, indexing="ij"), axis=-1).reshape(-1, d)
         for oracle in oracles:
-            rule = _family_rule(oracle, points).tobytes()
+            rule = family_rule(oracle, points).tobytes()
             by_columns = functions.lattice_values(oracle, coords, d).tobytes()
             by_points = functions.lattice_values(lambda batch: oracle(batch), coords, d).tobytes()
             if not by_columns == by_points == rule:

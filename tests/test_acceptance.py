@@ -1,13 +1,13 @@
 """Acceptance suite: the whole check registry, plus the end-to-end criteria.
 
-Criteria 1-9 and 11 are entries of the ``monoapprox verify`` registry
+Criteria 1-11 are entries of the ``monoapprox verify`` registry
 (``monoapprox.verify.CHECKS``): each numbered test runs its entry and prints
 an ``ACCEPTANCE NN: PASS`` line, so every criterion keeps a test id of its
 own, and ``test_registry_check`` runs every other entry, so the suite runs
-each check once.  Criterion 10 goes through
-``cli.cmd_convergence`` and criterion 12 fits end to end; neither has a
-registry entry.  ``test_planted_fault_fails_its_check`` shows that the
-checks can fail.
+each check once.  Criterion 10 is the ``grid-rate`` entry; its command-line
+sweep is ``test_cli.py::test_convergence_det_slope_footer``.  Criterion 12
+fits end to end and has no registry entry.
+``test_planted_fault_fails_its_check`` shows that the checks can fail.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report including timings.
@@ -23,7 +23,6 @@ import pytest
 from monoapprox import approx_det, approx_mc, bounds, functions, haar_basis, metrics
 from monoapprox.approx_mc import eval_sign, fit
 from monoapprox.bounds import choose_params, ub_error, ub_error_breakdown
-from monoapprox.cli import ExperimentConfig, cmd_convergence
 from monoapprox.functions import (
     level_set_function,
     random_delta,
@@ -43,7 +42,7 @@ END_TO_END_SAMPLE_CAP = 200_000
 #: The numbered criteria that are registry checks.
 CRITERIA = {
     "certificate": 1, "lb-numbers": 2, "curse": 3, "chi-table": 4, "sign-collapse": 5,
-    "tail-mass": 6, "parseval": 7, "estimator": 8, "grid-guarantee": 9, "bakhvalov": 11,
+    "tail-mass": 6, "parseval": 7, "estimator": 8, "grid-guarantee": 9, "grid-rate": 10, "bakhvalov": 11,
 }
 
 
@@ -99,18 +98,7 @@ def test_criterion_09_grid_guarantee():
 
 
 def test_criterion_10_deterministic_convergence_rates():
-    slopes = {}
-    for d, target, tolerance in ((1, -1.0, 0.1), (2, -0.5, 0.15)):
-        cfg = ExperimentConfig(
-            subcommand="convergence", algo="det", d=d, family="affine",
-            n_probe=30000, seed=0,
-        )
-        rows = cmd_convergence(cfg)
-        assert rows[-1]["n"] == "slope"
-        slope = rows[-1]["error"]
-        assert slope == pytest.approx(target, abs=tolerance)
-        slopes[d] = slope
-    report(10, f"slopes {slopes[1]:.3f} (d=1), {slopes[2]:.3f} (d=2)")
+    accept("grid-rate")
 
 
 def test_criterion_11_bakhvalov_average_error_equality():
@@ -143,6 +131,16 @@ def _altered(function, change):
     return lambda *args, **kwargs: change(function(*args, **kwargs))
 
 
+def _tail_from_k(f, d, k, r, budget=None, tail_mass=metrics.tail_mass):
+    """``tail_mass`` off by one: the mass of indices with at least k active coordinates."""
+    return tail_mass(f, d, max(k - 1, 0), r, budget)
+
+
+def _capped_fit(truth, d, m, *rest, fit_grid=approx_det.fit_grid):
+    """``fit_grid`` that stops refining at m = 32, so its error stops falling there."""
+    return fit_grid(truth, d, min(m, 32), *rest)
+
+
 def _unmasked_is_monotone(values):
     """``lattice_is_monotone`` without its boundary mask: every flat pair ``s`` apart counts."""
     flat, stride = np.ravel(values), np.size(values)
@@ -165,12 +163,14 @@ FAULTS = [
     ("sign-collapse", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: -v)),
     ("cell-statistics", approx_mc, "eval_generalized", _lower_median),
     ("grid-guarantee", approx_det.GridModel, "on_columns", _upper_corner),
+    ("grid-rate", approx_det, "fit_grid", _capped_fit),
     ("families-monotone", functions, "lattice_is_monotone", _unmasked_is_monotone),
     ("lattice-route", functions.StepFamily, "on_columns",
      _altered(functions.StepFamily.on_columns, lambda v: v + 1e-12)),
     ("lattice-route", approx_det.GridModel, "on_columns",
      _altered(approx_det.GridModel.on_columns, lambda v: v + 1e-12)),
     ("parseval", metrics, "coefficient_tensor", _altered(metrics.coefficient_tensor, lambda v: 1.001 * v)),
+    ("tail-mass", metrics, "tail_mass", _tail_from_k),
     ("bakhvalov", metrics, "bakhvalov_step_error", _altered(metrics.bakhvalov_step_error, lambda v: v + 1e-9)),
     ("curse", bounds, "n_det_curse", _altered(bounds.n_det_curse, lambda v: 2 * v)),
     ("certificate", bounds, "lb_epshat",

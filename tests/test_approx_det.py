@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -20,7 +19,6 @@ from monoapprox.functions import (
     snap_to_grid,
     step_function,
 )
-from monoapprox.metrics import l1_exact_dyadic
 
 
 def test_fit_grid_examples():
@@ -119,24 +117,6 @@ def test_fit_grid_raises_on_nan_or_out_of_range_without_warning():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"lattice values must lie in \[-1, 1\]"):
                 fit_grid(oracle, 2, 4)
-
-
-def test_grid_guarantee_on_step_family_exhaustive():
-    for bits in product((0, 1), repeat=4):
-        truth = step_function(2, 2, np.array(bits).reshape(2, 2))
-        model = fit_grid(truth, 2, 2)
-        err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 2, 1)
-        assert err.value <= grid_error_bound(2, 2) + 1e-12
-
-
-def test_grid_guarantee_on_level_set_truths():
-    for trial in range(20):
-        truth = level_set_function(3, 1, 3, sample_U(3, 1, 0.4, trial))
-        for m in (2, 4):
-            model = fit_grid(truth, 3, m)
-            resolution = m.bit_length() - 1
-            err = l1_exact_dyadic(truth, lambda points: eval_grid(model, points), 3, resolution)
-            assert err.value <= grid_error_bound(3, m) + 1e-12
 
 
 def test_eval_grid_batch_matches_corner_rule():

@@ -30,6 +30,7 @@ from monoapprox.functions import (
     step_function,
     threshold,
 )
+from monoapprox.verify import family_rule
 
 
 def test_boxbslash_examples():
@@ -143,9 +144,10 @@ def _held_arrays(obj):
 @pytest.mark.parametrize("name", ["SampleSet", "StepFamily", "LevelSetFunction", "GridModel", "ProjectionTables",
                                   "WaveletModel-sign-2", "WaveletModel-generalized-2", "WaveletModel-generalized-3"])
 def test_objects_own_read_only_arrays_and_never_freeze_the_callers(name):
-    # A writable array passed in is copied and stays writable; writing to it
-    # leaves the object's outputs as they were; every array the object holds
-    # is read-only; a read-only array passed in is adopted as it is.
+    # A writable array passed in, or a writable memoryview of one, is copied
+    # and stays writable; writing to it leaves the object's outputs as they
+    # were; every array the object holds is read-only; a read-only array
+    # passed in is adopted as it is.  ProjectionTables takes ndarrays only.
     make, inputs, outputs = _ownership_case(name)
     obj = make(*inputs)
     before = [np.asarray(out).tobytes() for out in outputs(obj)]
@@ -153,6 +155,12 @@ def test_objects_own_read_only_arrays_and_never_freeze_the_callers(name):
     for array in inputs:
         array[...] = 0
     assert [np.asarray(out).tobytes() for out in outputs(obj)] == before
+    if name != "ProjectionTables":
+        inputs = _ownership_case(name)[1]
+        obj = make(*map(memoryview, inputs))
+        for array in inputs:
+            array[...] = 0
+        assert [np.asarray(out).tobytes() for out in outputs(obj)] == before
     held = list(_held_arrays(obj))
     assert held and not any(array.flags.writeable for array in held)
     frozen = [array.copy() for array in _ownership_case(name)[1]]
@@ -231,35 +239,6 @@ def test_families_reject_wrong_widths():
             Affine(d)
 
 
-# The kernels the column sums and value tables replaced, kept as references.
-def _reference_step(truth, points):
-    columns = np.asarray(points, dtype=float).T
-    level = np.zeros(columns.shape[1], dtype=np.int64)
-    code = np.zeros(columns.shape[1], dtype=np.intp)
-    for column in columns:
-        cell = np.minimum((column * truth.m).astype(np.intp), truth.m - 1)
-        level += cell
-        code *= truth.m
-        code += cell
-    level += truth.delta.ravel()[code]
-    return 2.0 * level / truth.denominator - 1.0
-
-
-def _reference_level_set(truth, points):
-    columns = np.asarray(points, dtype=float).T
-    weights = np.zeros(columns.shape[1], dtype=np.int64)
-    masks = np.zeros(columns.shape[1], dtype=np.int64)
-    for column in columns[::-1]:
-        bit = column >= 0.5
-        weights += bit
-        masks <<= 1
-        masks += bit
-    covered = weights > truth.b
-    for u in truth.members:
-        covered |= (masks & u) == u
-    return np.where(covered, 1.0, -1.0)
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
 def test_family_kernels_match_their_references(d, seed, data):
@@ -274,15 +253,11 @@ def test_family_kernels_match_their_references(d, seed, data):
         rng.random((200, d)),
         rng.choice(edges, (200, d)),
     ])
-    sums = np.ascontiguousarray(points).sum(axis=1)
-    assert Affine(d)(points).tobytes() == (2.0 * sums / d - 1.0).tobytes()
-    assert boxbslash(d)(points).tobytes() == np.where(sums - d / 2.0 >= 0.0, 1.0, -1.0).tobytes()
-    step = step_function(d, m, random_delta(d, m, seed))
-    assert step(points).tobytes() == _reference_step(step, points).tobytes()
     t = data.draw(st.integers(1, d))
     b = data.draw(st.integers(t, d))
     level = level_set_function(d, t, b, sample_U(d, t, data.draw(st.sampled_from([0.0, 0.3, 1.0])), seed))
-    assert level(points).tobytes() == _reference_level_set(level, points).tobytes()
+    for oracle in (Affine(d), boxbslash(d), step_function(d, m, random_delta(d, m, seed)), level):
+        assert oracle(points).tobytes() == family_rule(oracle, points).tobytes()
 
 
 def test_level_set_monotone_under_bit_flips():
@@ -457,85 +432,15 @@ def test_lattice_is_monotone_named_cases():
     assert functions.lattice_is_monotone(inner[:, ::-1, :])
 
 
-# The batch kernels that on_columns replaced, kept as references.
-def _replaced_row_sums(points, d):
-    pts = np.asarray(points, dtype=float)
-    if d >= 8:
-        return pts.sum(axis=1)
-    total = pts[:, 0].copy()
-    for j in range(1, d):
-        total += pts[:, j]
-    return total
-
-
-def _replaced_affine(d, points):
-    s = _replaced_row_sums(points, d)
-    s *= 2.0
-    s /= d
-    s -= 1.0
-    return s
-
-
-def _replaced_boxbslash(d, points):
-    s = _replaced_row_sums(points, d)
-    s -= d / 2.0
-    return np.where(s >= 0.0, 1.0, -1.0)
-
-
-def _replaced_step(truth, points):
-    columns = np.asarray(points, dtype=float).T
-    code = np.zeros(columns.shape[1], dtype=np.intp)
-    for column in columns:
-        cell = (column * truth.m).astype(np.intp)
-        np.minimum(cell, truth.m - 1, out=cell)
-        code *= truth.m
-        code += cell
-    return truth._values[code]
-
-
-def _replaced_level_set(truth, points):
-    columns = np.asarray(points, dtype=float).T
-    masks = np.zeros(columns.shape[1], dtype=np.intp)
-    for column in columns[::-1]:
-        masks <<= 1
-        masks += column >= 0.5
-    if truth._values is not None:
-        return truth._values[masks]
-    covered = (columns >= 0.5).sum(axis=0) > truth.b
-    for u in truth.members:
-        covered |= (masks & u) == u
-    return np.where(covered, 1.0, -1.0)
-
-
-def _replaced_kernel(oracle):
-    """The oracle with its family kernel swapped for the replaced one: no ``on_columns``."""
-    if isinstance(oracle, StepFamily):
-        return lambda points: _replaced_step(oracle, points)
-    if isinstance(oracle, LevelSetFunction):
-        return lambda points: _replaced_level_set(oracle, points)
-    if isinstance(oracle, Affine):
-        return lambda points: _replaced_affine(oracle.d, points)
-    if isinstance(oracle, Boxbslash):
-        return lambda points: _replaced_boxbslash(oracle.d, points)
-    if isinstance(oracle, functions._Thresholded):
-        return threshold(_replaced_kernel(oracle.oracle), oracle.t)
-    inner, scale = _replaced_kernel(oracle.oracle), 1 << oracle.r  # snapped
-
-    def snapped(points):
-        cells = np.minimum((np.asarray(points, dtype=float) * scale).astype(np.int64), scale - 1)
-        return eval_batch(inner, (cells + 0.5) / scale)
-
-    return snapped
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64, LATTICE_BLOCK]), st.data())
 def test_lattice_values_match_the_replaced_block_route(d, seed, block, data):
-    # Byte for byte: a family's lattice from per-axis columns against the
-    # replaced kernel on blocks of points, for all four families and both
-    # wrappers, with coordinates 0, exactly j/m, 0.5 and 1.0 in any order
-    # and with repeats.  Small blocks give several leading axes per slab,
-    # and level sets past 2**d > block test their members one by one.
+    # Byte for byte: a family's lattice from per-axis columns against its
+    # defining rule (verify.family_rule, which reads no value table) on
+    # blocks of points, for all four families and both wrappers, with
+    # coordinates 0, exactly j/m, 0.5 and 1.0 in any order and with repeats.
+    # Small blocks give several leading axes per slab, and level sets past
+    # 2**d > block test their members one by one.
     # Sizes stop at 256 slabs: the slab count, not the lattice, sets this test's time.
     m = data.draw(st.integers(1, 6))
     edges = np.union1d(np.arange(m + 1) / m, [0.5])
@@ -552,8 +457,7 @@ def test_lattice_values_match_the_replaced_block_route(d, seed, block, data):
                    threshold(step, data.draw(st.sampled_from([-0.5, 0.0, 0.2]))),
                    snap_to_grid(data.draw(st.sampled_from([Affine(d), level])), d, data.draw(st.integers(0, 3)))]
         for oracle in oracles:
-            reference = _replaced_kernel(oracle)
-            assert not hasattr(reference, "on_columns")
+            reference = lambda points: family_rule(oracle, points)  # no on_columns: the points route
             got = lattice_values(oracle, coords, d)
             assert got.shape == (size,) * d
             assert got.tobytes() == lattice_values(reference, coords, d).tobytes()
