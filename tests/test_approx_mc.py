@@ -61,9 +61,9 @@ def test_draw_samples_rejects_out_of_range_values():
 
 
 def test_draw_samples_gives_families_their_columns():
-    # A family's kernel gets each block's columns, and SampleSet alone
-    # checks the points: the checked __call__ is not used, and points and
-    # values match one whole-array draw byte for byte.
+    # A family's kernel gets each block's columns, and the draw's block
+    # check alone checks the points: the checked __call__ is not used, and
+    # points and values match one whole-array draw byte for byte.
     n = LATTICE_BLOCK + 3
     for oracle in (family_from_spec("step:m=4", 3, 5), family_from_spec("levelset:t=1", 3, 5), Affine(3)):
         points = np.random.default_rng(8).random((n, 3))
@@ -93,9 +93,10 @@ def test_sample_set_digit_keys_and_sorting():
     assert np.all(np.diff(by_value.values) >= 0)
     assert by_value.resolution == 3
     assert np.array_equal(by_value.digit_keys, _cell_keys(by_value.points, 3))
-    # The sorted points and values are handed over, not copied again: at
-    # n = 200 000, d = 4, r = 7 the traced peak stays below 14 MB (11.5 MB
-    # measured; 19.5 MB when the constructor copied both).
+    # The sorted points, values and keys are handed over, not copied or
+    # keyed again: at n = 200 000, d = 4, r = 7 the traced peak stays below
+    # 14 MB (10.4 MB measured; 11.5 MB keying the sorted points, 19.5 MB
+    # when the constructor copied points and values).
     samples = draw_samples(4, 200_000, boxbslash(4), 0).with_resolution(7)
     tracemalloc.start()
     try:
@@ -136,11 +137,18 @@ def test_estimate_single_sample_equals_psi_times_value():
 def test_estimate_matches_brute_force():
     rng = np.random.default_rng(17)
     for d, k, r in ((1, 1, 2), (2, 1, 2), (2, 2, 1), (3, 2, 2)):
+        twin = copy.deepcopy(rng)
         samples = draw_samples(d, 50, Affine(d), rng)
         table = estimate_coefficients(samples, d, k, r)
         brute = brute_table(samples, d, k, r)
         for index, expected in brute.items():
             assert table[index] == pytest.approx(expected, abs=1e-12)
+        # A set drawn keyed at r holds no points: its own keys give the same
+        # table, and no other resolution can be keyed.
+        keyed = draw_samples(d, 50, Affine(d), twin, r)
+        assert estimate_coefficients(keyed, d, k, r) == table
+        with pytest.raises(ValueError, match="no points"):
+            estimate_coefficients(keyed, d, k, r + 1)
 
 
 def test_estimate_recovers_single_wavelet_target():
@@ -804,19 +812,71 @@ def test_bad_sample_in_the_last_block_is_rejected(bad):
         assert WaveletModel(2, "sign", SampleSet(points, values, resolution=3)).exact is exact
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, _B - 1, _B, _B + 3]), st.sampled_from([1, 8, 9, 16, 17, 53, 54, 62]),
+       st.integers(0, 2**32 - 1), st.sampled_from(["family", "lambda", "generator"]))
+def test_keyed_draw_matches_the_points_keeping_draw(d, n, r, seed, route):
+    # A draw at a resolution keys each block and drops it, so the set holds
+    # no points; its values and keys are those of keying the kept points,
+    # byte for byte, for a family (on_columns), a plain callable (eval_batch)
+    # and a Generator seed, which both draws advance alike.
+    family = family_from_spec("step:m=4", d, seed)
+    oracle = (lambda p: np.tanh(p.sum(axis=1) - d / 2)) if route == "lambda" else family
+    seeds = [np.random.default_rng(seed) if route == "generator" else seed for _ in range(2)]
+    keyed = draw_samples(d, n, oracle, seeds[0], r)
+    kept = draw_samples(d, n, oracle, seeds[1]).with_resolution(r)
+    assert keyed.points is None and keyed.resolution == r and (keyed.n, keyed.d) == (n, d)
+    assert _same_bytes(keyed.values, kept.values) and _same_bytes(keyed.digit_keys, kept.digit_keys)
+    if route == "generator":
+        assert seeds[0].random() == seeds[1].random()
+    # Keys at another resolution need the points the set does not hold.
+    assert keyed.with_resolution(r) is keyed
+    with pytest.raises(ValueError, match="no points"):
+        keyed.with_resolution(r + 1)
+    by_value, reference = keyed.sorted(), kept.sorted()
+    assert by_value.points is None and by_value.resolution == r
+    assert _same_bytes(by_value.values, reference.values) and _same_bytes(by_value.digit_keys, reference.digit_keys)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -np.inf, "shape"])
+@pytest.mark.parametrize("kernel", [True, False])
+def test_keyed_draw_rejects_a_bad_answer_as_the_points_keeping_draw(bad, kernel):
+    # A bad answer in the second block (3 rows) raises the same error
+    # whether blocks are kept or keyed.
+    def answer(m):
+        if m == 3 and bad == "shape":
+            return np.zeros(2)
+        out = np.zeros(m)
+        out[-1] = bad if m == 3 else 0.0
+        return out
+
+    class Columns:
+        def on_columns(self, columns):
+            return answer(len(columns[0]))
+
+    oracle = Columns() if kernel else (lambda p: answer(len(p)))
+    message = (r"oracle returned shape \(2,\) for 3 points; expected \(3,\)" if bad == "shape"
+               else r"sample values must lie in \[-1, 1\]")
+    for resolution in (None, 3):
+        with pytest.raises(ValueError, match=message):
+            draw_samples(2, _B + 3, oracle, 0, resolution)
+
+
 def test_fit_memory_gate():
     # mc-sign-d4's fit: 200k samples in d = 4.  Its n d digit keys are
-    # uint8 (0.8 MB, not 6.4 MB in int64), and its n-sized temporaries keep
-    # the traced peak, samples included, below 20 MB (17.0 MB measured;
-    # 25.8 MB with int64 keys, matmul codes and np.unique).
+    # uint8 (0.8 MB, not 6.4 MB in int64), written block by block as the
+    # samples are drawn, and it keeps no points: the traced peak, samples
+    # included, stays below 12.5 MB (9.8 MB measured; 16.2 MB when the fit
+    # kept the n d float points, 25.8 MB with int64 keys, matmul codes and
+    # np.unique).
     tracemalloc.start()
     try:
         model = fit(boxbslash(4), 4, 4, 7, 200_000, 0, "sign")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.samples.digit_keys.dtype == np.uint8
-    assert peak < 20e6, f"fit peaked at {peak / 1e6:.1f} MB"
+    assert model.samples.points is None and model.samples.digit_keys.dtype == np.uint8
+    assert peak < 12.5e6, f"fit peaked at {peak / 1e6:.1f} MB"
     # Its tables build, samples excluded, peaks below 8.5 MB (7.4 MB
     # measured; 9.6 MB when the tables copy the arrays handed to them).
     tracemalloc.start()
@@ -856,17 +916,19 @@ def test_fit_memory_gate():
     assert model.runs.shape == (8, 20_000) and model.tables is None
     assert peak < 3e6, f"k < d generalized build peaked at {peak / 1e6:.1f} MB"
     # The whole mc-gen-d2 fit, samples and keys included.  The points are
-    # drawn, evaluated, checked and keyed in blocks of LATTICE_BLOCK rows, so
-    # no pass makes an n-sized temporary: the traced peak stays below 32 MB
-    # (30.6 MB measured; 34.9 MB with whole-array passes).
+    # drawn into one reused block, evaluated, checked and keyed LATTICE_BLOCK
+    # rows at a time, so neither the n d float points nor any n-sized
+    # temporary of theirs is made: the traced peak stays below 22 MB (19.0 MB
+    # measured; 30.6 MB keeping the points, 34.9 MB with whole-array passes).
     tracemalloc.start()
     try:
         model = fit(family_from_spec("step:m=4", 2, 0), 2, 2, 6, 726_374, 0, "generalized")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert model.samples.points is None
     assert model.samples.digit_keys.dtype == np.uint8 and model.runs.dtype == np.int32
-    assert peak < 32e6, f"mc-gen-d2 fit peaked at {peak / 1e6:.1f} MB"
+    assert peak < 22e6, f"mc-gen-d2 fit peaked at {peak / 1e6:.1f} MB"
 
 
 def test_projection_tables_route_choice():
@@ -1084,7 +1146,7 @@ def test_generalized_matches_direct_threshold_average():
     # in exact integers so that sgn(0) = +1 is decided identically).
     d, k, r, n = 2, 1, 2, 12
     model = fit(Affine(d), d, k, r, n, 2024, "generalized")
-    points = model.samples.points
+    points = draw_samples(d, n, Affine(d), 2024).points  # a fit keeps none; the same seed draws them again
     values = model.samples.values
     indices = list(enumerate_indices(d, k, r))
     rng = np.random.default_rng(3)

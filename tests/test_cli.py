@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from monoapprox import cli
 from monoapprox.cli import main
 from monoapprox.verify import CHECKS
 
@@ -248,6 +249,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         ["bounds", "--upper-c", "nan"],
         ["bounds", "--out", "no-such-dir/x.csv"],
         ["bounds", "--out", "."],
+        _MC + ["--eps", "0.5", "--out", "no-such-dir/x.csv"],
+        _DET + ["--out", "."],
     ],
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
@@ -259,10 +262,13 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
          "det-without-m", "mc-without-eps", "mc-without-n", "mc-convergence-without-r",
          "d-not-an-int", "unknown-flag", "missing-family",
          "c0-0", "c0-negative", "c0-uncertified", "eps-grid-0", "eps-grid-1.5", "d-grid-0", "upper-c-nan",
-         "out-missing-dir", "out-directory"],
+         "out-missing-dir", "out-directory", "mc-out-missing-dir", "det-out-directory"],
 )
 def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
-    code = main(argv)
+    # Each is refused before any fit runs.
+    fitting = AssertionError("a fit ran")
+    with mock.patch.object(cli, "fit", side_effect=fitting), mock.patch.object(cli, "fit_grid", side_effect=fitting):
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -147,7 +147,7 @@ def test_objects_own_read_only_arrays_and_never_freeze_the_callers(name):
     # A writable array passed in, or a writable memoryview of one, is copied
     # and stays writable; writing to it leaves the object's outputs as they
     # were; every array the object holds is read-only; a read-only array
-    # passed in is adopted as it is.  ProjectionTables takes ndarrays only.
+    # passed in is adopted as it is.
     make, inputs, outputs = _ownership_case(name)
     obj = make(*inputs)
     before = [np.asarray(out).tobytes() for out in outputs(obj)]
@@ -155,12 +155,11 @@ def test_objects_own_read_only_arrays_and_never_freeze_the_callers(name):
     for array in inputs:
         array[...] = 0
     assert [np.asarray(out).tobytes() for out in outputs(obj)] == before
-    if name != "ProjectionTables":
-        inputs = _ownership_case(name)[1]
-        obj = make(*map(memoryview, inputs))
-        for array in inputs:
-            array[...] = 0
-        assert [np.asarray(out).tobytes() for out in outputs(obj)] == before
+    inputs = _ownership_case(name)[1]
+    obj = make(*map(memoryview, inputs))
+    for array in inputs:
+        array[...] = 0
+    assert [np.asarray(out).tobytes() for out in outputs(obj)] == before
     held = list(_held_arrays(obj))
     assert held and not any(array.flags.writeable for array in held)
     frozen = [array.copy() for array in _ownership_case(name)[1]]
