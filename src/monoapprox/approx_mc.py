@@ -37,26 +37,23 @@ chi(b_i(x))`` with the integer table ``chi(b) = sum_{t <= min(b, k)} C(b, t)
 c_t``; no coefficient is stored.  Linear and sign models store the nonzero
 ``c_T S_T`` in one sorted table (``ProjectionTables``) of compact codes, so
 ``m`` queries cost one ``searchsorted`` over their ``m #T`` keys, taken in
-blocks of bounded size.  Where the tables may not be built
-(``ProjectionTables.build``), and for generalized models, ``h`` takes the
-chi route instead, an O(n d) digit comparison per query row; only there does
-a model hold ``chi``.
+blocks of bounded size.
 
-The generalized mode needs no subset table: it reads runs, the samples
-grouped by a cell key (``WaveletModel``).  At ``k < d`` a sample that
-shares x's cell in ``b >= 1`` coordinates lies in exactly ``b`` of x's ``d``
-per-coordinate cells, and every other sample adds ``chi(0)``.  So models
-keep, per coordinate, the value ranks of the samples grouped by digit
-(``n d`` entries in all), and ``n g_i(x)`` is linear in ``i`` between the
-ranks found in x's ``d`` groups: its flips follow from integer prefix sums
-over those breakpoints and one exact floor division per segment.  At ``k =
-d`` only the full cell has ``c_T != 0``, so ``n g_i(x) = 2**(r d) (W - 2
-cnt_i)`` flips once, where ``cnt_i`` of the cell's ``W`` samples are among
-the ``i`` smallest values: the output is the cell's upper median, its
-``floor(W/2) + 1``-th smallest value (+1 when empty), read off the samples
-grouped by full-cell code (matched digit by digit past 63 bits), and no
-value is sorted.  All integer arithmetic is exact (Python integers, with a
-64-bit fast path when magnitudes provably permit).
+Every other model (``ProjectionTables.build``; all generalized ones) holds
+``chi`` and runs, the samples grouped by a cell key (``WaveletModel``).  A
+sample sharing x's cell in ``b`` coordinates lies in exactly ``b`` of x's
+``d`` per-coordinate groups, so one bincount over those groups counts every
+``b_i(x)``.  Generalized models at ``k < d`` keep value ranks there, and
+every sample outside x's groups adds ``chi(0)``, so ``n g_i(x)`` is linear
+in ``i`` between the ranks found there: its flips follow from integer
+prefix sums over those breakpoints and one exact floor division per
+segment.  At ``k = d`` only the full cell has ``c_T != 0``, so ``n g_i(x) =
+2**(r d) (W - 2 cnt_i)`` flips once, where ``cnt_i`` of the cell's ``W``
+samples are among the ``i`` smallest values: the output is the cell's upper
+median, its ``floor(W/2) + 1``-th smallest value (+1 when empty), read off
+the samples grouped by full-cell code (past 63 bits, those with ``b = d``),
+and no value is sorted.  All integer arithmetic is exact (Python integers,
+with a 64-bit fast path when magnitudes provably permit).
 ``estimate_coefficients``, the Haar transform of the projected sample
 histograms, is the explicit coefficient route the identity is checked
 against.
@@ -94,13 +91,11 @@ MODES = ("linear", "sign", "generalized")
 # the n d digit keys, and never fewer than 2**22.  A build peaks at about 32
 # bytes per entry (key, weight and the concatenated copy; 30.6-33 B measured
 # at 0.23M-3.8M entries), so the floor admits about 130 MB.  The limit bounds
-# memory and is no speed rule: within it tables usually win, but not always.
-# With many subsets and a small n a query pays one lookup per subset and the
-# chi route only n digit rows.  On 2 CPUs (numpy 2.4), for 2000 sign queries,
-# build included: d = 8, k = 3, r = 4, n = 20000 took 0.06 s with tables
-# against 2.03 s on the chi route, but d = 12, k = 5, r = 3, n = 2000 (1586
-# subsets) took 0.23 s to build and 1.41 s to query, against 0.21 s in all
-# on the chi route.
+# memory and is no speed rule.  On 2 CPUs (numpy 2.4), 2000 sign queries,
+# build included, took 0.04 s with tables against 0.13-0.15 s on the
+# coordinate runs at d = 8, k = 3, r = 4, n = 20000, but 0.83-0.90 s (0.12 s
+# of it the build of 1586 tables) against 0.04-0.06 s at d = 12, k = 5,
+# r = 3, n = 2000: with many subsets a query pays one lookup per subset.
 TABLE_ENTRY_FLOOR = 1 << 22
 
 # Queries are looked up in blocks of about LOOKUP_BLOCK (query, subset) pairs.
@@ -323,14 +318,16 @@ def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
 
 
 def _grouped(codes: np.ndarray, width: int):
-    """The int64 ``codes`` (each below ``2**width``) sorted, and the sample index at each position.
+    """The ``codes`` (each below ``2**width``) sorted, and the sample index at each position.
 
     One ``np.sort`` of ``code << b | i`` (``i < 2**b``, ``b = bitlen(n -
     1)``) where ``width + b <= 63``, which leaves each code's indices
     ascending; one ``np.argsort`` past that, in any order within a code.
     The pairs sort as uint32 where ``width + b <= 32`` (3.2 ms, not 6.8, at
-    mc-gen-d2's 12 + 20 bits).  The index is int32 below ``n = 2**31``.
-    ``codes`` is consumed.
+    mc-gen-d2's 12 + 20 bits), else as int64, in ``codes`` if int64.  8- and
+    16-bit digit columns pair-sort too (0.9 ms at n = 200 000, against 2.8
+    ms for a stable radix argsort and its gather).  The index is int32 below
+    ``n = 2**31``.  ``codes`` is consumed.
     """
     n = len(codes)
     index = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
@@ -339,9 +336,10 @@ def _grouped(codes: np.ndarray, width: int):
         order = np.argsort(codes)
         index[:] = order
         return codes[order], index
-    pairs = np.empty(n, dtype=np.uint32) if width + bits <= 32 else codes
-    np.left_shift(codes, bits, out=pairs, casting="unsafe")
-    # In the pairs' own dtype: uint32 | int32 would compute in int64, 3x slower.
+    pairs = np.empty(n, dtype=np.uint32) if width + bits <= 32 else codes.astype(np.int64, copy=False)
+    # In the pairs' own dtype: uint8 << b would wrap, and uint32 | int32
+    # would compute in int64, 3x slower.
+    np.left_shift(codes, bits, out=pairs, dtype=pairs.dtype, casting="unsafe")
     np.bitwise_or(pairs, index, out=pairs, dtype=pairs.dtype, casting="unsafe")
     pairs.sort()
     np.bitwise_and(pairs, (1 << bits) - 1, out=index, casting="unsafe")
@@ -411,8 +409,9 @@ class ProjectionTables:
 
         Keys need only ``r k + bitlen(#T - 1)`` bits; the rule keeps ``r d``, as
         a wider one cuts both ways.  2000 sign queries, build included, took
-        0.04 s with tables and 1.39 s on the chi route at d = 12, k = 2, r = 6,
-        n = 20000, but 0.75 s and 0.19 s at d = 20, k = 3, r = 4, n = 2000.
+        0.04-0.05 s with tables (built under the wider rule) and 0.11-0.13 s on
+        the coordinate runs at d = 12, k = 2, r = 6, n = 20000, but 0.76-0.79 s
+        and 0.05-0.07 s at d = 20, k = 3, r = 4, n = 2000.
         """
         d, r, n = samples.d, samples.resolution, samples.n
         sizes = [(t, c) for t in range(k + 1) if (c := subset_coefficient(t, d, k, r))]
@@ -474,19 +473,16 @@ class WaveletModel:
     * ``exact``: every sample value is +-1, so numerators are integers;
     * linear and sign modes: ``tables``, the projection sums, or None where
       they cannot or may not be built (see ``ProjectionTables.build``);
-    * where ``tables`` is None (the chi route, and every generalized model):
-      ``chi``, the table of the chi identity for ``k``;
-    * generalized mode: ``runs``, groups of samples, with row ``j`` of
-      ``run_keys`` holding the sorted key of each entry of row ``j``, so
-      x's group is where ``run_keys[j]`` equals x's key (``_run_bounds``).
-      At ``k < d`` there is a row per coordinate ``j``, keyed by the digit
-      ``x_j``, and it holds value ranks (positions in ``order``, the value
-      permutation ``argsort(values)``), ascending within each group;
-      ``order`` need not be stable, as the output is the exact threshold-cut
-      sum rounded once, which tied values cannot change.  At ``k = d`` the
-      single row is keyed by the full-cell code (``_subset_codes``) and
-      holds sample indices (``_grouped``); there is no ``order``, and past
-      ``r d = 63`` bits no runs either.
+    * where ``tables`` is None (every generalized model too): ``chi``, the
+      table of the chi identity for ``k``, and ``runs``, samples grouped by
+      ``_grouped``, with ``run_keys[j]`` the sorted key of each entry of
+      ``runs[j]``.  The coordinate runs, one row per coordinate ``j`` keyed
+      by the digit ``x_j``, hold sample indices, or for a generalized model
+      at ``k < d`` value ranks (positions in ``order``, the value
+      permutation ``argsort(values)``; it need not be stable, as tied values
+      cannot change the exact threshold-cut sum).  A generalized model at
+      ``k = d`` within ``r d = 63`` bits keeps one row instead, the
+      full-cell run: sample indices keyed by full-cell code.
 
     Everything not listed for a mode is None.
 
@@ -515,23 +511,20 @@ class WaveletModel:
             raise ValueError(f"k must be in [0, {self.d}], got {self.k}")
         values = self.samples.values
         exact = all((np.abs(values[lo : lo + LATTICE_BLOCK]) == 1.0).all() for lo in range(0, self.n, LATTICE_BLOCK))
-        tables = chi = order = runs = run_keys = None
+        tables = chi = runs = run_keys = None
+        order = np.argsort(values) if self.mode == "generalized" and self.k < self.d else None
         keys = self.samples.digit_keys
         if self.mode != "generalized":
             tables = ProjectionTables.build(self.samples, self.k, exact)
-        elif self.k < self.d:
-            order = np.argsort(values)
-            runs = np.empty((self.d, self.n), dtype=np.int32 if self.n < 2**31 else np.int64)
-            run_keys = np.empty((self.d, self.n), dtype=keys.dtype)
-            for j in range(self.d):
-                # numpy radix-sorts 8- and 16-bit keys under kind="stable".
-                column = np.take(keys[:, j], order)
-                runs[j] = np.argsort(column, kind="stable")
-                run_keys[j] = np.sort(column, kind="stable")
-        elif self.r * self.d <= 63:  # k = d: the samples grouped by full-cell code
-            codes, index = _grouped(_subset_codes(keys, range(self.d), self.r), self.r * self.d)
-            run_keys, runs = codes[None], index[None]
         if tables is None:
+            if self.mode == "generalized" and self.k == self.d and self.r * self.d <= 63:
+                codes, index = _grouped(_subset_codes(keys, range(self.d), self.r), self.r * self.d)
+                run_keys, runs = codes[None], index[None]
+            else:  # per coordinate, the sample indices (value ranks with an order) grouped by digit
+                run_keys = np.empty((self.d, self.n), dtype=keys.dtype)
+                runs = np.empty((self.d, self.n), dtype=np.int32 if self.n < 2**31 else np.int64)
+                for j, column in enumerate(keys.T):  # take gathers a column at twice the speed of keys[order, j]
+                    run_keys[j], runs[j] = _grouped(column.copy() if order is None else column.take(order), self.r)
             table = chi_table(self.d, self.k, self.r)
             # Every integer a query forms is at most max(3 n, 4) max|chi| in
             # size.  Sign numerators sum_i y_i chi(b_i) (|y_i| = 1) have
@@ -582,16 +575,11 @@ def _query_keys(model: WaveletModel, points) -> np.ndarray:
     return _cell_keys(as_points(points, model.d), model.r)
 
 
-def _chi_at(model: WaveletModel, keys: np.ndarray) -> np.ndarray:
-    """chi(b_i(x)) for every stored sample, from the digit keys of one point x."""
-    return model.chi[(model.samples.digit_keys == keys).sum(axis=1)]
-
-
 def _numerators(model: WaveletModel, points) -> np.ndarray:
     """``n * h(x)`` for every row of an (m, d) batch.
 
     Read off the projection tables when the model has them, else summed
-    over the samples through ``chi``, one query row at a time.  When every
+    over the samples through ``chi`` and ``_match_counts``.  When every
     sample value is +-1 the entries are exact integers (int64, or Python
     integers where int64 could wrap); floats otherwise.
     """
@@ -600,7 +588,7 @@ def _numerators(model: WaveletModel, points) -> np.ndarray:
         return model.tables.numerator(keys)
     values = model.samples.values
     y, dtype = (values.astype(np.int64), model.chi.dtype) if model.exact else (values, np.float64)
-    return np.array([np.dot(y, _chi_at(model, row)) for row in keys], dtype=dtype)
+    return np.array([np.dot(y, model.chi[b]) for b in _match_counts(model, keys)], dtype=dtype)
 
 
 def reconstruction_value(model: WaveletModel, points) -> np.ndarray:
@@ -628,15 +616,32 @@ def eval_sign(model: WaveletModel, points) -> np.ndarray:
     return np.where(_numerators(model, points) >= 0, 1.0, -1.0)
 
 
-def _run_bounds(run_keys: np.ndarray, query: np.ndarray):
-    """Where each row of an (m, rows) query matrix has its group in each row of ``run_keys``.
+def _run_members(model: WaveletModel, keys: np.ndarray):
+    """For each row x of an (m, d) digit-key matrix, the entries of x's group in every run row, concatenated.
 
-    Returns the starts and the ends, as lists of m rows: the group of
-    ``query[i, j]`` is ``run_keys[j][starts[i][j]:ends[i][j]]``, empty if
-    absent.  One ``searchsorted`` left and one right per run row.
+    A coordinate-run entry appears ``b(x)`` times; the full-cell run's group
+    is x's cell (at d = 1 the two coincide).  A block of about
+    ``LOOKUP_BLOCK`` (row, run row) pairs takes two searchsorteds per run row.
     """
-    return [np.stack([np.searchsorted(row, column, side) for row, column in zip(run_keys, query.T)],
-                     axis=1).tolist() for side in ("left", "right")]
+    query = keys if len(model.runs) == model.d else _subset_codes(keys, range(model.d), model.r)[:, None]
+    step = max(1, LOOKUP_BLOCK // len(model.runs))
+    for lo in range(0, len(query), step):
+        block = query[lo : lo + step].T
+        lower, upper = (np.stack([np.searchsorted(row, column, side) for row, column in zip(model.run_keys, block)],
+                                 axis=1).tolist() for side in ("left", "right"))
+        for starts, ends in zip(lower, upper):
+            yield np.concatenate([run[a:b] for run, a, b in zip(model.runs, starts, ends)])
+
+
+def _match_counts(model: WaveletModel, keys: np.ndarray):
+    """``b_i(x)`` for every sample ``i``, one bincount over x's groups (``_run_members``) per query row.
+
+    The full-cell run gives ``d`` on x's cell and 0 elsewhere, the same
+    ``chi``: at ``k = d``, ``chi(b) = 0`` for ``b < d``.
+    """
+    for members in _run_members(model, keys):
+        counts = np.bincount(members if model.order is None else model.order[members], minlength=model.n)
+        yield counts * model.d if len(model.runs) == 1 else counts
 
 
 def _run_flips(model: WaveletModel, keys: np.ndarray):
@@ -660,35 +665,30 @@ def _run_flips(model: WaveletModel, keys: np.ndarray):
     ``j + 1``.  Each such segment thus changes sign at most once, at an
     index found by exact floor division; at ``k < d``, ``chi(0) = (-1)**k
     C(d - 1, k) != 0``.  The integers have ``chi``'s dtype, whose guard
-    (``WaveletModel``) covers every one of them.  Rows are taken in blocks
-    of about ``LOOKUP_BLOCK`` (row, coordinate) pairs, with the run bounds
-    (``_run_bounds``) looked up once per block.
+    (``WaveletModel``) covers every one of them.
     """
-    n, d, chi, runs = model.n, model.d, model.chi, model.runs
+    n, chi = model.n, model.chi
     steps = chi - chi[0]
     twice = 2 * chi[0]
-    step = max(1, LOOKUP_BLOCK // d)
-    for lo in range(0, len(keys), step):
-        for starts, ends in zip(*_run_bounds(model.run_keys, keys[lo : lo + step])):
-            ranks = np.concatenate([run[a:b] for run, a, b in zip(runs, starts, ends)])
-            ranks.sort()
-            # Each distinct rank starts at one of at[:-1]; b is the gap to the next.
-            new = np.ones(len(ranks) + 1, dtype=bool)
-            np.not_equal(ranks[1:], ranks[:-1], out=new[1:-1])
-            at = np.flatnonzero(new)
-            gains = steps[at[1:] - at[:-1]]
-            # Segment s covers i in [edges[s], edges[s + 1]), where n g_i = levels[s] - twice i.
-            levels = np.cumsum(np.concatenate(([n * chi[0] + gains.sum()], -2 * gains)))
-            edges = np.concatenate(([0], ranks[at[:-1]] + 1, [n + 1]))
-            # levels - twice i >= 0 up to floor(levels / twice) for chi(0) > 0,
-            # and from ceil(levels / twice) on for chi(0) < 0: s changes at
-            # cross inside a segment, and at a segment's start between two.
-            cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
-            ends = np.stack([edges[:-1], edges[1:] - 1], axis=1).ravel()
-            signs = np.where((np.repeat(cross, 2) > ends) != (twice < 0), 1.0, -1.0)
-            change = np.flatnonzero(signs[1:] != signs[:-1])
-            flips = np.stack([cross, edges[1:]], axis=1).ravel()[change].astype(np.int64)
-            yield signs[0], signs[-1], flips, signs[change]
+    for ranks in _run_members(model, keys):
+        ranks.sort()
+        # Each distinct rank starts at one of at[:-1]; b is the gap to the next.
+        new = np.ones(len(ranks) + 1, dtype=bool)
+        np.not_equal(ranks[1:], ranks[:-1], out=new[1:-1])
+        at = np.flatnonzero(new)
+        gains = steps[at[1:] - at[:-1]]
+        # Segment s covers i in [edges[s], edges[s + 1]), where n g_i = levels[s] - twice i.
+        levels = np.cumsum(np.concatenate(([n * chi[0] + gains.sum()], -2 * gains)))
+        edges = np.concatenate(([0], ranks[at[:-1]] + 1, [n + 1]))
+        # levels - twice i >= 0 up to floor(levels / twice) for chi(0) > 0,
+        # and from ceil(levels / twice) on for chi(0) < 0: s changes at
+        # cross inside a segment, and at a segment's start between two.
+        cross = levels // twice + 1 if twice > 0 else -(-levels // twice)
+        ends = np.stack([edges[:-1], edges[1:] - 1], axis=1).ravel()
+        signs = np.where((np.repeat(cross, 2) > ends) != (twice < 0), 1.0, -1.0)
+        change = np.flatnonzero(signs[1:] != signs[:-1])
+        flips = np.stack([cross, edges[1:]], axis=1).ravel()[change].astype(np.int64)
+        yield signs[0], signs[-1], flips, signs[change]
 
 
 def eval_generalized(model: WaveletModel, points) -> np.ndarray:
@@ -701,20 +701,19 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     correctly rounded.  At ``k < d`` the flips come from the query's
     coordinate runs (``_run_flips``).  At ``k = d`` it is the upper median
     of the ``W`` values in x's cell (+1 if empty), read off the cell's run
-    or, past 63 bits, its matching samples, in O(W) memory per row.
+    or, past 63 bits, off the samples with ``b = d`` (``_match_counts``).
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
     keys = _query_keys(model, points)
-    values, order, runs = model.samples.values, model.order, model.runs
+    values, order = model.samples.values, model.order
     if order is not None:
         return np.array([math.fsum([(s_0 + s_n) / 2, *(values[order[f - 1]] * before)])
                          for s_0, s_n, f, before in _run_flips(model, keys)], dtype=np.float64)
     # k = d: the upper median of x's cell.
-    if runs is None:
-        cells = (values[(model.samples.digit_keys == row).all(axis=1)] for row in keys)
+    if len(model.runs) == 1:
+        cells = (values[members] for members in _run_members(model, keys))
     else:
-        codes = _subset_codes(keys, range(model.d), model.r)[:, None]
-        cells = (values[runs[0, a:b]] for (a,), (b,) in zip(*_run_bounds(model.run_keys, codes)))
+        cells = (values[b == model.d] for b in _match_counts(model, keys))
     # y + 0.0 is +0.0 for y = -0.0, as fsum([0.0, y]) is.
     return np.array([np.partition(y, len(y) // 2)[len(y) // 2] + 0.0 if len(y) else 1.0 for y in cells])

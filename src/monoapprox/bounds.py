@@ -176,12 +176,12 @@ def n_ran_upper(
 
 
 def n_det_curse(eps: float, d: int) -> float:
-    """Deterministic sample-complexity floor 2**(d-1), valid for eps <= 1/2."""
+    """Deterministic sample-complexity floor 2**(d-1), valid for eps <= 1/2; inf past the float range (d > 1024)."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"the 2**(d-1) floor is only asserted for eps in (0, 1/2], got {eps}")
     if d < 1:
         raise ValueError("d must be positive")
-    return float(2 ** (d - 1))
+    return float(2 ** (d - 1)) if d <= 1024 else math.inf
 
 
 @dataclass(frozen=True)

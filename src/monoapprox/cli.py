@@ -308,10 +308,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float(text: str) -> float:
-    if "/" in text:
-        numerator, denominator = text.split("/")
-        return float(numerator) / float(denominator)
-    return float(text)
+    numerator, slash, denominator = text.partition("/")
+    divisor = float(denominator) if slash else 1.0
+    if divisor == 0:  # a ValueError, which argparse reports in one line
+        raise ValueError(f"zero denominator in {text!r}")
+    return float(numerator) / divisor
 
 
 def _float_list(text: str) -> list[float]:
@@ -421,8 +422,8 @@ def _check_flags(cfg: ExperimentConfig) -> None:
         raise _UsageError(f"--k must be at most --d = {cfg.d}, got {cfg.k}")
     if cfg.r is not None and cfg.r > MAX_RESOLUTION:
         raise _UsageError(f"--r must be at most {MAX_RESOLUTION}, got {cfg.r}")
-    if any(0 < len(grid) < 3 for grid in (cfg.m_grid, cfg.n_grid)):
-        raise _UsageError("a fitted slope needs at least three grid sizes")
+    if any(0 < len(set(grid)) < 3 for grid in (cfg.m_grid, cfg.n_grid)):
+        raise _UsageError("a fitted slope needs at least three distinct grid sizes")
     if cfg.out:
         _check_out(cfg.out)
 

@@ -446,8 +446,8 @@ def family_from_spec(spec: str, d: int, seed, budget: int | None = None) -> Call
     if argstr:
         for item in argstr.split(","):
             key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed family argument {item!r}")
+            if not value or key.strip() in args:
+                raise ValueError(f"{'repeated' if value else 'malformed'} family argument {item!r}")
             args[key.strip()] = value.strip()
     if name in ("boxbslash", "affine"):
         if args:

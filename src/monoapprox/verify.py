@@ -165,8 +165,8 @@ def _check_cell_statistics() -> CheckResult:
     # sort of each query cell, linear is 2**(r d) S/n, sign is sgn S and
     # generalized is the upper median (+1 when empty, +0.0 for a zero).
     # Values are multiples of 1/8, so every sum is exact in any order; d = 8,
-    # r = 8 (r d = 64 bits) takes the chi route and matches digits, the
-    # others read the tables and the full-cell runs.
+    # r = 8 (r d = 64 bits) reads coordinate runs in every mode, the others
+    # read the tables and the full-cell runs.
     rng = np.random.default_rng(41)
     routes = set()
     for d, r, n in ((1, 2, 1), (2, 2, 60), (3, 1, 40), (2, 6, 400), (8, 8, 300)):
@@ -179,7 +179,7 @@ def _check_cell_statistics() -> CheckResult:
                 values[(keys == keys[0]).all(axis=1)] = -0.0
             samples = approx_mc.SampleSet(points, values, resolution=r)
             models = {mode: approx_mc.WaveletModel(d, mode, samples) for mode in approx_mc.MODES}
-            routes.add("chi" if models["sign"].tables is None else "tables")
+            routes.add("runs" if models["sign"].tables is None else "tables")
             queries = np.concatenate([points, rng.random((20, d))])
             linear = approx_mc.eval_linear(models["linear"], queries)
             sign = approx_mc.eval_sign(models["sign"], queries)

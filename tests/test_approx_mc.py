@@ -24,7 +24,6 @@ from monoapprox.approx_mc import (
     reconstruction_value,
     subset_coefficient,
     _cell_keys,
-    _chi_at,
     _numerators,
     _query_keys,
 )
@@ -365,6 +364,11 @@ def test_int64_and_object_routes_agree():
             assert np.array_equal(got64, got_obj[::2])
 
 
+def _chi_at(model, keys):
+    """chi(b_i(x)) for every stored sample, by comparing the digit keys of one point x with all n samples."""
+    return model.chi[(model.samples.digit_keys == keys).sum(axis=1)]
+
+
 def _flip_numerators(model, keys, order):
     """Exact integer numerators of ``n g_i(x)``, i = 0..n, over every sample: the per-row reference.
 
@@ -473,7 +477,7 @@ def test_guard_covers_a_single_drop_at_n_1():
 def test_int64_numerators_above_2_53_divide_exactly():
     # An int64 numerator above 2**53 loses digits when numpy converts it to
     # float64 before dividing; h must be int(numerator) / n, rounded once,
-    # on the chi route and on the tables.
+    # on the coordinate runs and on the tables.
     d, k, r, n = 8, 7, 6, 60000
     rng = np.random.default_rng(2)
     base = np.tile(rng.random(d), (8, 1))
@@ -485,7 +489,7 @@ def test_int64_numerators_above_2_53_divide_exactly():
     for floor in (0, 2**40):
         with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", floor):
             model = WaveletModel(k, "linear", samples)
-        assert (model.tables is None) == (floor == 0)
+        assert (model.tables is None) == (model.runs is not None) == (floor == 0)
         numerators = _numerators(model, base)
         assert numerators.dtype == np.int64 and np.abs(numerators).max() > 2**53
         assert eval_linear(model, base).tolist() == [int(v) / n for v in numerators]
@@ -505,10 +509,10 @@ def _chi_route(model, keys):
 def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, data):
     # Covers k < d (the T = {} table among them), k = d, n = 1, duplicate
     # points, tied values and coordinates equal to 1.0.  A zero entry floor
-    # makes small shapes whose tables could hold more than n d entries take
-    # the chi route; they are compared all the same.  The queries go in as
-    # one batch, looked up in blocks of 1, 7 or LOOKUP_BLOCK pairs, and every
-    # row is checked against the per-row reference.
+    # makes small shapes whose tables could hold more than n d entries read
+    # coordinate runs instead; they are compared all the same.  The queries
+    # go in as one batch, looked up in blocks of 1, 7 or LOOKUP_BLOCK pairs,
+    # and every row is checked against the per-row reference.
     k = data.draw(st.integers(0, d))
     floor = data.draw(st.sampled_from([0, approx_mc.TABLE_ENTRY_FLOOR]))
     block = data.draw(st.sampled_from([1, 7, approx_mc.LOOKUP_BLOCK]))
@@ -528,6 +532,7 @@ def test_projection_tables_match_chi_route(d, r, n, sign_valued, mode, seed, dat
         assert model.tables is None
     else:
         assert floor == 0 or model.tables is not None
+        assert (model.tables is None) == (model.runs is not None)
     if mode == "generalized":
         # Each output is the threshold-cut sum over that row's flip
         # numerators.  At k < d the model reads its d coordinate runs, and
@@ -791,6 +796,19 @@ def test_grouped_at_the_uint32_pair_width(n, width, distinct):
         assert _same_bytes(got, expected)
 
 
+@pytest.mark.parametrize("n, r", [(1, 8), (300, 8), (_B + 1, 16), (2 * _B + 3, 16), (2 * _B + 3, 9), (5000, 20)])
+def test_grouped_digit_columns(n, r):
+    # A coordinate run groups one digit column: uint8 and uint16 digits
+    # pair-sort in a uint32 pair array of their own, or an int64 one past
+    # 32 bits (16 + 17 at n = 2 _B + 3), and int64 digits (r = 20) in place.
+    rng = np.random.default_rng(n + r)
+    column = _cell_keys(rng.random((n, 1)), r)[:, 0].copy()
+    column[rng.integers(0, n, 3)] = (1 << r) - 1
+    codes, index = approx_mc._grouped(column.copy(), r)
+    order = np.argsort(column, kind="stable")
+    assert _same_bytes(codes, column[order]) and index.dtype == np.int32 and np.array_equal(index, order)
+
+
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -np.inf])
 def test_bad_sample_in_the_last_block_is_rejected(bad):
     n = 2 * _B + 3
@@ -943,12 +961,15 @@ def test_projection_tables_route_choice():
     # k < d, 1 + 4 * 16 + 6 * 256 = 1601 cells at most, below n d = 16384.
     assert len(model(4, 2, 4, 4096).tables.offsets) == 11
     # The rule asks for r d = 64 and 90 bits (approximate --d 8 --eps 0.5).
-    assert model(8, 8, 8, 50).tables is None
-    assert model(10, 10, 9, 50).tables is None
+    # Without tables a model keeps d coordinate runs of its n sample indices.
+    for d, k, r in ((8, 8, 8), (10, 10, 9)):
+        no_tables = model(d, k, r, 50)
+        assert no_tables.tables is None and no_tables.order is None
+        assert no_tables.runs.shape == no_tables.run_keys.shape == (d, 50)
     # Compact keys would fit r k + bitlen(#T - 1) = 19 and 24 bits here, but
-    # the rule keeps r d = 72 and 80: chi, the faster route at the second.
-    assert model(12, 2, 6, 20000).tables is None
-    assert model(20, 3, 4, 2000).tables is None
+    # the rule keeps r d = 72 and 80: the runs, the faster route at the second.
+    assert model(12, 2, 6, 20000).runs.shape == (12, 20000)
+    assert model(20, 3, 4, 2000).runs.shape == (20, 2000)
     # 93 tables could hold 236673 cells: more than n d = 160000, but within
     # the entry floor, so they are built.
     assert len(model(8, 3, 4, 20000).tables.offsets) == 93
@@ -957,8 +978,9 @@ def test_projection_tables_route_choice():
     generalized = model(2, 2, 6, 3000, "generalized")
     assert generalized.tables is None and generalized.order is None
     assert generalized.runs.shape == generalized.run_keys.shape == (1, 3000)
-    # Past r d = 63 bits it keeps no runs either, and matches digits.
-    assert model(8, 8, 8, 50, "generalized").runs is None
+    # Past r d = 63 bits it keeps the d coordinate runs, sample indices.
+    generalized = model(8, 8, 8, 50, "generalized")
+    assert generalized.order is None and generalized.runs.shape == generalized.run_keys.shape == (8, 50)
     # At k < d a generalized model keeps its n d coordinate ranks and no
     # tables, whatever the limit: its outputs read only the ranks.
     generalized = model(8, 3, 4, 20000, "generalized")
@@ -967,6 +989,8 @@ def test_projection_tables_route_choice():
     with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", 0):
         assert model(3, 2, 1, 100, "generalized").tables is None
         assert model(3, 2, 1, 100).tables is not None
+        # 1 + 4 * 8 + 6 * 50 + 4 * 50 = 533 cells could pass n d = 200.
+        assert model(4, 3, 3, 50).runs.shape == (4, 50)
         # k = d keeps one run of n entries, never more than n d.
         assert model(3, 3, 1, 100, "generalized").runs.shape == (1, 100)
     # Linear and sign models keep no runs, and their tables only the sums.
@@ -995,12 +1019,13 @@ def test_projection_tables_refused_without_listing_subsets():
     # 2510 subsets fit the key (48 + 12 bits), but could hold about 4.88M
     # entries, more than max(n d, TABLE_ENTRY_FLOOR) = 2**22.
     assert model(12, 6, 4, 2000) is None
-    # The models take the same checks; a generalized one at k = d builds no
-    # tables, and past 63 bits no runs either.
-    assert model(40, 40, 2, 10, "sign").tables is None
-    assert model(12, 6, 4, 2000, "linear").tables is None
+    # The models take the same checks and keep coordinate runs instead; a
+    # generalized one at k = d builds no tables, and past 63 bits no
+    # full-cell run either.
+    assert model(40, 40, 2, 10, "sign").runs.shape == (40, 10)
+    assert model(12, 6, 4, 2000, "linear").runs.shape == (12, 2000)
     generalized = model(40, 40, 2, 10, "generalized")
-    assert generalized.tables is None and generalized.runs is None
+    assert generalized.tables is None and generalized.runs.shape == (40, 10)
 
 
 def test_blocked_lookup_bounds_memory():
@@ -1114,14 +1139,14 @@ def test_generalized_all_positive_samples():
 
 def test_generalized_empty_information_returns_plus_one():
     # At k = d a query reads its own cell alone: with no sample there, the
-    # generalized and sign outputs are +1 (sgn(0) = +1), on the runs and the
-    # tables, and on the digit-matching and chi routes (r d = 64 bits at
-    # d = 8, r = 8).
+    # generalized and sign outputs are +1 (sgn(0) = +1), on the full-cell run
+    # and the tables, and on the coordinate runs (r d = 64 bits at d = 8,
+    # r = 8), where generalized and sign models both read them.
     for d, r in ((2, 1), (8, 8)):
         samples = SampleSet(np.full((3, d), 0.1), np.full(3, -1.0)).with_resolution(r)
         generalized, sign = WaveletModel(d, "generalized", samples), WaveletModel(d, "sign", samples)
-        assert (generalized.runs is None) == (sign.tables is None) == (d == 8)
-        assert generalized.tables is None
+        assert len(generalized.runs) == (8 if d == 8 else 1) and generalized.tables is None
+        assert (sign.tables is None) == (sign.runs is not None) == (d == 8)
         assert eval_generalized(generalized, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
         assert eval_sign(sign, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
 
@@ -1136,6 +1161,36 @@ def test_generalized_collapses_to_sign_on_sign_valued_data():
         points = rng.random((50, d))
         assert np.array_equal(eval_sign(sign_model, points), eval_generalized(gen_model, points))
         assert np.array_equal(reconstruction_value(sign_model, points), reconstruction_value(gen_model, points))
+
+
+@pytest.mark.parametrize("d, k, r, floor, tables", [
+    (3, 1, 2, None, True),  # generalized: coordinate runs of value ranks
+    (3, 3, 1, None, True),  # generalized: the full-cell run
+    (4, 3, 3, 0, False),  # the tables could pass n d entries: coordinate runs
+    (8, 3, 8, None, False),  # r d = 64 bits: coordinate runs in every mode
+    (8, 8, 8, None, False),
+])
+def test_modes_agree_on_sign_valued_samples(d, k, r, floor, tables):
+    # On the same +-1 samples every mode reads the same exact integer
+    # numerators n h(x), whatever route it takes: reconstruction_value and
+    # eval_sign give the same bytes in all three modes, and eval_generalized
+    # collapses to eval_sign.
+    rng = np.random.default_rng(d * 100 + k * 10 + r)
+    n = 400
+    points = rng.random((60, d))[rng.integers(0, 60, n)]
+    samples = SampleSet(points, rng.choice([-1.0, 1.0], n), resolution=r)
+    with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", approx_mc.TABLE_ENTRY_FLOOR if floor is None else floor):
+        models = [WaveletModel(k, mode, samples) for mode in ("linear", "sign", "generalized")]
+    linear, sign, generalized = models
+    assert [model.tables is not None for model in models] == [tables, tables, False]
+    assert (generalized.order is not None) == (k < d)
+    queries = np.concatenate([points[:20], rng.random((10, d))])
+    h = reconstruction_value(linear, queries)
+    assert (h != 0).any()
+    for model in models:
+        assert reconstruction_value(model, queries).tobytes() == h.tobytes()
+        assert eval_sign(model, queries).tobytes() == eval_sign(sign, queries).tobytes()
+    assert eval_generalized(generalized, queries).tobytes() == eval_sign(sign, queries).tobytes()
 
 
 def test_generalized_matches_direct_threshold_average():
@@ -1201,10 +1256,11 @@ def _exact_threshold_cut_sum(samples, k, x):
        st.integers(0, 2**32 - 1), st.data())
 def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
     # The output is the exact rational threshold-cut sum, correctly rounded:
-    # at k < d from the coordinate runs, at k = d as the cell's median, on
-    # the full-cell run and by matching digits (runs dropped).  Samples in
-    # draw order and presorted by value give the same bytes.  Covers n = 1,
-    # tied values and chi(0) != 0 (k < d).
+    # at k < d from the coordinate runs of value ranks, at k = d as the
+    # cell's median, on the full-cell run and on coordinate runs of sample
+    # indices (what a model keeps past 63 bits, put in its place here).
+    # Samples in draw order and presorted by value give the same bytes.
+    # Covers n = 1, tied values and chi(0) != 0 (k < d).
     k = data.draw(st.integers(0, d))
     rng = np.random.default_rng(seed)
     points = rng.random((max(n // 2, 1), d))[rng.integers(0, max(n // 2, 1), n)]
@@ -1215,13 +1271,17 @@ def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
     expected = np.array([_exact_threshold_cut_sum(samples, k, x) for x in queries]).tobytes()
     for given_samples in (samples, samples.sorted()):
         runs = WaveletModel(k, "generalized", given_samples)
-        matching = copy.copy(runs)
-        if k == d:
-            object.__setattr__(matching, "runs", None)
-        assert runs.tables is None and runs.runs is not None
+        coordinate = copy.copy(runs)
+        if k == d:  # a model without tables keeps coordinate runs of sample indices
+            with mock.patch.object(approx_mc.ProjectionTables, "build", return_value=None):
+                linear = WaveletModel(k, "linear", given_samples)
+            object.__setattr__(coordinate, "run_keys", linear.run_keys)
+            object.__setattr__(coordinate, "runs", linear.runs)
+        assert runs.tables is None and len(runs.runs) == (d if k < d else 1)
         assert (runs.order is not None) == (runs.chi[0] != 0) == (k < d)
+        assert len(coordinate.runs) == d
         assert eval_generalized(runs, queries).tobytes() == expected
-        assert eval_generalized(matching, queries).tobytes() == expected
+        assert eval_generalized(coordinate, queries).tobytes() == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -128,6 +128,9 @@ def test_n_det_curse():
     assert n_det_curse(0.3, 20) == 524288.0
     for d in range(1, 31):
         assert n_det_curse(0.5, d) == float(2 ** (d - 1))
+    # The exact power up to the float range, inf past it.
+    assert n_det_curse(0.5, 1024) == 2.0**1023
+    assert n_det_curse(0.5, 1025) == n_det_curse(0.25, 5000) == math.inf
     with pytest.raises(ValueError):
         n_det_curse(0.6, 3)
 

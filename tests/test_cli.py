@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from unittest import mock
 
@@ -138,6 +139,10 @@ def test_bounds_table_reference_rows(capsys):
     assert rows[(1 / 15, 100)]["n_lower"] == pytest.approx(108.0, rel=1e-9)
     assert rows[(0.5, 10)]["n_det_curse"] == 512.0
     assert rows[(0.6, 10)]["n_det_curse"] is None  # outside the asserted range
+    # 2**1024 is past the float range: the floor reads inf, as n_ran_upper does.
+    code, out = run_cli(capsys, "bounds", "--eps-grid", "0.5", "--d-grid", "1024,1025", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert code == 0 and [row["n_det_curse"] for row in rows] == [2.0**1023, math.inf]
     assert payload["certificate"]["value"] == pytest.approx(0.0666667, abs=1e-3)
     assert payload["config"]["seed"] == 0
     assert "version" in payload
@@ -224,6 +229,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         ["convergence", "--algo", "mc", "--d", "2", "--family", "affine", "--k", "1", "--r", "1",
          "--eps", "0.5"],
         ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", "16,32"],
+        ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", "4,4,8"],
+        ["convergence", "--algo", "mc", "--d", "2", "--family", "affine", "--k", "1", "--r", "1", "--n-grid", "8,8,8"],
         ["verify", "--only", ","],
         _DET[:-1] + ["bogus"],
         _DET[:-1] + ["step:m=x"],
@@ -233,6 +240,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         _DET[:-1] + ["levelset:t=-1"],
         _DET[:-1] + ["affine:x=1"],
         _DET[:-1] + [""],
+        _DET[:-1] + ["step:m=2,m=3"],
+        _DET[:-1] + ["levelset:t=1,t=2"],
         ["approximate", "--algo", "det", "--d", "2", "--family", "affine"],
         _MC,
         _MC + ["--k", "1", "--r", "1"],
@@ -245,6 +254,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         ["bounds", "--c0", "0.5"],  # the certificate fails: epshat(100) = 0.0646 <= 1/15
         ["bounds", "--eps-grid", "0"],
         ["bounds", "--eps-grid", "1.5"],
+        ["bounds", "--eps-grid", "1/0"],
+        ["bounds", "--eps-grid", "0/0"],
         ["bounds", "--d-grid", "0"],
         ["bounds", "--upper-c", "nan"],
         ["bounds", "--out", "no-such-dir/x.csv"],
@@ -255,13 +266,15 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
          "r-63", "r-64", "formula-r-65", "convergence-eps",
-         "two-grid-sizes", "verify-only-names-no-check", "family-unknown",
+         "two-grid-sizes", "two-distinct-m-grid-sizes", "one-distinct-n-grid-size",
+         "verify-only-names-no-check", "family-unknown",
          "family-bad-int", "family-unknown-argument", "family-m-0", "family-m-negative",
          "family-t-negative", "family-argument-of-affine",
-         "family-empty",
+         "family-empty", "family-repeated-m", "family-repeated-t",
          "det-without-m", "mc-without-eps", "mc-without-n", "mc-convergence-without-r",
          "d-not-an-int", "unknown-flag", "missing-family",
-         "c0-0", "c0-negative", "c0-uncertified", "eps-grid-0", "eps-grid-1.5", "d-grid-0", "upper-c-nan",
+         "c0-0", "c0-negative", "c0-uncertified", "eps-grid-0", "eps-grid-1.5",
+         "eps-grid-zero-denominator", "eps-grid-0/0", "d-grid-0", "upper-c-nan",
          "out-missing-dir", "out-directory", "mc-out-missing-dir", "det-out-directory"],
 )
 def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
