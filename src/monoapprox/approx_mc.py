@@ -58,11 +58,11 @@ with a 64-bit fast path when magnitudes provably permit).
 histograms, is the explicit coefficient route the identity is checked
 against.
 
-Every model reads a sample only through its value and its digit keys, so
-``fit`` draws keyed (``draw_samples`` at ``r``): each ``LATTICE_BLOCK`` of
-points is drawn into one reused buffer, answered, checked, keyed and
-dropped, and a fitted model holds no ``(n, d)`` float points (6.4 MB at
-n = 200 000, d = 4; the fit's traced peak there fell from 16.2 to 9.8 MB).
+Every model reads a sample only through its value and its digit keys, so a
+``SampleSet`` holds just those, keyed once at its resolution; the keys of any
+coarser one are a right shift away.  ``draw_samples`` draws each
+``LATTICE_BLOCK`` of points into one reused buffer, answers, checks, keys and
+drops it: no ``(n, d)`` float points are held (6.4 MB at n = 200 000, d = 4).
 
 Every evaluation function takes the model and an ``(m, d)`` array of query
 points in [0, 1]^d and returns the ``(m,)`` array of outputs; a model is an
@@ -76,7 +76,7 @@ estimator) is structural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -110,40 +110,41 @@ MAX_RESOLUTION = 62
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Evaluation points in [0,1]^d with values in [-1,1].
+    """Samples in [0,1]^d with values in [-1,1], held as their values and digit keys.
 
-    Once a resolution ``r`` is fixed, ``digit_keys[i][j]`` caches the index of
-    the resolution-``r`` dyadic cell containing coordinate ``j`` of sample
-    ``i``, in ``[0, 2**r)``, uint8 for r <= 8 and uint16 for r <= 16.  The
-    keys are always computed from the points, never passed in.  A set drawn
-    keyed (``draw_samples`` with a resolution, as ``fit`` draws) holds values
-    and keys only: its ``points`` is None, and it has keys at its own
-    resolution alone.  Points and values are checked ``LATTICE_BLOCK`` rows at
-    a time (``_check_block``).  Arrays are read-only after construction; a
-    writable one passed in is copied, a read-only one adopted (``_set_frozen``).
+    ``digit_keys[i][j]`` is the index of the resolution-``r`` dyadic cell
+    containing coordinate ``j`` of sample ``i``, in ``[0, 2**r)``, uint8 for
+    r <= 8 and uint16 for r <= 16.  The points are checked ``LATTICE_BLOCK``
+    rows at a time, keyed at ``resolution`` and dropped; keys cannot be
+    passed in.  Without a resolution they are keyed at ``MAX_RESOLUTION``
+    and ``resolution`` stays None, which a model refuses.  Arrays are
+    read-only; a writable one passed in is copied, a read-only one adopted
+    (``_set_frozen``).
     """
 
-    points: np.ndarray | None
+    points: InitVar[np.ndarray]
     values: np.ndarray
     resolution: int | None = None
-    digit_keys: np.ndarray | None = field(init=False, default=None)
+    digit_keys: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
+    def __post_init__(self, points) -> None:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         values = np.asarray(self.values, dtype=float)
         if points.shape[0] != values.shape[0]:
             raise ValueError("points and values must have equal length")
         for lo in range(0, len(values), LATTICE_BLOCK):
-            _check_block(points[lo : lo + LATTICE_BLOCK], values[lo : lo + LATTICE_BLOCK])
-        _set_frozen(self, points=points, values=values)
-        if self.resolution is not None:
-            _set_frozen(self, digit_keys=_cell_keys(points, self.resolution))
+            block = points[lo : lo + LATTICE_BLOCK]
+            if not ((block >= 0.0) & (block <= 1.0)).all():  # NaN too
+                raise ValueError("sample points must lie in [0, 1]^d")
+            _check_values(values[lo : lo + LATTICE_BLOCK])
+        own = MAX_RESOLUTION if self.resolution is None else self.resolution
+        _set_frozen(self, values=values, digit_keys=_cell_keys(points, own))
 
     @classmethod
-    def _adopt(cls, points, values, resolution, digit_keys) -> "SampleSet":
+    def _adopt(cls, values, resolution, digit_keys) -> "SampleSet":
         """A set of arrays already checked and keyed, handed over: nothing is checked or keyed again."""
         samples = object.__new__(cls)
-        _set_frozen(samples, points=points, values=values, resolution=resolution, digit_keys=digit_keys)
+        _set_frozen(samples, values=values, resolution=resolution, digit_keys=digit_keys)
         return samples
 
     @property
@@ -152,67 +153,63 @@ class SampleSet:
 
     @property
     def d(self) -> int:
-        return (self.digit_keys if self.points is None else self.points).shape[1]
+        return self.digit_keys.shape[1]
 
     def with_resolution(self, r: int) -> "SampleSet":
-        """The same samples with resolution-r digit keys (recomputed if r differs, not revalidated).
+        """The samples keyed at r, at most their own resolution ``s``: each key shifted right by ``s - r``.
 
-        A set without points is keyed at its own resolution only; any other r
-        is a ValueError.
+        ``floor(x 2**s) >> (s - r) = floor(x 2**r)``, and the clamped key
+        ``2**s - 1`` of ``x = 1`` shifts to ``2**r - 1``.  A finer r is a ValueError.
         """
         if self.resolution == r:
             return self
-        if self.points is None:
-            raise ValueError(f"samples drawn keyed at resolution {self.resolution} hold no points to key at {r}")
-        return SampleSet._adopt(self.points, self.values, r, _cell_keys(self.points, r))
+        own = MAX_RESOLUTION if self.resolution is None else self.resolution
+        if r > own:
+            raise ValueError(f"samples keyed at resolution {own} cannot be keyed at the finer {r}")
+        keys = np.empty(self.digit_keys.shape, dtype=_key_dtype(r))
+        for lo in range(0, len(keys), LATTICE_BLOCK):
+            np.right_shift(self.digit_keys[lo : lo + LATTICE_BLOCK], own - r, out=keys[lo : lo + LATTICE_BLOCK],
+                           casting="unsafe")
+        return SampleSet._adopt(self.values, r, keys)
 
     def sorted(self) -> "SampleSet":
-        """The samples, stably sorted by value: points (if held), values and keys permuted together."""
+        """The samples, stably sorted by value: values and keys permuted together."""
         order = np.argsort(self.values, kind="stable")
-        points, keys = (None if array is None else array[order] for array in (self.points, self.digit_keys))
-        return SampleSet._adopt(points, self.values[order], self.resolution, keys)
+        return SampleSet._adopt(self.values[order], self.resolution, self.digit_keys[order])
 
 
-def _check_block(points: np.ndarray, values: np.ndarray) -> None:
-    """ValueError unless a block's points lie in [0, 1]^d and its values in [-1, 1]; NaN fails both."""
-    if not ((points >= 0.0) & (points <= 1.0)).all():
-        raise ValueError("sample points must lie in [0, 1]^d")
-    if not (np.abs(values) <= 1.0).all():  # +-inf too
+def _check_values(values: np.ndarray) -> None:
+    """ValueError unless every sample value lies in [-1, 1]; NaN and +-inf fail."""
+    if not (np.abs(values) <= 1.0).all():
         raise ValueError("sample values must lie in [-1, 1]")
 
 
 def draw_samples(d: int, n: int, oracle, seed, resolution: int | None = None) -> SampleSet:
-    """Draw n i.i.d. uniform points and record oracle values; deterministic in seed.
+    """Draw n i.i.d. uniform points and record oracle values as a keyed ``SampleSet``; deterministic in seed.
 
     The points are the rows of one ``rng.random((n, d))``, drawn
-    ``LATTICE_BLOCK`` rows at a time.  Each block gets one oracle call
-    (``on_columns`` gets its columns) and one check of its points and values
-    (``_check_block``), the only one they get.  Without a resolution, blocks
-    are drawn into the set's ``(n, d)`` points.  With one, as ``fit`` draws,
-    each block is drawn into one reused buffer, keyed at that resolution and
-    dropped: the set holds values and digit keys, byte for byte those of
-    ``draw_samples(d, n, oracle, seed).with_resolution(resolution)``, and no
-    points.  Raises ValueError if the oracle returns a value outside [-1, 1].
+    ``LATTICE_BLOCK`` rows at a time into one reused buffer.  Each block gets
+    one oracle call (``on_columns`` gets its columns), a check of its values
+    (points from ``rng.random`` lie in [0, 1)) and its keys; the set equals
+    ``SampleSet(points, values, resolution)`` byte for byte.  Raises
+    ValueError if the oracle returns a value outside [-1, 1].
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
+    own = MAX_RESOLUTION if resolution is None else resolution
+    keys = np.empty((n, d), dtype=_key_dtype(own))
     rng = np.random.default_rng(seed)
     values = np.empty(n)
-    if resolution is None:
-        points, keys = np.empty((n, d)), None
-    else:
-        points, keys = None, np.empty((n, d), dtype=_key_dtype(resolution))
-        buffer = np.empty((min(n, LATTICE_BLOCK), d))
+    buffer = np.empty((min(n, LATTICE_BLOCK), d))
     kernel = getattr(oracle, "on_columns", None)
     for lo in range(0, n, LATTICE_BLOCK):
         hi = min(n, lo + LATTICE_BLOCK)
-        block = rng.random(out=buffer[: hi - lo] if points is None else points[lo:hi])
+        block = rng.random(out=buffer[: hi - lo])
         # No name holds a block's answer into the next block.
         values[lo:hi] = eval_batch(oracle, block) if kernel is None else _answer(kernel(block.T), hi - lo)
-        _check_block(block, values[lo:hi])
-        if keys is not None:
-            _cell_keys(block, resolution, out=keys[lo:hi])
-    return SampleSet._adopt(points, values, resolution, keys)
+        _check_values(values[lo:hi])
+        _cell_keys(block, own, out=keys[lo:hi])
+    return SampleSet._adopt(values, resolution, keys)
 
 
 def _key_dtype(r: int):
@@ -503,8 +500,8 @@ class WaveletModel:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.samples.digit_keys is None:
-            raise ValueError("samples must carry digit keys")
+        if self.samples.resolution is None:
+            raise ValueError("samples must be keyed at a resolution")
         if self.n == 0:
             raise ValueError("a model needs at least one sample")
         if not 0 <= self.k <= self.d:
@@ -562,8 +559,7 @@ class WaveletModel:
 def fit(oracle, d: int, k: int, r: int, n: int, seed, mode: str) -> WaveletModel:
     """Draw one batch of samples and build the requested model.
 
-    The samples are drawn keyed at resolution r, so the model holds their
-    values and digit keys but no points; they stay in draw order.
+    The samples are drawn keyed at resolution r; they stay in draw order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -134,14 +134,6 @@ class NRanUpper:
     upper_c: float
     det_branch: str
 
-    @property
-    def stochastic_branch(self) -> float:
-        return _exp_or_inf(self.log_stochastic_branch)
-
-    @property
-    def deterministic_branch(self) -> float:
-        return _exp_or_inf(self.log_deterministic_branch)
-
 
 def n_ran_upper_breakdown(
     eps: float, d: int, upper_c: float = DEFAULT_UPPER_C, det_branch: str = "theorem"

@@ -304,15 +304,20 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:  # argparse prints an ArgumentTypeError's reason, and drops any other's
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
 def _float(text: str) -> float:
     numerator, slash, denominator = text.partition("/")
-    divisor = float(denominator) if slash else 1.0
-    if divisor == 0:  # a ValueError, which argparse reports in one line
-        raise ValueError(f"zero denominator in {text!r}")
-    return float(numerator) / divisor
+    try:
+        return float(numerator) / (float(denominator) if slash else 1.0)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number or a fraction p/q: {text!r}") from None
 
 
 def _float_list(text: str) -> list[float]:

@@ -115,18 +115,18 @@ def _check_chi_table() -> CheckResult:
 def _check_flip_recursion() -> CheckResult:
     # The flips eval_generalized reads at k < d, rebuilt into s_0..s_n,
     # against the sign of n g_i = S - 2 T_i, with T_i the exact prefix sums
-    # of pair_kernel over the samples in the model's value order.  A fit
-    # keeps no points, so the model is built from a points-keeping draw.
+    # of pair_kernel over the samples in the model's value order.  A sample
+    # set keeps no points, so the check draws them as draw_samples does.
     d, k, r = 3, 1, 2
     indices = list(haar_basis.enumerate_indices(d, k, r))
     rng = np.random.default_rng(11)
     for truth, n, seed, queries in ((functions.boxbslash(d), 40, rng, rng),
                                     (functions.Affine(d), 30, 77, np.random.default_rng(10))):
-        samples = approx_mc.draw_samples(d, n, truth, seed)
-        model = approx_mc.WaveletModel(k, "generalized", samples.with_resolution(r))
+        points = np.random.default_rng(seed).random((n, d))
+        model = approx_mc.WaveletModel(k, "generalized", approx_mc.SampleSet(points, truth(points), r))
         xs = queries.random((20, d))
         for x, (s_0, s_n, at, before) in zip(xs, approx_mc._run_flips(model, approx_mc._cell_keys(xs, r))):
-            prefix = [0, *accumulate(pair_kernel(indices, samples.points[i], x) for i in model.order)]
+            prefix = [0, *accumulate(pair_kernel(indices, points[i], x) for i in model.order)]
             expected = [1.0 if prefix[-1] - 2 * t >= 0 else -1.0 for t in prefix]
             signs = s_0 * (-1.0) ** np.searchsorted(at, np.arange(n + 1), side="right")
             if signs.tolist() != expected or signs[-1] != s_n or not np.array_equal(signs[at - 1], before):

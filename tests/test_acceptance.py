@@ -6,14 +6,18 @@ an ``ACCEPTANCE NN: PASS`` line, so every criterion keeps a test id of its
 own, and ``test_registry_check`` runs every other entry, so the suite runs
 each check once.  Criterion 10 is the ``grid-rate`` entry; its command-line
 sweep is ``test_cli.py::test_convergence_det_slope_footer``.  Criterion 12
-fits end to end and has no registry entry.
-``test_planted_fault_fails_its_check`` shows that the checks can fail.
+fits end to end and has no registry entry; at d = 4, where the sample cap
+binds, it asserts that the fit is no better than the constant +1 predictor,
+and ``test_criterion_12_capped_regime_check_fails_on_a_fitting_shape`` shows
+that assert can fail.  ``test_planted_fault_fails_its_check`` shows that the
+checks can fail, every check with at least one planted fault.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report including timings.
 """
 
 import dataclasses
+import math
 import time
 from unittest import mock
 
@@ -21,7 +25,7 @@ import numpy as np
 import pytest
 
 from monoapprox import approx_det, approx_mc, bounds, functions, haar_basis, metrics
-from monoapprox.approx_mc import eval_sign, fit
+from monoapprox.approx_mc import fit
 from monoapprox.bounds import choose_params, ub_error, ub_error_breakdown
 from monoapprox.functions import (
     level_set_function,
@@ -141,6 +145,11 @@ def _capped_fit(truth, d, m, *rest, fit_grid=approx_det.fit_grid):
     return fit_grid(truth, d, min(m, 32), *rest)
 
 
+def _estimation_at_sqrt_n(p, ub_error_breakdown=bounds.ub_error_breakdown):
+    """``ub_error_breakdown`` charging the estimation term at ``isqrt(n)`` samples, so it falls slower than 1/n."""
+    return ub_error_breakdown(dataclasses.replace(p, n=math.isqrt(p.n)))
+
+
 def _unmasked_is_monotone(values):
     """``lattice_is_monotone`` without its boundary mask: every flat pair ``s`` apart counts."""
     flat, stride = np.ravel(values), np.size(values)
@@ -175,6 +184,25 @@ FAULTS = [
     ("curse", bounds, "n_det_curse", _altered(bounds.n_det_curse, lambda v: 2 * v)),
     ("certificate", bounds, "lb_epshat",
      _altered(bounds.lb_epshat, lambda cert: dataclasses.replace(cert, value=0.07))),
+    ("normalization", haar_basis, "psi_d", _altered(haar_basis.psi_d, lambda v: math.sqrt(2) * v)),
+    ("generalized-bounded", approx_mc, "eval_generalized", _altered(approx_mc.eval_generalized, lambda v: 2 * v)),
+    ("estimator", approx_mc, "estimate_coefficients",
+     _altered(approx_mc.estimate_coefficients, lambda table: {index: 1.1 * v for index, v in table.items()})),
+    ("grid-sandwich", approx_det.GridModel, "on_columns", _altered(approx_det.GridModel.on_columns, lambda v: -v)),
+    ("threshold-monotone", functions, "threshold",
+     lambda oracle, t, threshold=functions.threshold: threshold(oracle, -t)),
+    ("l1mc-vs-exact", metrics, "l1_mc",
+     _altered(metrics.l1_mc, lambda est: dataclasses.replace(est, value=1.1 * est.value))),
+    ("lb-numbers", bounds, "lb_curve",
+     _altered(bounds.lb_curve, lambda curve: dataclasses.replace(curve, n_lower=1.001 * curve.n_lower))),
+    ("certificate-scaling", bounds, "scaled_band", lambda p, tau: (p.alpha0, p.beta0)),  # the band left unscaled
+    ("gamma-floor", bounds, "lb_epshat",
+     _altered(bounds.lb_epshat, lambda cert: dataclasses.replace(cert, log_gamma=-cert.log_gamma))),
+    ("ub-monotone", bounds, "ub_error_breakdown", _estimation_at_sqrt_n),
+    # The upper envelope's log is at least 100 times the lower bound's on the
+    # check's grid, so only a gross fault crosses it: n_lower where its log belongs.
+    ("no-cross", bounds, "lb_curve",
+     _altered(bounds.lb_curve, lambda curve: dataclasses.replace(curve, log_n_lower=curve.n_lower))),
 ]
 
 
@@ -190,6 +218,10 @@ def test_planted_fault_fails_its_check(name, module, attribute, fault):
     assert ok is False
 
 
+def test_every_check_has_a_planted_fault():
+    assert sorted(CHECKS) == sorted({name for name, *_ in FAULTS})
+
+
 def _end_to_end_truth(d: int, rep: int):
     """Replication ``rep``'s sign-valued target: a level set or a cut step function."""
     if rep % 2:
@@ -199,30 +231,75 @@ def _end_to_end_truth(d: int, rep: int):
     return threshold(step_function(d, 4, random_delta(d, 4, (58, d, rep))), cut)
 
 
+def _criterion_12_fits(d: int, k: int, r: int, n: int) -> np.ndarray:
+    """Rows (error, its standard error, constant error, occupied) of sign fits on criterion 12's 20 replications.
+
+    Each fit is scored on 1000 probes (``l1_mc``), and so is the constant +1
+    predictor; ``occupied`` counts the probes whose resolution-r cell holds
+    a sample.
+    """
+    rows = []
+    for rep in range(20):
+        truth = _end_to_end_truth(d, rep)
+        model = fit(truth, d, k, r, n, np.random.SeedSequence((55, d, rep)), "sign")
+        probe_seed = np.random.SeedSequence((56, d, rep))
+        probes = np.random.default_rng(probe_seed).random((1000, d))  # the points l1_mc draws
+        cells = np.sort(approx_mc._subset_codes(model.samples.digit_keys, range(d), r))
+        queries = approx_mc._subset_codes(approx_mc._cell_keys(probes, r), range(d), r)
+        error = l1_mc(truth, model, d, 1000, probe_seed)
+        rows.append((error.value, error.std_error,
+                     l1_mc(truth, lambda points: np.ones(len(points)), d, 1000, probe_seed).value,
+                     (cells[np.minimum(np.searchsorted(cells, queries), len(cells) - 1)] == queries).sum()))
+    return np.array(rows)
+
+
+def _fits_no_better_than_constant(rows: np.ndarray) -> bool:
+    """At most 1% of the probes in an occupied cell, and a mean error within 3 SE of the constant's.
+
+    The standard error is that of the mean error, from each fit's ``l1_mc``
+    standard error.
+    """
+    errors, std_errors, constant, occupied = rows.T
+    std_error = np.sqrt((std_errors**2).sum()) / len(rows)
+    return occupied.sum() <= 0.01 * 1000 * len(rows) and abs(errors.mean() - constant.mean()) <= 3 * std_error
+
+
 def test_criterion_12_end_to_end_error_below_bound():
+    # Both bounds are above 2, the largest L1 distance between two
+    # [-1, 1]-valued functions, so the bound asserts cannot fail.  At d = 4
+    # the cap binds: the formula's (k, r) = (4, 7) leaves about 200 000 of
+    # 2**28 cells occupied, so the fit is the constant +1 predictor almost
+    # everywhere, and that is asserted instead of any bound.
     start = time.perf_counter()
     details = []
     for d in (2, 4):
         params = choose_params(0.5, d)
         bound = ub_error(params)
         n_used = min(params.n, END_TO_END_SAMPLE_CAP)
-        errors = []
-        for rep in range(20):
-            truth = _end_to_end_truth(d, rep)
-            model = fit(truth, d, params.k, params.r, n_used,
-                        np.random.SeedSequence((55, d, rep)), "sign")
-            err = l1_mc(truth, lambda points: eval_sign(model, points), d, 1000,
-                        np.random.SeedSequence((56, d, rep)))
-            errors.append(err.value)
-        mean_error = float(np.mean(errors))
+        rows = _criterion_12_fits(d, params.k, params.r, n_used)
+        mean_error = float(rows[:, 0].mean())
         assert mean_error <= bound
         details.append(
             f"d={d}: mean error {mean_error:.4f} <= bound {bound:.4f} "
             f"(k={params.k}, r={params.r}, n={n_used} of {params.n})"
         )
+        if d == 4:
+            assert (params.k, params.r, n_used) == (4, 7, END_TO_END_SAMPLE_CAP)
+            assert _fits_no_better_than_constant(rows)
+            details.append(f"capped: {rows[:, 3].mean() / 1000:.4f} of probes in occupied cells, "
+                           f"constant +1 predictor {rows[:, 2].mean():.4f}")
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     report(12, "; ".join(details) + f" ({elapsed:.0f} s)")
+
+
+def test_criterion_12_capped_regime_check_fails_on_a_fitting_shape():
+    # Criterion 12's families are constant on the 4-grid, so at d = 4 the
+    # fit at (k, r) = (4, 3) reads them almost exactly: the check that finds
+    # the formula's capped fit no better than the constant must fail here.
+    rows = _criterion_12_fits(4, 4, 3, END_TO_END_SAMPLE_CAP)
+    assert rows[:, 0].mean() < 0.05 < 0.9 < rows[:, 2].mean()
+    assert not _fits_no_better_than_constant(rows)
 
 
 def test_criterion_12_formula_n_error_below_exact_tail_bound():
@@ -237,14 +314,7 @@ def test_criterion_12_formula_n_error_below_exact_tail_bound():
     assert params.k == d
     parts = ub_error_breakdown(params)
     bound = parts.resolution_term + parts.estimation_term
-    errors, constant = [], []
-    for rep in range(20):
-        truth = _end_to_end_truth(d, rep)
-        model = fit(truth, d, params.k, params.r, params.n,
-                    np.random.SeedSequence((55, d, rep)), "sign")
-        probe_seed = np.random.SeedSequence((56, d, rep))
-        errors.append(l1_mc(truth, lambda points: eval_sign(model, points), d, 1000, probe_seed).value)
-        constant.append(l1_mc(truth, lambda points: np.ones(len(points)), d, 1000, probe_seed).value)
+    errors, _, constant, _ = _criterion_12_fits(d, params.k, params.r, params.n).T
     mean_error, mean_constant = float(np.mean(errors)), float(np.mean(constant))
     assert mean_error <= bound
     assert mean_constant > bound

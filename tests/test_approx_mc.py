@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoapprox import approx_mc
 from monoapprox.approx_mc import (
+    MAX_RESOLUTION,
     SampleSet,
     WaveletModel,
     chi_table,
@@ -50,7 +51,7 @@ def test_draw_samples_sign_valued_oracle():
 def test_draw_samples_reproducible():
     a = draw_samples(3, 50, boxbslash(3), 99)
     b = draw_samples(3, 50, boxbslash(3), 99)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.digit_keys, b.digit_keys)
     assert np.array_equal(a.values, b.values)
 
 
@@ -60,15 +61,15 @@ def test_draw_samples_rejects_out_of_range_values():
 
 
 def test_draw_samples_gives_families_their_columns():
-    # A family's kernel gets each block's columns, and the draw's block
-    # check alone checks the points: the checked __call__ is not used, and
-    # points and values match one whole-array draw byte for byte.
+    # A family's kernel gets each block's columns, and the points, from
+    # rng.random, are not checked: the checked __call__ is not used, and
+    # keys and values match one whole-array draw byte for byte.
     n = LATTICE_BLOCK + 3
     for oracle in (family_from_spec("step:m=4", 3, 5), family_from_spec("levelset:t=1", 3, 5), Affine(3)):
         points = np.random.default_rng(8).random((n, 3))
         with mock.patch.object(type(oracle), "__call__", side_effect=AssertionError("__call__")):
             samples = draw_samples(3, n, oracle, 8)
-        assert samples.points.tobytes() == points.tobytes()
+        assert samples.digit_keys.tobytes() == _cell_keys(points, MAX_RESOLUTION).tobytes()
         assert samples.values.tobytes() == oracle(points).tobytes()
 
 
@@ -85,17 +86,18 @@ def test_draw_samples_rejects_a_wrong_shaped_kernel_answer():
 
 def test_sample_set_digit_keys_and_sorting():
     samples = draw_samples(2, 40, Affine(2), 5).with_resolution(3)
+    points = np.random.default_rng(5).random((40, 2))  # the draw's points
     for i in range(samples.n):
         for j in range(2):
-            assert samples.digit_keys[i, j] == cell_of_point(samples.points[i, j], 3)
+            assert samples.digit_keys[i, j] == cell_of_point(points[i, j], 3)
     by_value = samples.sorted()
     assert np.all(np.diff(by_value.values) >= 0)
     assert by_value.resolution == 3
-    assert np.array_equal(by_value.digit_keys, _cell_keys(by_value.points, 3))
-    # The sorted points, values and keys are handed over, not copied or
-    # keyed again: at n = 200 000, d = 4, r = 7 the traced peak stays below
-    # 14 MB (10.4 MB measured; 11.5 MB keying the sorted points, 19.5 MB
-    # when the constructor copied points and values).
+    assert np.array_equal(by_value.digit_keys, _cell_keys(points[np.argsort(samples.values, kind="stable")], 3))
+    # The sorted values and keys are handed over, not copied or keyed
+    # again: at n = 200 000, d = 4, r = 7 the traced peak stays below 6 MB
+    # (4.0 MB measured; 10.4 MB when the set held its points, 11.5 MB
+    # keying the sorted points, 19.5 MB when the constructor copied them).
     samples = draw_samples(4, 200_000, boxbslash(4), 0).with_resolution(7)
     tracemalloc.start()
     try:
@@ -103,19 +105,17 @@ def test_sample_set_digit_keys_and_sorting():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14e6, f"sorted() peaked at {peak / 1e6:.1f} MB"
-    assert by_value.points.tobytes() == samples.points[np.argsort(samples.values, kind="stable")].tobytes()
+    assert peak < 6e6, f"sorted() peaked at {peak / 1e6:.1f} MB"
+    assert by_value.digit_keys.tobytes() == samples.digit_keys[np.argsort(samples.values, kind="stable")].tobytes()
 
 
 # ---------------------------------------------------------------------------
 # coefficient estimation
 
 
-def brute_table(samples, d, k, r):
+def brute_table(points, values, d, k, r):
     return {
-        index: math.fsum(
-            psi_d(index, x) * y for x, y in zip(samples.points, samples.values)
-        ) / samples.n
+        index: math.fsum(psi_d(index, x) * y for x, y in zip(points, values)) / len(values)
         for index in enumerate_indices(d, k, r)
     }
 
@@ -136,17 +136,19 @@ def test_estimate_single_sample_equals_psi_times_value():
 def test_estimate_matches_brute_force():
     rng = np.random.default_rng(17)
     for d, k, r in ((1, 1, 2), (2, 1, 2), (2, 2, 1), (3, 2, 2)):
-        twin = copy.deepcopy(rng)
+        twins = [copy.deepcopy(rng) for _ in range(3)]
         samples = draw_samples(d, 50, Affine(d), rng)
         table = estimate_coefficients(samples, d, k, r)
-        brute = brute_table(samples, d, k, r)
+        points = twins[0].random((50, d))  # the draw's points
+        brute = brute_table(points, Affine(d)(points), d, k, r)
         for index, expected in brute.items():
             assert table[index] == pytest.approx(expected, abs=1e-12)
-        # A set drawn keyed at r holds no points: its own keys give the same
-        # table, and no other resolution can be keyed.
-        keyed = draw_samples(d, 50, Affine(d), twin, r)
+        # A set drawn keyed at r, or at r + 1 and shifted, gives the same
+        # table; no finer resolution can be keyed.
+        keyed = draw_samples(d, 50, Affine(d), twins[1], r)
         assert estimate_coefficients(keyed, d, k, r) == table
-        with pytest.raises(ValueError, match="no points"):
+        assert estimate_coefficients(draw_samples(d, 50, Affine(d), twins[2], r + 1), d, k, r) == table
+        with pytest.raises(ValueError, match="finer"):
             estimate_coefficients(keyed, d, k, r + 1)
 
 
@@ -185,13 +187,15 @@ def test_sample_set_rejects_bad_digit_keys():
     points, values = np.array([[0.1, 0.1], [0.9, 0.3]]), np.array([1.0, -1.0])
     with pytest.raises(TypeError):
         SampleSet(points, values, resolution=2, digit_keys=[[3, 3], [3, 1]])
-    assert SampleSet(points, values).digit_keys is None
+    unkeyed = SampleSet(points, values)
+    assert unkeyed.resolution is None and np.array_equal(unkeyed.digit_keys, _cell_keys(points, MAX_RESOLUTION))
     for r in (1, 2, 5):
         keyed = SampleSet(points, values, resolution=r)
         assert np.array_equal(keyed.digit_keys, _cell_keys(points, r))
-        assert np.array_equal(keyed.with_resolution(r).digit_keys, _cell_keys(points, r))
-        assert np.array_equal(keyed.with_resolution(r + 1).digit_keys, _cell_keys(points, r + 1))
-        assert keyed.with_resolution(r + 1).points is keyed.points  # validated once, shared
+        assert keyed.with_resolution(r) is keyed
+        assert np.array_equal(SampleSet(points, values, r + 1).with_resolution(r).digit_keys, _cell_keys(points, r))
+        with pytest.raises(ValueError, match="finer"):
+            keyed.with_resolution(r + 1)
         assert np.array_equal(keyed.sorted().digit_keys, _cell_keys(points[::-1], r))
     # At r = 63, x = 1.0 gave the key -2**63; past it, an OverflowError.
     for r in (0, 63, 64):
@@ -227,7 +231,7 @@ def test_wavelet_model_validation():
     assert model.tables is not None and model.chi is None
     assert WaveletModel(1, "generalized", keyed).chi.tolist() == list(chi_table(2, 1, 2))
     with pytest.raises(ValueError):
-        WaveletModel(1, "sign", samples)  # digit keys missing
+        WaveletModel(1, "sign", samples)  # no resolution
     for k in (3, -1):  # k outside [0, d]
         with pytest.raises(ValueError):
             WaveletModel(k, "sign", keyed)
@@ -304,12 +308,13 @@ def test_reconstruction_value_table_and_chi_routes_agree(d, r, n, sign_valued, s
     k = data.draw(st.integers(0, d))
     rng = np.random.default_rng(seed)
     values = rng.choice([-1.0, 1.0], n) if sign_valued else rng.uniform(-1.0, 1.0, n)
-    samples = SampleSet(rng.random((n, d)), values)
+    points = rng.random((n, d))
+    samples = SampleSet(points, values)
     table = estimate_coefficients(samples, d, k, r)
-    for index, expected in brute_table(samples, d, k, r).items():
+    for index, expected in brute_table(points, values, d, k, r).items():
         assert table[index] == pytest.approx(expected, abs=1e-12)
     model = WaveletModel(k, "linear", samples.with_resolution(r))
-    queries = np.concatenate([rng.random((4, d)), samples.points[:2]])
+    queries = np.concatenate([rng.random((4, d)), points[:2]])
     for x, got in zip(queries, eval_linear(model, queries)):
         expected = math.fsum(c * psi_d(index, x) for index, c in table.items())
         assert got == pytest.approx(expected, abs=1e-12)
@@ -428,7 +433,7 @@ def test_breakpoint_int64_and_object_routes_agree():
     queries = np.concatenate([rng.random((3, d)), base])
     for values in (rng.choice([-1.0, 1.0], n), rng.uniform(-1.0, 1.0, n)):
         small = SampleSet(points, values).with_resolution(r).sorted()
-        double = SampleSet(np.repeat(small.points, 2, axis=0), np.repeat(small.values, 2)).with_resolution(r).sorted()
+        double = SampleSet(np.repeat(points, 2, axis=0), np.repeat(values, 2)).with_resolution(r).sorted()
         gen64, gen_obj = WaveletModel(k, "generalized", small), WaveletModel(k, "generalized", double)
         assert gen64.chi.dtype == np.int64 and gen_obj.chi.dtype == object
         for got64, got_obj in zip(_flip_signs(gen64, queries), _flip_signs(gen_obj, queries)):
@@ -467,10 +472,11 @@ def test_guard_covers_a_single_drop_at_n_1():
     assert 3 * chi_max < 2**63 <= 4 * chi_max
     rng = np.random.default_rng(23)
     for value in (-1.0, 0.5):
-        model = WaveletModel(k, "generalized", SampleSet(rng.random((1, d)), [value]).with_resolution(r))
+        point = rng.random((1, d))
+        model = WaveletModel(k, "generalized", SampleSet(point, [value]).with_resolution(r))
         assert model.chi.dtype == object
-        queries = np.concatenate([model.samples.points, rng.random((3, d))])
-        queries[1, :4] = model.samples.points[0, :4]  # four matching coordinates
+        queries = np.concatenate([point, rng.random((3, d))])
+        queries[1, :4] = point[0, :4]  # four matching coordinates
         assert eval_generalized(model, queries).tobytes() == _reference_outputs(model, queries)
 
 
@@ -702,6 +708,30 @@ def test_cell_keys_narrow_dtype_match_int64_formula(r):
     assert keys[-2, 0] == scale - (1 << max(r - 53, 0))
 
 
+@pytest.mark.parametrize("r", [1, 8, 9, 16, 17, 53, 54, 62])
+def test_shifted_keys_equal_keys_of_the_points(r):
+    # x 2**62 is exact in float64 for x in [0, 1), so floor(x 2**62) >>
+    # (62 - r) = floor(x 2**r), and x = 1, clamped to 2**62 - 1, shifts to
+    # 2**r - 1: a set keyed at any s >= r gives the keys of the points at r,
+    # dtype included.  The grid holds the first 2**17 cell edges at r and
+    # their neighbours, 0, 2**-63, 1 - 2**-53 and 1.
+    scale = 1 << r
+    grid = np.arange(min(scale, 1 << 17)) / scale
+    coords = np.concatenate([[0.0, 2.0**-63], grid, np.nextafter(grid, 1.0), np.nextafter(grid[1:], 0.0),
+                             [np.nextafter(1.0, 0.0), 1.0]])
+    points = np.stack([coords, coords[::-1]], axis=1)
+    values = np.ones(len(points))
+    expected = _cell_keys(points, r)
+    for own in (r, min(r + 1, MAX_RESOLUTION), (r + MAX_RESOLUTION) // 2, None):
+        keyed = SampleSet(points, values, own)
+        assert _same_bytes(keyed.with_resolution(r).digit_keys, expected)
+        if own is not None and own < MAX_RESOLUTION:
+            with pytest.raises(ValueError, match="finer"):
+                keyed.with_resolution(own + 1)
+    with pytest.raises(ValueError, match="keyed at a resolution"):
+        WaveletModel(1, "sign", SampleSet(points, values))
+
+
 # The whole-array sample path that the blocked one replaced: the references
 # of the block-edge tests below.
 def _whole_draw(d, n, oracle, seed):
@@ -752,12 +782,13 @@ _B = LATTICE_BLOCK
        st.integers(0, 2**32 - 1), st.data())
 def test_blocked_sample_path_matches_whole_array_reference(n, d, r, seed, data):
     # Blocks of LATTICE_BLOCK rows, at n on both sides of one and two block
-    # edges: points, values, digit keys, subset codes and groupings match the
-    # whole-array code byte for byte.
+    # edges: values, digit keys (drawn and of given points), subset codes and
+    # groupings match the whole-array code byte for byte.
     oracle = family_from_spec("step:m=4", d, seed)
     samples = draw_samples(d, n, oracle, seed)
     points, values = _whole_draw(d, n, oracle, seed)
-    assert _same_bytes(samples.points, points) and _same_bytes(samples.values, values)
+    assert _same_bytes(samples.digit_keys, _whole_cell_keys(points, MAX_RESOLUTION))
+    assert _same_bytes(samples.values, values)
     # Cell edges 0, j / 2**r and 1.0, most of them at the block edges.
     rng = np.random.default_rng(seed)
     rows = np.unique(np.concatenate([rng.integers(0, n, 64), [0, n - 1], np.arange(_B - 2, _B + 2) % n]))
@@ -833,26 +864,31 @@ def test_bad_sample_in_the_last_block_is_rejected(bad):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.sampled_from([1, _B - 1, _B, _B + 3]), st.sampled_from([1, 8, 9, 16, 17, 53, 54, 62]),
        st.integers(0, 2**32 - 1), st.sampled_from(["family", "lambda", "generator"]))
-def test_keyed_draw_matches_the_points_keeping_draw(d, n, r, seed, route):
-    # A draw at a resolution keys each block and drops it, so the set holds
-    # no points; its values and keys are those of keying the kept points,
-    # byte for byte, for a family (on_columns), a plain callable (eval_batch)
-    # and a Generator seed, which both draws advance alike.
+def test_keyed_draw_matches_a_coarser_shift_of_a_finer_draw(d, n, r, seed, route):
+    # A draw keys each block and drops it, so the set holds no points; a
+    # draw at r has the values and keys of a draw keyed at MAX_RESOLUTION
+    # and shifted to r, byte for byte, for a family (on_columns), a plain
+    # callable (eval_batch) and a Generator seed, which both draws advance
+    # alike.
     family = family_from_spec("step:m=4", d, seed)
     oracle = (lambda p: np.tanh(p.sum(axis=1) - d / 2)) if route == "lambda" else family
     seeds = [np.random.default_rng(seed) if route == "generator" else seed for _ in range(2)]
     keyed = draw_samples(d, n, oracle, seeds[0], r)
-    kept = draw_samples(d, n, oracle, seeds[1]).with_resolution(r)
-    assert keyed.points is None and keyed.resolution == r and (keyed.n, keyed.d) == (n, d)
-    assert _same_bytes(keyed.values, kept.values) and _same_bytes(keyed.digit_keys, kept.digit_keys)
+    finest = draw_samples(d, n, oracle, seeds[1])
+    shifted = finest.with_resolution(r)
+    assert not hasattr(keyed, "points") and keyed.resolution == r and (keyed.n, keyed.d) == (n, d)
+    assert finest.resolution is None and finest.digit_keys.dtype == np.int64
+    assert _same_bytes(keyed.values, shifted.values) and _same_bytes(keyed.digit_keys, shifted.digit_keys)
     if route == "generator":
         assert seeds[0].random() == seeds[1].random()
-    # Keys at another resolution need the points the set does not hold.
+    # Keys at a coarser resolution are a shift of these; a finer one is refused.
     assert keyed.with_resolution(r) is keyed
-    with pytest.raises(ValueError, match="no points"):
+    if r > 1:
+        assert _same_bytes(keyed.with_resolution(r - 1).digit_keys, finest.with_resolution(r - 1).digit_keys)
+    with pytest.raises(ValueError, match="finer"):
         keyed.with_resolution(r + 1)
-    by_value, reference = keyed.sorted(), kept.sorted()
-    assert by_value.points is None and by_value.resolution == r
+    by_value, reference = keyed.sorted(), shifted.sorted()
+    assert by_value.resolution == r
     assert _same_bytes(by_value.values, reference.values) and _same_bytes(by_value.digit_keys, reference.digit_keys)
 
 
@@ -860,7 +896,8 @@ def test_keyed_draw_matches_the_points_keeping_draw(d, n, r, seed, route):
 @pytest.mark.parametrize("kernel", [True, False])
 def test_keyed_draw_rejects_a_bad_answer_as_the_points_keeping_draw(bad, kernel):
     # A bad answer in the second block (3 rows) raises the same error
-    # whether blocks are kept or keyed.
+    # whether the draw keys at MAX_RESOLUTION (the draw that once kept its
+    # points) or at a resolution of its own.
     def answer(m):
         if m == 3 and bad == "shape":
             return np.zeros(2)
@@ -893,7 +930,7 @@ def test_fit_memory_gate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.samples.points is None and model.samples.digit_keys.dtype == np.uint8
+    assert not hasattr(model.samples, "points") and model.samples.digit_keys.dtype == np.uint8
     assert peak < 12.5e6, f"fit peaked at {peak / 1e6:.1f} MB"
     # Its tables build, samples excluded, peaks below 8.5 MB (7.4 MB
     # measured; 9.6 MB when the tables copy the arrays handed to them).
@@ -944,7 +981,7 @@ def test_fit_memory_gate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.samples.points is None
+    assert not hasattr(model.samples, "points")
     assert model.samples.digit_keys.dtype == np.uint8 and model.runs.dtype == np.int32
     assert peak < 22e6, f"mc-gen-d2 fit peaked at {peak / 1e6:.1f} MB"
 
@@ -1201,8 +1238,9 @@ def test_generalized_matches_direct_threshold_average():
     # in exact integers so that sgn(0) = +1 is decided identically).
     d, k, r, n = 2, 1, 2, 12
     model = fit(Affine(d), d, k, r, n, 2024, "generalized")
-    points = draw_samples(d, n, Affine(d), 2024).points  # a fit keeps none; the same seed draws them again
+    points = np.random.default_rng(2024).random((n, d))  # a fit keeps none; the stream the draw reads
     values = model.samples.values
+    assert values.tobytes() == Affine(d)(points).tobytes()
     indices = list(enumerate_indices(d, k, r))
     rng = np.random.default_rng(3)
     queries = rng.random((20, d))

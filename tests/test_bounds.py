@@ -89,7 +89,7 @@ def test_mc_params_validation():
 
 def test_n_ran_upper_second_branch_collapses_at_eps_half_d():
     result = n_ran_upper_breakdown(0.5, 1)
-    assert result.deterministic_branch == pytest.approx(1.0)
+    assert result.log_deterministic_branch == 0.0  # d log(d / (2 eps)) = log 1
     assert n_ran_upper(0.5, 1) == result.value <= 1.0 + 1e-12
 
 

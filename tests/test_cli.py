@@ -256,6 +256,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         ["bounds", "--eps-grid", "1.5"],
         ["bounds", "--eps-grid", "1/0"],
         ["bounds", "--eps-grid", "0/0"],
+        ["bounds", "--eps-grid", "1/"],
+        ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", "2,x"],
         ["bounds", "--d-grid", "0"],
         ["bounds", "--upper-c", "nan"],
         ["bounds", "--out", "no-such-dir/x.csv"],
@@ -274,7 +276,7 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
          "det-without-m", "mc-without-eps", "mc-without-n", "mc-convergence-without-r",
          "d-not-an-int", "unknown-flag", "missing-family",
          "c0-0", "c0-negative", "c0-uncertified", "eps-grid-0", "eps-grid-1.5",
-         "eps-grid-zero-denominator", "eps-grid-0/0", "d-grid-0", "upper-c-nan",
+         "eps-grid-zero-denominator", "eps-grid-0/0", "eps-grid-1/", "m-grid-2,x", "d-grid-0", "upper-c-nan",
          "out-missing-dir", "out-directory", "mc-out-missing-dir", "det-out-directory"],
 )
 def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
@@ -291,6 +293,13 @@ def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
     for spec, named in (("step:m=-1", "m=-1"), ("levelset:t=-1", "t=-1")):
         if spec in argv:
             assert named in captured.err.partition("': ")[2]
+    # A bad list entry's reason is printed after its flag, not argparse's
+    # "invalid <type function> value".
+    for entry, reason in (("1/0", "--eps-grid: zero denominator in '1/0'"),
+                          ("1/", "--eps-grid: not a number or a fraction p/q: '1/'"),
+                          ("2,x", "--m-grid: not a list of integers: '2,x'")):
+        if entry in argv:
+            assert captured.err.strip() == f"monoapprox: error: argument {reason}"
 
 
 def test_formula_n_past_the_float_range(capsys):

@@ -112,9 +112,9 @@ def _ownership_case(name):
     """``(make, inputs, outputs)``: ``make(*inputs)`` builds one object from the caller's arrays."""
     rng = np.random.default_rng(24)
     points, signs, query = rng.random((300, 3)), rng.choice([-1.0, 1.0], 300), rng.random((40, 3))
-    if name == "SampleSet":
-        return (lambda p, v: SampleSet(p, v, resolution=2), [points, rng.uniform(-1.0, 1.0, 300)],
-                lambda s: (s.points, s.values, s.digit_keys))
+    if name == "SampleSet":  # it keys the points and keeps only their keys
+        return (lambda v: SampleSet(points, v, resolution=2), [rng.uniform(-1.0, 1.0, 300)],
+                lambda s: (s.values, s.digit_keys))
     if name == "StepFamily":
         return lambda delta: StepFamily(3, 4, delta), [random_delta(3, 4, 1)], lambda f: f(query)
     if name == "LevelSetFunction":
@@ -128,7 +128,7 @@ def _ownership_case(name):
         return (lambda *arrays: ProjectionTables(*arrays), [a.copy() for a in vars(tables).values()],
                 lambda t: t.numerator(samples.digit_keys[:40]))
     mode, k = name.split("-")[1:]  # WaveletModel-<mode>-<k>
-    return (lambda p, v: WaveletModel(int(k), mode, SampleSet(p, v, resolution=2)), [points, signs],
+    return (lambda v: WaveletModel(int(k), mode, SampleSet(points, v, resolution=2)), [signs],
             lambda model: model(query))
 
 
