@@ -29,34 +29,33 @@ binary digits match the sample's.  Per coordinate the kernel is ``2**r
     n h(x) = sum_T c_T * S_T(x),
 
 with ``c_T = 2**(r|T|) (-1)**(k-|T|) C(d-|T|-1, k-|T|)`` for ``|T| < d``,
-``c_T = 2**(r d)`` for ``|T| = d`` (at ``k = d`` only the full cell is left),
-and ``S_T(x)`` the sum of ``y_i`` over the samples sharing x's cell in the
-coordinates of ``T``.  A sample matching x in ``b`` coordinates shares its
-cell in exactly the subsets of those, so ``h(x) = (1/n) sum_i y_i
-chi(b_i(x))`` with the integer table ``chi(b) = sum_{t <= min(b, k)} C(b, t)
-c_t``; no coefficient is stored.  Linear and sign models store the nonzero
-``c_T S_T`` in one sorted table (``ProjectionTables``) of compact codes, so
-``m`` queries cost one ``searchsorted`` over their ``m #T`` keys, taken in
-blocks of bounded size.
+``c_T = 2**(r d)`` for ``|T| = d``, and ``S_T(x)`` the sum of ``y_i`` over the
+samples sharing x's cell in the coordinates of ``T``.  A sample matching x in
+``b`` coordinates shares its cell in exactly the subsets of those, so ``h(x) =
+(1/n) sum_i y_i chi(b_i(x))`` with the integer table ``chi(b) = sum_{t <=
+min(b, k)} C(b, t) c_t``; no coefficient is stored.  Linear and sign models
+store the nonzero ``c_T S_T`` in one sorted table (``ProjectionTables``) of
+compact codes, so ``m`` queries cost one ``searchsorted`` over their ``m #T``
+keys, taken in blocks of bounded size.
 
 Every other model (``ProjectionTables.build``; all generalized ones) holds
-``chi`` and runs, the samples grouped by a cell key (``WaveletModel``).  A
-sample sharing x's cell in ``b`` coordinates lies in exactly ``b`` of x's
-``d`` per-coordinate groups, so one bincount over those groups counts every
-``b_i(x)``.  Generalized models at ``k < d`` keep value ranks there, and
+runs, the samples grouped by a cell key (``WaveletModel``), and at ``k < d``
+``chi``: a sample sharing x's cell in ``b`` coordinates lies in exactly
+``b`` of x's ``d`` per-coordinate groups, so one bincount over those groups
+counts every ``b_i(x)``.  Generalized models keep value ranks there, and
 every sample outside x's groups adds ``chi(0)``, so ``n g_i(x)`` is linear
-in ``i`` between the ranks found there: its flips follow from integer
-prefix sums over those breakpoints and one exact floor division per
-segment.  At ``k = d`` only the full cell has ``c_T != 0``, so ``n g_i(x) =
-2**(r d) (W - 2 cnt_i)`` flips once, where ``cnt_i`` of the cell's ``W``
-samples are among the ``i`` smallest values: the output is the cell's upper
-median, its ``floor(W/2) + 1``-th smallest value (+1 when empty), read off
-the samples grouped by full-cell code (past 63 bits, those with ``b = d``),
-and no value is sorted.  All integer arithmetic is exact (Python integers,
-with a 64-bit fast path when magnitudes provably permit).
-``estimate_coefficients``, the Haar transform of the projected sample
-histograms, is the explicit coefficient route the identity is checked
-against.
+in ``i`` between the ranks found there: its flips follow from integer prefix
+sums over those breakpoints and one exact floor division per segment.  At
+``k = d`` only the full cell has ``c_T != 0``, so a model reads x's cell
+alone (its full-cell run's group, or past ``r d = 63`` bits the samples in
+all ``d`` of x's coordinate groups): ``n h(x)`` is ``2**(r d)`` times its
+sum, and ``n g_i(x) = 2**(r d) (W - 2 cnt_i)`` flips once, where ``cnt_i``
+of its ``W`` samples are among the ``i`` smallest values.  The output is the
+upper median, the ``floor(W/2) + 1``-th smallest value (+1 when empty), and
+no value is sorted.  Integer arithmetic is exact (Python integers, with a
+64-bit fast path when magnitudes provably permit).  ``estimate_coefficients``,
+the Haar transform of the projected sample histograms, is the explicit
+coefficient route the identity is checked against.
 
 Every model reads a sample only through its value and its digit keys, so a
 ``SampleSet`` holds just those, keyed once at its resolution; the keys of any
@@ -470,16 +469,16 @@ class WaveletModel:
     * ``exact``: every sample value is +-1, so numerators are integers;
     * linear and sign modes: ``tables``, the projection sums, or None where
       they cannot or may not be built (see ``ProjectionTables.build``);
-    * where ``tables`` is None (every generalized model too): ``chi``, the
-      table of the chi identity for ``k``, and ``runs``, samples grouped by
-      ``_grouped``, with ``run_keys[j]`` the sorted key of each entry of
-      ``runs[j]``.  The coordinate runs, one row per coordinate ``j`` keyed
-      by the digit ``x_j``, hold sample indices, or for a generalized model
-      at ``k < d`` value ranks (positions in ``order``, the value
-      permutation ``argsort(values)``; it need not be stable, as tied values
-      cannot change the exact threshold-cut sum).  A generalized model at
-      ``k = d`` within ``r d = 63`` bits keeps one row instead, the
-      full-cell run: sample indices keyed by full-cell code.
+    * where ``tables`` is None (every generalized model too): ``runs``,
+      samples grouped by ``_grouped``, with ``run_keys[j]`` the sorted key
+      of each entry of ``runs[j]``, and at ``k < d`` ``chi``, the table of
+      the chi identity for ``k``.  The coordinate runs, one row per
+      coordinate ``j`` keyed by the digit ``x_j``, hold sample indices, or
+      for a generalized model at ``k < d`` value ranks (positions in
+      ``order``, the value permutation ``argsort(values)``; it need not be
+      stable, as tied values cannot change the exact threshold-cut sum).  A
+      generalized model at ``k = d`` within ``r d = 63`` bits keeps one row
+      instead, the full-cell run: sample indices keyed by full-cell code.
 
     Everything not listed for a mode is None.
 
@@ -522,6 +521,7 @@ class WaveletModel:
                 runs = np.empty((self.d, self.n), dtype=np.int32 if self.n < 2**31 else np.int64)
                 for j, column in enumerate(keys.T):  # take gathers a column at twice the speed of keys[order, j]
                     run_keys[j], runs[j] = _grouped(column.copy() if order is None else column.take(order), self.r)
+        if tables is None and self.k < self.d:
             table = chi_table(self.d, self.k, self.r)
             # Every integer a query forms is at most max(3 n, 4) max|chi| in
             # size.  Sign numerators sum_i y_i chi(b_i) (|y_i| = 1) have
@@ -574,17 +574,26 @@ def _query_keys(model: WaveletModel, points) -> np.ndarray:
 def _numerators(model: WaveletModel, points) -> np.ndarray:
     """``n * h(x)`` for every row of an (m, d) batch.
 
-    Read off the projection tables when the model has them, else summed
-    over the samples through ``chi`` and ``_match_counts``.  When every
-    sample value is +-1 the entries are exact integers (int64, or Python
-    integers where int64 could wrap); floats otherwise.
+    Read off the projection tables when the model has them; else ``2**(r
+    d)`` times x's cell sum at ``k = d`` (added in sample order as a table
+    cell is), and ``sum_i y_i chi(b_i(x))`` over every sample at ``k < d``.
+    When every sample value is +-1 the entries are exact integers (int64, or
+    Python integers where int64 could wrap); floats otherwise.
     """
     keys = _query_keys(model, points)
     if model.tables is not None:
         return model.tables.numerator(keys)
     values = model.samples.values
+    if model.k == model.d:
+        cells = (values[np.sort(cell)] for cell in _run_members(model, keys))
+        sums = np.array([np.bincount(np.zeros(len(y), dtype=np.intp), weights=y, minlength=1)[0] for y in cells])
+        shift = model.r * model.d  # exactly: 2**(r d) may be no float, and past 2**1024 ldexp gives +-inf
+        with np.errstate(over="ignore"):
+            return sums.astype(np.int64).astype(object) << shift if model.exact else np.ldexp(sums, shift)
     y, dtype = (values.astype(np.int64), model.chi.dtype) if model.exact else (values, np.float64)
-    return np.array([np.dot(y, model.chi[b]) for b in _match_counts(model, keys)], dtype=dtype)
+    counts = (np.bincount(members if model.order is None else model.order[members], minlength=model.n)
+              for members in _run_members(model, keys))
+    return np.array([np.dot(y, model.chi[b]) for b in counts], dtype=dtype)
 
 
 def reconstruction_value(model: WaveletModel, points) -> np.ndarray:
@@ -615,9 +624,9 @@ def eval_sign(model: WaveletModel, points) -> np.ndarray:
 def _run_members(model: WaveletModel, keys: np.ndarray):
     """For each row x of an (m, d) digit-key matrix, the entries of x's group in every run row, concatenated.
 
-    A coordinate-run entry appears ``b(x)`` times; the full-cell run's group
-    is x's cell (at d = 1 the two coincide).  A block of about
-    ``LOOKUP_BLOCK`` (row, run row) pairs takes two searchsorteds per run row.
+    A coordinate-run entry appears ``b(x)`` times; at ``k = d`` only x's cell
+    is kept, the full-cell run's group or the indices in all ``d`` coordinate
+    groups, ascending.  Blocks of about ``LOOKUP_BLOCK`` (row, run row) pairs.
     """
     query = keys if len(model.runs) == model.d else _subset_codes(keys, range(model.d), model.r)[:, None]
     step = max(1, LOOKUP_BLOCK // len(model.runs))
@@ -626,18 +635,12 @@ def _run_members(model: WaveletModel, keys: np.ndarray):
         lower, upper = (np.stack([np.searchsorted(row, column, side) for row, column in zip(model.run_keys, block)],
                                  axis=1).tolist() for side in ("left", "right"))
         for starts, ends in zip(lower, upper):
-            yield np.concatenate([run[a:b] for run, a, b in zip(model.runs, starts, ends)])
-
-
-def _match_counts(model: WaveletModel, keys: np.ndarray):
-    """``b_i(x)`` for every sample ``i``, one bincount over x's groups (``_run_members``) per query row.
-
-    The full-cell run gives ``d`` on x's cell and 0 elsewhere, the same
-    ``chi``: at ``k = d``, ``chi(b) = 0`` for ``b < d``.
-    """
-    for members in _run_members(model, keys):
-        counts = np.bincount(members if model.order is None else model.order[members], minlength=model.n)
-        yield counts * model.d if len(model.runs) == 1 else counts
+            members = np.concatenate([run[a:b] for run, a, b in zip(model.runs, starts, ends)])
+            if model.k == model.d and len(model.runs) > 1:  # sorted, an index in all d groups repeats d times
+                members.sort()
+                tail = members[model.d - 1 :]
+                members = tail[tail == members[: len(tail)]]
+            yield members
 
 
 def _run_flips(model: WaveletModel, keys: np.ndarray):
@@ -696,8 +699,7 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     s_{f-1}`` over the flips ``f`` of ``s``; ``math.fsum`` returns it
     correctly rounded.  At ``k < d`` the flips come from the query's
     coordinate runs (``_run_flips``).  At ``k = d`` it is the upper median
-    of the ``W`` values in x's cell (+1 if empty), read off the cell's run
-    or, past 63 bits, off the samples with ``b = d`` (``_match_counts``).
+    of the ``W`` values in x's cell (+1 if empty, ``_run_members``).
     """
     if model.mode != "generalized":
         raise ValueError(f"eval_generalized requires a generalized-mode model, got {model.mode!r}")
@@ -706,10 +708,6 @@ def eval_generalized(model: WaveletModel, points) -> np.ndarray:
     if order is not None:
         return np.array([math.fsum([(s_0 + s_n) / 2, *(values[order[f - 1]] * before)])
                          for s_0, s_n, f, before in _run_flips(model, keys)], dtype=np.float64)
-    # k = d: the upper median of x's cell.
-    if len(model.runs) == 1:
-        cells = (values[members] for members in _run_members(model, keys))
-    else:
-        cells = (values[b == model.d] for b in _match_counts(model, keys))
-    # y + 0.0 is +0.0 for y = -0.0, as fsum([0.0, y]) is.
+    # k = d: the upper median of x's cell, where y + 0.0 is +0.0 for y = -0.0, as fsum([0.0, y]) is.
+    cells = (values[cell] for cell in _run_members(model, keys))
     return np.array([np.partition(y, len(y) // 2)[len(y) // 2] + 0.0 if len(y) else 1.0 for y in cells])

@@ -326,8 +326,6 @@ def _float_list(text: str) -> list[float]:
 
 def _check_names(text: str) -> list[str]:
     names = [v for v in text.split(",") if v]
-    if not names:
-        raise _UsageError("--only names no check; see `monoapprox verify --list`")
     unknown = [name for name in names if name not in CHECKS]
     if unknown:
         raise _UsageError(f"unknown check {', '.join(unknown)}; see `monoapprox verify --list`")
@@ -477,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)
         args = build_parser().parse_args(argv)
+        empty = [name for name, value in vars(args).items() if value == []]  # a list flag of commas alone
+        if empty:
+            raise _UsageError(f"--{empty[0].replace('_', '-')} names no entry")
         known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
         cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in known and v is not None})
         _check_flags(cfg)

@@ -165,11 +165,11 @@ def _check_cell_statistics() -> CheckResult:
     # sort of each query cell, linear is 2**(r d) S/n, sign is sgn S and
     # generalized is the upper median (+1 when empty, +0.0 for a zero).
     # Values are multiples of 1/8, so every sum is exact in any order; d = 8,
-    # r = 8 (r d = 64 bits) reads coordinate runs in every mode, the others
-    # read the tables and the full-cell runs.
+    # r = 8 and d = 10, r = 9 (64 and 90 bits) read coordinate runs in every
+    # mode, the others read the tables and the full-cell runs.
     rng = np.random.default_rng(41)
     routes = set()
-    for d, r, n in ((1, 2, 1), (2, 2, 60), (3, 1, 40), (2, 6, 400), (8, 8, 300)):
+    for d, r, n in ((1, 2, 1), (2, 2, 60), (3, 1, 40), (2, 6, 400), (8, 8, 300), (10, 9, 300)):
         base = rng.random((max(n // 5, 1), d))
         points = np.concatenate([base[rng.integers(0, len(base), n - n // 10)], rng.random((n // 10, d))])
         keys = approx_mc._cell_keys(points, r)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from monoapprox import approx_mc
 from monoapprox.approx_mc import (
     MAX_RESOLUTION,
+    MODES,
     SampleSet,
     WaveletModel,
     chi_table,
@@ -322,18 +323,21 @@ def test_reconstruction_value_table_and_chi_routes_agree(d, r, n, sign_valued, s
 
 def test_object_route_keeps_sums_exact():
     # d = k = 8, r = 7: chi(8) = 2**56, so 1000 samples in one cell sum to
-    # 1000 * 2**56 > 2**63.  The model sizes its guard from the real n and
-    # carries Python integers instead of wrapping around in int64.
+    # 1000 * 2**56 > 2**63.  The tables size their guard from the real n and
+    # carry Python integers instead of wrapping around in int64; the
+    # generalized model holds no chi and scales its cell sum as a Python
+    # integer.
     d, k, r, n = 8, 8, 7, 1000
     point = np.full((1, d), 0.3)
     samples = SampleSet(np.tile(point, (n, 1)), np.ones(n)).with_resolution(r)
     sign = WaveletModel(k, "sign", samples)
     generalized = WaveletModel(k, "generalized", samples)
     assert chi_table(d, k, r)[d] == 2**56
-    assert sign.tables.weights.dtype == generalized.chi.dtype == object
+    assert sign.tables.weights.dtype == object and generalized.chi is None
+    assert _numerators(sign, point).tolist() == _numerators(generalized, point).tolist() == [n * 2**56]
     assert eval_sign(sign, point) == 1.0
     assert eval_generalized(generalized, point) == 1.0
-    assert reconstruction_value(sign, point) == (n * 2**56) / n
+    assert reconstruction_value(sign, point) == reconstruction_value(generalized, point) == (n * 2**56) / n
 
 
 def test_int64_and_object_routes_agree():
@@ -370,8 +374,9 @@ def test_int64_and_object_routes_agree():
 
 
 def _chi_at(model, keys):
-    """chi(b_i(x)) for every stored sample, by comparing the digit keys of one point x with all n samples."""
-    return model.chi[(model.samples.digit_keys == keys).sum(axis=1)]
+    """chi(b_i(x)) for every stored sample as Python integers, from ``chi_table`` and the digit keys of x and all n."""
+    chi = np.array(chi_table(model.d, model.k, model.r), dtype=object)
+    return chi[(model.samples.digit_keys == keys).sum(axis=1)]
 
 
 def _flip_numerators(model, keys, order):
@@ -420,10 +425,11 @@ def _reference_outputs(model, queries):
 
 
 def test_breakpoint_int64_and_object_routes_agree():
-    # k = d = 4, r = 13: one table, c_T = chi(d) = 2**52, so the guards
-    # 3 n 2**52 < 2**63 take int64 up to n = 682.  Duplicating every sample
-    # (values stay sorted) doubles n g_{2i}, crosses the guards and keeps
-    # each cell's upper median, so the outputs are equal.
+    # k = d = 4, r = 13: one table, c_T = chi(d) = 2**52, so a guard
+    # 3 n 2**52 < 2**63 would take int64 up to n = 682.  A k = d model holds
+    # no chi and reads each cell's upper median: duplicating every sample
+    # (values stay sorted) doubles n g_{2i} past that guard and keeps the
+    # median, so the outputs are equal.
     d, k, r = 4, 4, 13
     n = (2**63 - 1) // (3 * 2 ** (r * d))
     assert n == 682
@@ -435,7 +441,7 @@ def test_breakpoint_int64_and_object_routes_agree():
         small = SampleSet(points, values).with_resolution(r).sorted()
         double = SampleSet(np.repeat(points, 2, axis=0), np.repeat(values, 2)).with_resolution(r).sorted()
         gen64, gen_obj = WaveletModel(k, "generalized", small), WaveletModel(k, "generalized", double)
-        assert gen64.chi.dtype == np.int64 and gen_obj.chi.dtype == object
+        assert gen64.chi is None and gen_obj.chi is None
         for got64, got_obj in zip(_flip_signs(gen64, queries), _flip_signs(gen_obj, queries)):
             assert np.array_equal(got64, got_obj[::2])
         for model in (gen64, gen_obj):
@@ -1230,6 +1236,58 @@ def test_modes_agree_on_sign_valued_samples(d, k, r, floor, tables):
     assert eval_generalized(generalized, queries).tobytes() == eval_sign(sign, queries).tobytes()
 
 
+@pytest.mark.parametrize("d, r", [(1, 3), (2, 6), (3, 1), (3, 20), (5, 2), (8, 8), (10, 9)])
+@pytest.mark.parametrize("kind", ["sign", "uniform", "quarter", "negative"])
+def test_modes_agree_on_reconstruction_at_k_equals_d(d, r, kind):
+    # At k = d every mode reads 2**(r d) times x's cell sum, added in sample
+    # order: the tables (linear and sign within 63 bits), the full-cell run
+    # (generalized; at d = 3, r = 20 its 60 + 9 bits with the sample index
+    # take the argsort, in any order within a cell) and the coordinate runs
+    # (every mode at d = 8, r = 8 and d = 10, r = 9, the formula's r at
+    # eps = 0.5).  reconstruction_value gives the same bytes in all three
+    # modes, an empty cell +0.0 even where every value is <= -0.
+    rng = np.random.default_rng(d * 100 + r)
+    n = 400
+    points = rng.random((60, d))[rng.integers(0, 60, n)]
+    values = {"sign": rng.choice([-1.0, 1.0], n), "uniform": rng.uniform(-1.0, 1.0, n),
+              "quarter": rng.integers(-4, 5, n) / 4, "negative": -(rng.integers(0, 3, n) / 2)}[kind]
+    samples = SampleSet(points, values, resolution=r)
+    models = [WaveletModel(d, mode, samples) for mode in ("linear", "sign", "generalized")]
+    assert all(model.chi is None for model in models)
+    queries = np.concatenate([points[:20], rng.random((10, d))])
+    h = reconstruction_value(models[0], queries)
+    for model in models[1:]:
+        assert reconstruction_value(model, queries).tobytes() == h.tobytes()
+    keys = _cell_keys(queries, r)
+    empty = ~np.array([(samples.digit_keys == row).all(axis=1).any() for row in keys])
+    assert h[empty].tobytes() == np.zeros(empty.sum()).tobytes()
+    assert empty.any() == (r * d > 3)
+
+
+@pytest.mark.parametrize("d, r", [(2, 6), (8, 8), (10, 9)])
+def test_k_equals_d_models_hold_no_chi(d, r):
+    # No k = d model builds chi: within 63 bits linear and sign read the
+    # tables and generalized the full-cell run; past them (64 and 90 bits,
+    # the formula's r at eps = 0.5) all three keep coordinate runs.  At
+    # k < d a model without tables still builds chi, in int64 only below the
+    # guard max(3 n, 4) max|chi| < 2**63 (past it here at d = 8 and 10).
+    rng = np.random.default_rng(d)
+    samples = SampleSet(rng.random((300, d)), rng.uniform(-1.0, 1.0, 300), resolution=r)
+    with mock.patch.object(approx_mc, "chi_table", side_effect=AssertionError("chi_table called")):
+        models = [WaveletModel(d, mode, samples) for mode in MODES]
+    wide = r * d > 63
+    for model in models:
+        assert model.chi is None and model.order is None
+        assert (model.tables is None) == (wide or model.mode == "generalized")
+        if model.tables is None:
+            assert model.runs.shape == (d if wide else 1, 300)
+    below = WaveletModel(d - 1, "generalized", samples)
+    table = chi_table(d, d - 1, r)
+    assert below.chi.tolist() == list(table)
+    assert below.chi.dtype == (np.int64 if 3 * 300 * max(map(abs, table)) < 2**63 else object) == (
+        np.int64 if d == 2 else object)
+
+
 def test_generalized_matches_direct_threshold_average():
     # Independent route: the output is the average over t in [-1, 1] of the
     # sign of the reconstruction fitted to sgn(y_i - t).  That integrand is
@@ -1316,7 +1374,8 @@ def test_generalized_equals_exact_threshold_cut_sum(d, r, n, kind, seed, data):
             object.__setattr__(coordinate, "run_keys", linear.run_keys)
             object.__setattr__(coordinate, "runs", linear.runs)
         assert runs.tables is None and len(runs.runs) == (d if k < d else 1)
-        assert (runs.order is not None) == (runs.chi[0] != 0) == (k < d)
+        assert (runs.order is not None) == (runs.chi is not None) == (k < d)
+        assert k == d or runs.chi[0] != 0
         assert len(coordinate.runs) == d
         assert eval_generalized(runs, queries).tobytes() == expected
         assert eval_generalized(coordinate, queries).tobytes() == expected

@@ -264,6 +264,10 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         ["bounds", "--out", "."],
         _MC + ["--eps", "0.5", "--out", "no-such-dir/x.csv"],
         _DET + ["--out", "."],
+        ["bounds", "--eps-grid", ","],
+        ["bounds", "--d-grid", ","],
+        ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", ","],
+        ["convergence", "--algo", "mc", "--d", "1", "--family", "affine", "--k", "1", "--r", "2", "--n-grid", ","],
     ],
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
@@ -277,7 +281,8 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
          "d-not-an-int", "unknown-flag", "missing-family",
          "c0-0", "c0-negative", "c0-uncertified", "eps-grid-0", "eps-grid-1.5",
          "eps-grid-zero-denominator", "eps-grid-0/0", "eps-grid-1/", "m-grid-2,x", "d-grid-0", "upper-c-nan",
-         "out-missing-dir", "out-directory", "mc-out-missing-dir", "det-out-directory"],
+         "out-missing-dir", "out-directory", "mc-out-missing-dir", "det-out-directory",
+         "eps-grid-names-no-entry", "d-grid-names-no-entry", "m-grid-names-no-entry", "n-grid-names-no-entry"],
 )
 def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
     # Each is refused before any fit runs.
@@ -295,6 +300,9 @@ def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
             assert named in captured.err.partition("': ")[2]
     # A bad list entry's reason is printed after its flag, not argparse's
     # "invalid <type function> value".
+    # A list flag of commas alone is named, not run on the default grid.
+    if "," in argv:
+        assert captured.err.strip() == f"monoapprox: error: {argv[argv.index(',') - 1]} names no entry"
     for entry, reason in (("1/0", "--eps-grid: zero denominator in '1/0'"),
                           ("1/", "--eps-grid: not a number or a fraction p/q: '1/'"),
                           ("2,x", "--m-grid: not a list of integers: '2,x'")):
