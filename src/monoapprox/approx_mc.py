@@ -242,13 +242,14 @@ def _cell_keys(points: np.ndarray, r: int, out: np.ndarray | None = None) -> np.
     return keys
 
 
-def _subset_codes(digit_keys: np.ndarray, subset, r: int) -> np.ndarray:
-    """Compact int64 cell codes: digit ``subset[s]`` at bit ``r s``, or-ed in column by column, block by block."""
-    codes = np.zeros(len(digit_keys), dtype=np.int64)
+def _subset_codes(digit_keys: np.ndarray, subset, r: int, out: np.ndarray | None = None, shift: int = 0) -> np.ndarray:
+    """Cell codes, digit ``subset[s]`` at bit ``r s + shift``, or-ed block by block into ``out`` (else int64 zeros)."""
+    codes = np.zeros(len(digit_keys), dtype=np.int64) if out is None else out
     for lo in range(0, len(codes), LATTICE_BLOCK):
         block = codes[lo : lo + LATTICE_BLOCK]
-        for s, j in enumerate(subset):
-            block |= np.left_shift(digit_keys[lo : lo + LATTICE_BLOCK, j], r * s, dtype=np.int64)
+        for s, j in enumerate(subset):  # in the codes' dtype: uint8 << b would wrap
+            block |= np.left_shift(digit_keys[lo : lo + LATTICE_BLOCK, j], r * s + shift, dtype=block.dtype,
+                                   casting="unsafe")
     return codes
 
 
@@ -305,63 +306,59 @@ def chi_table(d: int, k: int, r: int) -> tuple[int, ...]:
 def _cell_route(subset: tuple[int, ...], r: int, n: int) -> str:
     """How ``_cell_sums`` indexes the cells of ``subset`` for ``n`` samples: dense or sorted.
 
-    Dense where the ``2**(r |T|)`` cells number at most n: one np.bincount
-    over the codes (2-7 ms at mc-gen-d2's 4096 cells and 726k samples)
-    instead of grouping them (``_grouped``: 24 ms for the sorted pairs, 40-50
-    ms for the argsort past their 63 bits).
+    Dense where the ``2**(r |T|)`` cells number at most n: at mc-gen-d2's
+    4096 cells and 726k samples two bincounts of the codes take 6-11 ms,
+    ``_grouped``'s uint32 pairs and the rank scatter 13-23 ms, and an
+    argsort of the codes alone (its route past 63 bits) 17-24 ms.
     """
     return "dense" if 1 << (r * len(subset)) <= n else "sorted"
 
 
-def _grouped(codes: np.ndarray, width: int):
-    """The ``codes`` (each below ``2**width``) sorted, and the sample index at each position.
+def _grouped(digit_keys: np.ndarray, subset, r: int):
+    """The samples grouped by their ``subset`` cell code: the codes sorted, and the sample index of each.
 
-    One ``np.sort`` of ``code << b | i`` (``i < 2**b``, ``b = bitlen(n -
-    1)``) where ``width + b <= 63``, which leaves each code's indices
-    ascending; one ``np.argsort`` past that, in any order within a code.
-    The pairs sort as uint32 where ``width + b <= 32`` (3.2 ms, not 6.8, at
-    mc-gen-d2's 12 + 20 bits), else as int64, in ``codes`` if int64.  8- and
-    16-bit digit columns pair-sort too (0.9 ms at n = 200 000, against 2.8
-    ms for a stable radix argsort and its gather).  The index is int32 below
-    ``n = 2**31``.  ``codes`` is consumed.
+    Within 63 bits (``r |T| + b``, ``b = bitlen(n - 1)``) the digits are or-ed
+    (``_subset_codes``) into pairs ``code << b | i`` that start as
+    ``arange(n)``; one ``np.sort`` leaves each code's indices ascending.  Within
+    32 bits the pairs are uint32: the codes come back in the narrowest unsigned
+    dtype and the index as an int32 view of the pairs (6 n bytes at mc-gen-d2).
+    Int64 pairs shift into the codes.  Past 63 bits the codes are argsorted, in
+    any order within a code.  The index is int32 below ``n = 2**31``.
     """
-    n = len(codes)
-    index = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
-    bits = (n - 1).bit_length()
-    if width + bits > 63:
-        order = np.argsort(codes)
-        index[:] = order
-        return codes[order], index
-    pairs = np.empty(n, dtype=np.uint32) if width + bits <= 32 else codes.astype(np.int64, copy=False)
-    # In the pairs' own dtype: uint8 << b would wrap, and uint32 | int32
-    # would compute in int64, 3x slower.
-    np.left_shift(codes, bits, out=pairs, dtype=pairs.dtype, casting="unsafe")
-    np.bitwise_or(pairs, index, out=pairs, dtype=pairs.dtype, casting="unsafe")
+    n = len(digit_keys)
+    width, bits = r * len(subset), (n - 1).bit_length()
+    wide = width + bits > 63
+    pairs = (np.zeros if wide else np.arange)(n, dtype=np.uint32 if width + bits <= 32 else np.int64)
+    _subset_codes(digit_keys, subset, r, out=pairs, shift=0 if wide else bits)
+    index_dtype = np.int32 if n < 2**31 else np.int64
+    if wide:
+        return pairs[order := np.argsort(pairs)], order.astype(index_dtype)
     pairs.sort()
-    np.bitwise_and(pairs, (1 << bits) - 1, out=index, casting="unsafe")
-    np.right_shift(pairs, bits, out=codes, casting="unsafe")
-    return codes, index
+    if pairs.dtype == np.uint32:  # the codes first: the index is masked over the pairs
+        codes = np.right_shift(pairs, bits, out=np.empty(n, np.min_scalar_type((1 << width) - 1)), casting="unsafe")
+        return codes, np.bitwise_and(pairs, (1 << bits) - 1, out=pairs).view(np.int32)
+    index = np.bitwise_and(pairs, (1 << bits) - 1, out=np.empty(n, dtype=index_dtype), casting="unsafe")
+    return np.right_shift(pairs, bits, out=pairs), index
 
 
 def _cell_sums(digit_keys: np.ndarray, subset: tuple[int, ...], r: int, values: np.ndarray):
     """Occupied T-cells, as sorted compact codes (``_subset_codes``), and the sum of ``values`` over each.
 
-    Few cells are binned by one bincount of the codes; else the codes are
-    grouped (``_grouped``) and each cell's rank goes back to its samples
-    through intp index blocks (numpy scatters through an int32 index more
-    slowly than it converts it).  Both add in sample order, so the float64
-    sums carry the same bits (for +-1 values, integers of size at most n <
-    2**53: exact).  The n-sized temporaries are freed on return.
+    Few cells are binned by one bincount of the codes; else the samples are
+    grouped (``_grouped``) and each cell's rank goes back to its samples, in
+    the sorted codes, through intp index blocks (numpy scatters through an
+    int32 index more slowly than it converts it).  Both add in sample order,
+    so the float64 sums carry the same bits (+-1 values: integers below n <
+    2**53, exact).
     """
-    codes = _subset_codes(digit_keys, subset, r)
     if _cell_route(subset, r, len(values)) == "dense":
-        span = 1 << (r * len(subset))
-        cells = np.flatnonzero(np.bincount(codes, minlength=span))
-        return cells, np.bincount(codes, weights=values, minlength=span)[cells]
-    codes, index = _grouped(codes, r * len(subset))
+        codes = _subset_codes(digit_keys, subset, r)
+        cells = np.flatnonzero(np.bincount(codes))
+        return cells, np.bincount(codes, weights=values)[cells]
+    codes, index = _grouped(digit_keys, subset, r)
     first = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    cells = codes[first]
+    cells = codes[first].astype(np.int64, copy=False)
     rank = -1
     for lo in range(0, len(codes), LATTICE_BLOCK):
         ranks = np.cumsum(first[lo : lo + LATTICE_BLOCK]) + rank
@@ -478,7 +475,8 @@ class WaveletModel:
       ``order``, the value permutation ``argsort(values)``; it need not be
       stable, as tied values cannot change the exact threshold-cut sum).  A
       generalized model at ``k = d`` within ``r d = 63`` bits keeps one row
-      instead, the full-cell run: sample indices keyed by full-cell code.
+      instead, the full-cell run: sample indices keyed by full-cell code, as
+      narrow as ``_grouped`` gives them (uint16 at mc-gen-d2).
 
     Everything not listed for a mode is None.
 
@@ -514,13 +512,13 @@ class WaveletModel:
             tables = ProjectionTables.build(self.samples, self.k, exact)
         if tables is None:
             if self.mode == "generalized" and self.k == self.d and self.r * self.d <= 63:
-                codes, index = _grouped(_subset_codes(keys, range(self.d), self.r), self.r * self.d)
-                run_keys, runs = codes[None], index[None]
+                run_keys, runs = (part[None] for part in _grouped(keys, range(self.d), self.r))
             else:  # per coordinate, the sample indices (value ranks with an order) grouped by digit
                 run_keys = np.empty((self.d, self.n), dtype=keys.dtype)
                 runs = np.empty((self.d, self.n), dtype=np.int32 if self.n < 2**31 else np.int64)
                 for j, column in enumerate(keys.T):  # take gathers a column at twice the speed of keys[order, j]
-                    run_keys[j], runs[j] = _grouped(column.copy() if order is None else column.take(order), self.r)
+                    run_keys[j], runs[j] = _grouped((column if order is None else column.take(order))[:, None], (0,),
+                                                    self.r)
         if tables is None and self.k < self.d:
             table = chi_table(self.d, self.k, self.r)
             # Every integer a query forms is at most max(3 n, 4) max|chi| in
@@ -600,9 +598,11 @@ def reconstruction_value(model: WaveletModel, points) -> np.ndarray:
     """The linear reconstruction ``h(x) = (1/n) sum_i y_i chi(b_i(x))`` at each point."""
     numerators = _numerators(model, points)
     if model.exact:
-        # Python's int / int rounds once; an int64 numerator above 2**53
-        # would be rounded to float64 before numpy divides it.
-        return (numerators.astype(object) / model.n).astype(np.float64)
+        try:  # Python's int / int rounds once; numpy would round an int64 numerator above 2**53 first
+            return (numerators.astype(object) / model.n).astype(np.float64)
+        except OverflowError:  # from halfway past the largest float, h is +-inf, as a float numerator gives
+            edge = (2**1024 - 2**970) * model.n  # object numerators here: int64 ones never overflow
+            return np.array([v / model.n if abs(v) < edge else math.inf if v > 0 else -math.inf for v in numerators])
     return numerators / model.n
 
 
@@ -630,8 +630,8 @@ def _run_members(model: WaveletModel, keys: np.ndarray):
     """
     query = keys if len(model.runs) == model.d else _subset_codes(keys, range(model.d), model.r)[:, None]
     step = max(1, LOOKUP_BLOCK // len(model.runs))
-    for lo in range(0, len(query), step):
-        block = query[lo : lo + step].T
+    for lo in range(0, len(query), step):  # in the runs' key dtype, or each searchsorted converts its run row
+        block = query[lo : lo + step].T.astype(model.run_keys.dtype, copy=False)
         lower, upper = (np.stack([np.searchsorted(row, column, side) for row, column in zip(model.run_keys, block)],
                                  axis=1).tolist() for side in ("left", "right"))
         for starts, ends in zip(lower, upper):

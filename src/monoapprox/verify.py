@@ -164,12 +164,14 @@ def _check_cell_statistics() -> CheckResult:
     # At k = d only the full cell's c_T is nonzero: against a brute-force
     # sort of each query cell, linear is 2**(r d) S/n, sign is sgn S and
     # generalized is the upper median (+1 when empty, +0.0 for a zero).
-    # Values are multiples of 1/8, so every sum is exact in any order; d = 8,
-    # r = 8 and d = 10, r = 9 (64 and 90 bits) read coordinate runs in every
-    # mode, the others read the tables and the full-cell runs.
+    # Values are multiples of 1/8, so every sum is exact in any order.  Every
+    # mode reads coordinate runs at (8, 8) and (10, 9) (64 and 90 bits), and
+    # tables and full-cell runs elsewhere, grouped at (2, 10), (4, 6) and (3,
+    # 20) on uint32 pairs (20 + 9 bits), int64 pairs (24 + 9) and by argsort.
     rng = np.random.default_rng(41)
     routes = set()
-    for d, r, n in ((1, 2, 1), (2, 2, 60), (3, 1, 40), (2, 6, 400), (8, 8, 300), (10, 9, 300)):
+    for d, r, n in ((1, 2, 1), (2, 2, 60), (3, 1, 40), (2, 6, 400), (8, 8, 300), (10, 9, 300), (2, 10, 300),
+                    (4, 6, 300), (3, 20, 300)):
         base = rng.random((max(n // 5, 1), d))
         points = np.concatenate([base[rng.integers(0, len(base), n - n // 10)], rng.random((n // 10, d))])
         keys = approx_mc._cell_keys(points, r)
@@ -181,10 +183,8 @@ def _check_cell_statistics() -> CheckResult:
             models = {mode: approx_mc.WaveletModel(d, mode, samples) for mode in approx_mc.MODES}
             routes.add("runs" if models["sign"].tables is None else "tables")
             queries = np.concatenate([points, rng.random((20, d))])
-            linear = approx_mc.eval_linear(models["linear"], queries)
-            sign = approx_mc.eval_sign(models["sign"], queries)
-            generalized = approx_mc.eval_generalized(models["generalized"], queries)
-            for x, cell, got in zip(queries, approx_mc._cell_keys(queries, r), zip(linear, sign, generalized)):
+            outputs = zip(*(model(queries) for model in models.values()))  # linear, sign, generalized
+            for x, cell, got in zip(queries, approx_mc._cell_keys(queries, r), outputs):
                 y = sorted(values[(keys == cell).all(axis=1)])
                 median = y[len(y) // 2] if y else 1.0
                 expected = (2.0 ** (r * d) * sum(y) / n, 1.0 if sum(y) >= 0 else -1.0, median if median else 0.0)

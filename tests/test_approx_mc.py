@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monoapprox import approx_mc
 from monoapprox.approx_mc import (
@@ -655,10 +655,10 @@ def _assert_sparse_build_matches_reference(points, values, subset, r):
     for part, expected in zip(got, (cells, sums)):  # bit for bit, float sums included
         assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-        got_codes, got_index = approx_mc._grouped(approx_mc._subset_codes(keys, subset, r), r * len(subset))
+        got_codes, got_index = approx_mc._grouped(keys, subset, r)
     pair_bits = r * len(subset) + (n - 1).bit_length()
     assert argsort.call_count == (pair_bits > 63)
-    assert got_codes.dtype == np.int64 and got_codes.tobytes() == sorted_codes.tobytes()
+    assert _same_bytes(got_codes, sorted_codes.astype(_pair_code_dtype(r * len(subset), n)))
     assert got_index.dtype == np.int32
     # The pairs keep each code's indices ascending; the argsort may not.
     if pair_bits > 63:
@@ -780,6 +780,22 @@ def _same_bytes(got, expected):
     return got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+def _pair_code_dtype(width, n):
+    """The dtype of ``_grouped``'s codes: the narrowest unsigned one for the width on uint32 pairs, else int64."""
+    if width + (n - 1).bit_length() > 32:
+        return np.dtype(np.int64)
+    return np.dtype(np.uint8 if width <= 8 else np.uint16 if width <= 16 else np.uint32)
+
+
+def _assert_grouped_as_whole(keys, subset, r):
+    """``_grouped`` as the whole-array reference groups int64 codes: same codes (in the pinned dtype), same index."""
+    n, width = len(keys), r * len(subset)
+    expected_codes, expected_index = _whole_grouped(_whole_subset_codes(keys, subset, r), width)
+    codes, index = approx_mc._grouped(keys, subset, r)
+    assert _same_bytes(codes, expected_codes.astype(_pair_code_dtype(width, n)))
+    assert _same_bytes(index, expected_index)
+
+
 _B = LATTICE_BLOCK
 
 
@@ -803,11 +819,8 @@ def test_blocked_sample_path_matches_whole_array_reference(n, d, r, seed, data):
     keys = SampleSet(points, values, resolution=r).digit_keys
     assert _same_bytes(keys, _whole_cell_keys(points, r))
     subset = tuple(data.draw(st.permutations(range(d)))[: data.draw(st.integers(1, d))])
-    codes = approx_mc._subset_codes(keys, subset, r)
-    assert _same_bytes(codes, _whole_subset_codes(keys, subset, r))
-    width = r * len(subset)
-    for got, expected in zip(approx_mc._grouped(codes.copy(), width), _whole_grouped(codes.copy(), width)):
-        assert _same_bytes(got, expected)
+    assert _same_bytes(approx_mc._subset_codes(keys, subset, r), _whole_subset_codes(keys, subset, r))
+    _assert_grouped_as_whole(keys, subset, r)
     # The cell ranks go back to the samples one block at a time; the float
     # sums still add in sample order.
     with mock.patch.object(approx_mc, "_cell_route", _sparse_route):
@@ -821,29 +834,60 @@ def test_blocked_sample_path_matches_whole_array_reference(n, d, r, seed, data):
 def test_grouped_at_the_uint32_pair_width(n, width, distinct):
     # code << b | i fills 32 bits (sorted as uint32, the top bit set for
     # the largest codes) or 33 (int64); both group as the int64 pairs did.
+    # The codes are or-ed from t digit columns of r bits, r t = width.
+    r, t = {15: (5, 3), 16: (8, 2), 17: (17, 1)}[width]
     rng = np.random.default_rng(n + width)
-    top = (1 << width) - 1
-    pool = rng.integers(0, top + 1, distinct) if distinct else None
-    codes = rng.choice(pool, n) if distinct else rng.integers(0, top + 1, n)
-    codes[rng.integers(0, n, 50)] = top
-    codes[rng.integers(0, n, 50)] = 0
-    bits = (n - 1).bit_length()
-    assert width + bits in (32, 33)
-    for got, expected in zip(approx_mc._grouped(codes.copy(), width), _whole_grouped(codes.copy(), width)):
-        assert _same_bytes(got, expected)
+    top = (1 << r) - 1
+    pool = rng.integers(0, top + 1, (distinct, t)) if distinct else None
+    keys = pool[rng.integers(0, distinct, n)] if distinct else rng.integers(0, top + 1, (n, t))
+    keys[rng.integers(0, n, 50)] = top
+    keys[rng.integers(0, n, 50)] = 0
+    assert width + (n - 1).bit_length() in (32, 33)
+    _assert_grouped_as_whole(keys.astype(approx_mc._key_dtype(r)), range(t), r)
 
 
 @pytest.mark.parametrize("n, r", [(1, 8), (300, 8), (_B + 1, 16), (2 * _B + 3, 16), (2 * _B + 3, 9), (5000, 20)])
 def test_grouped_digit_columns(n, r):
-    # A coordinate run groups one digit column: uint8 and uint16 digits
-    # pair-sort in a uint32 pair array of their own, or an int64 one past
-    # 32 bits (16 + 17 at n = 2 _B + 3), and int64 digits (r = 20) in place.
+    # A coordinate run groups one digit column: on uint32 pairs the codes
+    # keep the digits' uint8 or uint16 dtype; past 32 bits (16 + 17 at n =
+    # 2 _B + 3, 20 + 13 at n = 5000) the int64 pairs shift into int64 codes.
     rng = np.random.default_rng(n + r)
     column = _cell_keys(rng.random((n, 1)), r)[:, 0].copy()
     column[rng.integers(0, n, 3)] = (1 << r) - 1
-    codes, index = approx_mc._grouped(column.copy(), r)
+    codes, index = approx_mc._grouped(column[:, None], (0,), r)
     order = np.argsort(column, kind="stable")
-    assert _same_bytes(codes, column[order]) and index.dtype == np.int32 and np.array_equal(index, order)
+    assert _same_bytes(codes, column[order].astype(_pair_code_dtype(r, n)))
+    assert index.dtype == np.int32 and np.array_equal(index, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([32, 33, 63, 64]), st.integers(1, 4), st.integers(0, 14), st.booleans(),
+       st.sampled_from([1, 3, None]), st.integers(0, 2**32 - 1))
+def test_grouped_pins_dtypes_and_index_order_at_the_route_edges(pair_bits, t, low_bits, power, distinct, seed):
+    # code << b | i at 32 bits (uint32 pairs), 33 and 63 (int64 pairs) and
+    # 64 (the argsort), from t digit columns of r bits, r t + b = pair_bits,
+    # with n = 1, 2**j or 2**j + 1 (b = bitlen(n - 1)).  The codes come
+    # back sorted in the dtype the pair width pins, the index as int32,
+    # each index names a sample of its code, and on both pair routes the
+    # indices ascend within a code.
+    bits = low_bits + (pair_bits - low_bits) % t
+    r = (pair_bits - bits) // t
+    assume(1 <= r <= MAX_RESOLUTION and r * t <= 63)
+    n = 1 if bits == 0 else 1 << bits if power else (1 << (bits - 1)) + 1
+    assert (n - 1).bit_length() == bits and r * t + bits == pair_bits
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 1 << r, (distinct or n, t), dtype=np.int64)[rng.integers(0, distinct or n, n)]
+    keys[rng.integers(0, n, 3)] = (1 << r) - 1
+    keys = keys.astype(approx_mc._key_dtype(r))
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        codes, index = approx_mc._grouped(keys, range(t), r)
+    assert argsort.call_count == (pair_bits > 63)
+    whole = _whole_subset_codes(keys, range(t), r)
+    assert codes.dtype == _pair_code_dtype(r * t, n) and index.dtype == np.int32
+    assert np.array_equal(codes, np.sort(whole)) and np.array_equal(np.sort(index), np.arange(n))
+    assert np.array_equal(whole[index], codes)
+    if pair_bits <= 63:
+        assert ((codes[1:] != codes[:-1]) | (index[1:] > index[:-1])).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -np.inf])
@@ -949,9 +993,11 @@ def test_fit_memory_gate():
     assert peak < 8.5e6, f"tables build peaked at {peak / 1e6:.2f} MB"
     # mc-gen-d2's generalized build: n = 726 374, d = k = 2, r = 6.  At
     # k = d it keeps no value permutation and no tables, and its one run
-    # row comes from one np.sort of the (full-cell code, sample index)
-    # pairs (_grouped), the index written straight into int32: the build,
-    # samples excluded, peaks below 15 MB (11.7 MB measured; 19.0 MB with
+    # row comes from one np.sort of (full-cell code, sample index) pairs
+    # or-ed straight from the two digit columns into uint32 (_grouped): the
+    # uint16 codes and the int32 index, a view of the pairs, are all it
+    # holds.  The build, samples excluded, peaks below 6 MB (4.39 MB
+    # measured; 11.66 MB with int64 codes and separate pairs, 19.0 MB with
     # the value argsort).
     samples = draw_samples(2, 726_374, Affine(2), 0).with_resolution(6)
     tracemalloc.start()
@@ -961,7 +1007,8 @@ def test_fit_memory_gate():
     finally:
         tracemalloc.stop()
     assert model.order is None and model.tables is None and model.runs.dtype == np.int32
-    assert peak < 15e6, f"generalized build peaked at {peak / 1e6:.1f} MB"
+    assert model.run_keys.dtype == np.uint16
+    assert peak < 6e6, f"generalized build peaked at {peak / 1e6:.2f} MB"
     # A k < d generalized build: d = 8, k = 3, r = 4, n = 20 000.  Its
     # coordinate runs hold n d = 160 000 ranks and it builds no tables: the
     # build, samples excluded, peaks below 3 MB (1.1 MB measured; 8.6 MB
@@ -1262,6 +1309,56 @@ def test_modes_agree_on_reconstruction_at_k_equals_d(d, r, kind):
     empty = ~np.array([(samples.digit_keys == row).all(axis=1).any() for row in keys])
     assert h[empty].tobytes() == np.zeros(empty.sum()).tobytes()
     assert empty.any() == (r * d > 3)
+
+
+@pytest.mark.parametrize("r, n", [(62, 10), (61, 1 << 14)])
+def test_exact_reconstruction_past_the_float_range_is_signed_inf(r, n):
+    # At d = k = 17 the +-1 values of x's cell sum to S and n h(x) = 2**(17
+    # r) S, an exact integer.  Past the float range h is +-inf of S's sign
+    # in every mode, as for float numerators: for every S != 0 at r = 62,
+    # and for |S| >= 2 at r = 61, n = 2**14, where |S| = 1 gives 2**1023.
+    # The sign output stays sgn S and the generalized one the cell's upper
+    # median; an empty cell gives 0.0, +1 and +1.
+    d = 17
+    rng = np.random.default_rng(r)
+    cells = rng.random((5, d))
+    cell_values = [[1.0, 1.0, 1.0], [1.0, -1.0], [-1.0], [1.0], [-1.0, -1.0]]  # S = 3, 0, -1, 1, -2
+    points = np.concatenate([np.repeat(cells, [len(y) for y in cell_values], axis=0), rng.random((n - 9, d))])
+    values = np.concatenate([np.concatenate(cell_values), rng.choice([-1.0, 1.0], n - 9)])
+    samples = SampleSet(points, values, resolution=r)
+    queries = np.concatenate([cells, rng.random((1, d))])
+    unit = np.inf if r == 62 else 2.0**1023  # 2**(17 r) / n
+    expected = np.array([np.inf, 0.0, -unit, unit, -np.inf, 0.0]).tobytes()
+    models = {mode: WaveletModel(d, mode, samples) for mode in MODES}
+    for model in models.values():
+        assert model.exact and model.tables is None
+        assert reconstruction_value(model, queries).tobytes() == expected
+    assert eval_linear(models["linear"], queries).tobytes() == expected
+    assert eval_sign(models["sign"], queries).tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+    assert eval_generalized(models["generalized"], queries).tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 4096])
+def test_exact_quotients_pass_the_float_range_where_python_division_overflows(n):
+    # An exact numerator v gives h = v / n rounded once.  From v = (2**1024
+    # - 2**970) n, halfway between the largest float and 2**1024, the
+    # quotient rounds to 2**1024: h is +-inf exactly where Python's int /
+    # int raises, and every smaller |v| keeps Python's quotient.
+    samples = SampleSet(np.full((n, 1), 0.5), np.ones(n), resolution=1)
+    model = WaveletModel(1, "linear", samples)
+    edge = (2**1024 - 2**970) * n
+    near = [edge - 1, edge, edge + 1, 2**1024 * n, 2**1023 * n, 3, 0]
+    numerators = np.array([sign * v for v in near for sign in (1, -1)], dtype=object)
+    expected = []
+    for v in numerators:
+        try:
+            expected.append(v / n)
+        except OverflowError:
+            expected.append(math.inf if v > 0 else -math.inf)
+    with mock.patch.object(approx_mc, "_numerators", return_value=numerators):
+        got = reconstruction_value(model, np.zeros((len(numerators), 1)))
+    assert got.tobytes() == np.array(expected).tobytes()
+    assert got[0] == np.finfo(np.float64).max and np.isinf(got[2:6]).all()
 
 
 @pytest.mark.parametrize("d, r", [(2, 6), (8, 8), (10, 9)])
