@@ -20,13 +20,22 @@ class BudgetExceededError(RuntimeError):
 
 
 def cell_budget(override: int | None = None) -> int:
-    """Effective cell budget: explicit override, else env var, else default."""
+    """Effective cell budget: explicit override, else env var, else default.
+
+    An env var that is not a positive integer is a ValueError naming it.
+    """
     if override is not None:
         return int(override)
     env = os.environ.get(_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_CELL_BUDGET
+    if env is None:
+        return DEFAULT_CELL_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{_ENV_VAR} must be a positive integer, got {env!r}")
+    return budget
 
 
 def check_budget(n_cells: int, override: int | None = None, what: str = "cells") -> None:

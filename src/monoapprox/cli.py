@@ -52,7 +52,7 @@ from .bounds import (
     n_ran_upper_breakdown,
     ub_error_breakdown,
 )
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, cell_budget
 from .functions import family_from_spec
 from .metrics import fit_rate, l1_mc
 from .verify import CHECKS, run_checks
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 # flags apply the bound to every entry.
 _FLAG_MINIMUM = {
     "d": 1, "k": 1, "r": 1, "n": 1, "m": 2, "replications": 1, "n_probe": 2,
-    "n_cap": 0, "m_grid": 2, "n_grid": 1, "d_grid": 1,
+    "n_cap": 0, "m_grid": 2, "n_grid": 1, "d_grid": 1, "budget_cells": 1,
 }
 
 # The open interval each float flag must lie in; NaN lies in none.
@@ -427,6 +427,14 @@ def _check_flags(cfg: ExperimentConfig) -> None:
         raise _UsageError(f"--r must be at most {MAX_RESOLUTION}, got {cfg.r}")
     if any(0 < len(set(grid)) < 3 for grid in (cfg.m_grid, cfg.n_grid)):
         raise _UsageError("a fitted slope needs at least three distinct grid sizes")
+    for name in ("n_grid", "n_probe"):  # each entry is an (n, d) float64 array
+        for v in _entries(cfg, name):
+            if 8 * v * cfg.d > sys.maxsize:
+                raise _UsageError(f"--{name.replace('_', '-')} {v} at --d {cfg.d}: the points do not fit in one array")
+    try:  # read here, or a run reads it as the grid's or the family's budget
+        cell_budget(cfg.budget_cells)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if cfg.out:
         _check_out(cfg.out)
 

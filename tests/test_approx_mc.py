@@ -32,6 +32,7 @@ from monoapprox.approx_mc import (
 from monoapprox.functions import LATTICE_BLOCK, Affine, boxbslash, eval_batch, family_from_spec, snap_to_grid
 from monoapprox.haar_basis import MultiIndex, cell_of_point, enumerate_indices, psi_1d, psi_d
 from monoapprox.verify import pair_kernel
+from test_route_digests import modes_agree
 
 
 # ---------------------------------------------------------------------------
@@ -1040,6 +1041,8 @@ def test_fit_memory_gate():
 
 
 def test_projection_tables_route_choice():
+    # Shapes outside the route digests' grid (test_route_digests.py), which
+    # labels the route of every model it builds.
     rng = np.random.default_rng(8)
 
     def model(d, k, r, n, mode="sign"):
@@ -1050,12 +1053,6 @@ def test_projection_tables_route_choice():
     assert len(model(4, 4, 7, 300).tables.offsets) == 1
     # k < d, 1 + 4 * 16 + 6 * 256 = 1601 cells at most, below n d = 16384.
     assert len(model(4, 2, 4, 4096).tables.offsets) == 11
-    # The rule asks for r d = 64 and 90 bits (approximate --d 8 --eps 0.5).
-    # Without tables a model keeps d coordinate runs of its n sample indices.
-    for d, k, r in ((8, 8, 8), (10, 10, 9)):
-        no_tables = model(d, k, r, 50)
-        assert no_tables.tables is None and no_tables.order is None
-        assert no_tables.runs.shape == no_tables.run_keys.shape == (d, 50)
     # Compact keys would fit r k + bitlen(#T - 1) = 19 and 24 bits here, but
     # the rule keeps r d = 72 and 80: the runs, the faster route at the second.
     assert model(12, 2, 6, 20000).runs.shape == (12, 20000)
@@ -1068,21 +1065,14 @@ def test_projection_tables_route_choice():
     generalized = model(2, 2, 6, 3000, "generalized")
     assert generalized.tables is None and generalized.order is None
     assert generalized.runs.shape == generalized.run_keys.shape == (1, 3000)
-    # Past r d = 63 bits it keeps the d coordinate runs, sample indices.
-    generalized = model(8, 8, 8, 50, "generalized")
-    assert generalized.order is None and generalized.runs.shape == generalized.run_keys.shape == (8, 50)
     # At k < d a generalized model keeps its n d coordinate ranks and no
     # tables, whatever the limit: its outputs read only the ranks.
     generalized = model(8, 3, 4, 20000, "generalized")
     assert generalized.tables is None
     assert generalized.runs.shape == generalized.run_keys.shape == (8, 20000)
     with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", 0):
-        assert model(3, 2, 1, 100, "generalized").tables is None
-        assert model(3, 2, 1, 100).tables is not None
         # 1 + 4 * 8 + 6 * 50 + 4 * 50 = 533 cells could pass n d = 200.
         assert model(4, 3, 3, 50).runs.shape == (4, 50)
-        # k = d keeps one run of n entries, never more than n d.
-        assert model(3, 3, 1, 100, "generalized").runs.shape == (1, 100)
     # Linear and sign models keep no runs, and their tables only the sums.
     sign = model(2, 2, 6, 3000)
     assert sign.runs is None and sign.run_keys is None and sign.order is None
@@ -1227,32 +1217,6 @@ def test_generalized_all_positive_samples():
     assert eval_generalized(model, [[0.05, 0.05]]).tolist() == [1.0]
 
 
-def test_generalized_empty_information_returns_plus_one():
-    # At k = d a query reads its own cell alone: with no sample there, the
-    # generalized and sign outputs are +1 (sgn(0) = +1), on the full-cell run
-    # and the tables, and on the coordinate runs (r d = 64 bits at d = 8,
-    # r = 8), where generalized and sign models both read them.
-    for d, r in ((2, 1), (8, 8)):
-        samples = SampleSet(np.full((3, d), 0.1), np.full(3, -1.0)).with_resolution(r)
-        generalized, sign = WaveletModel(d, "generalized", samples), WaveletModel(d, "sign", samples)
-        assert len(generalized.runs) == (8 if d == 8 else 1) and generalized.tables is None
-        assert (sign.tables is None) == (sign.runs is not None) == (d == 8)
-        assert eval_generalized(generalized, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
-        assert eval_sign(sign, [[0.1] * d, [0.9] * d]).tolist() == [-1.0, 1.0]
-
-
-def test_generalized_collapses_to_sign_on_sign_valued_data():
-    rng = np.random.default_rng(6)
-    for seed in range(5):
-        d = int(rng.integers(1, 4))
-        truth = boxbslash(d)
-        sign_model = fit(truth, d, 1, 2, 33, seed, "sign")
-        gen_model = fit(truth, d, 1, 2, 33, seed, "generalized")
-        points = rng.random((50, d))
-        assert np.array_equal(eval_sign(sign_model, points), eval_generalized(gen_model, points))
-        assert np.array_equal(reconstruction_value(sign_model, points), reconstruction_value(gen_model, points))
-
-
 @pytest.mark.parametrize("d, k, r, floor, tables", [
     (3, 1, 2, None, True),  # generalized: coordinate runs of value ranks
     (3, 3, 1, None, True),  # generalized: the full-cell run
@@ -1261,53 +1225,33 @@ def test_generalized_collapses_to_sign_on_sign_valued_data():
     (8, 8, 8, None, False),
 ])
 def test_modes_agree_on_sign_valued_samples(d, k, r, floor, tables):
-    # On the same +-1 samples every mode reads the same exact integer
-    # numerators n h(x), whatever route it takes: reconstruction_value and
-    # eval_sign give the same bytes in all three modes, and eval_generalized
-    # collapses to eval_sign.
+    # The cross-mode identities of the route digests (modes_agree) on 400
+    # +-1 samples, where linear and sign read tables at this entry floor or
+    # not, as the row says.
     rng = np.random.default_rng(d * 100 + k * 10 + r)
-    n = 400
-    points = rng.random((60, d))[rng.integers(0, 60, n)]
-    samples = SampleSet(points, rng.choice([-1.0, 1.0], n), resolution=r)
-    with mock.patch.object(approx_mc, "TABLE_ENTRY_FLOOR", approx_mc.TABLE_ENTRY_FLOOR if floor is None else floor):
-        models = [WaveletModel(k, mode, samples) for mode in ("linear", "sign", "generalized")]
-    linear, sign, generalized = models
-    assert [model.tables is not None for model in models] == [tables, tables, False]
-    assert (generalized.order is not None) == (k < d)
-    queries = np.concatenate([points[:20], rng.random((10, d))])
-    h = reconstruction_value(linear, queries)
-    assert (h != 0).any()
-    for model in models:
-        assert reconstruction_value(model, queries).tobytes() == h.tobytes()
-        assert eval_sign(model, queries).tobytes() == eval_sign(sign, queries).tobytes()
-    assert eval_generalized(generalized, queries).tobytes() == eval_sign(sign, queries).tobytes()
+    points = rng.random((60, d))[rng.integers(0, 60, 400)]
+    samples = SampleSet(points, rng.choice([-1.0, 1.0], 400), resolution=r)
+    out = modes_agree(samples, k, np.concatenate([points[:20], rng.random((10, d))]))
+    at = 1 if floor == 0 else 3  # linear and sign at a zero floor, then at the default one
+    assert [model.tables is not None for model, _, _ in out[at : at + 2]] == [tables, tables]
+    assert (out[0][2] != 0).any()
 
 
 @pytest.mark.parametrize("d, r", [(1, 3), (2, 6), (3, 1), (3, 20), (5, 2), (8, 8), (10, 9)])
 @pytest.mark.parametrize("kind", ["sign", "uniform", "quarter", "negative"])
 def test_modes_agree_on_reconstruction_at_k_equals_d(d, r, kind):
-    # At k = d every mode reads 2**(r d) times x's cell sum, added in sample
-    # order: the tables (linear and sign within 63 bits), the full-cell run
-    # (generalized; at d = 3, r = 20 its 60 + 9 bits with the sample index
-    # take the argsort, in any order within a cell) and the coordinate runs
-    # (every mode at d = 8, r = 8 and d = 10, r = 9, the formula's r at
-    # eps = 0.5).  reconstruction_value gives the same bytes in all three
-    # modes, an empty cell +0.0 even where every value is <= -0.
+    # The k = d identities of the route digests (modes_agree) on 400 samples
+    # of 60 points, with empty query cells past r d = 3 bits: at (3, 20) the
+    # full-cell run takes the argsort, at (8, 8) and (10, 9) every mode reads
+    # the cell intersection.
     rng = np.random.default_rng(d * 100 + r)
     n = 400
     points = rng.random((60, d))[rng.integers(0, 60, n)]
     values = {"sign": rng.choice([-1.0, 1.0], n), "uniform": rng.uniform(-1.0, 1.0, n),
               "quarter": rng.integers(-4, 5, n) / 4, "negative": -(rng.integers(0, 3, n) / 2)}[kind]
-    samples = SampleSet(points, values, resolution=r)
-    models = [WaveletModel(d, mode, samples) for mode in ("linear", "sign", "generalized")]
-    assert all(model.chi is None for model in models)
     queries = np.concatenate([points[:20], rng.random((10, d))])
-    h = reconstruction_value(models[0], queries)
-    for model in models[1:]:
-        assert reconstruction_value(model, queries).tobytes() == h.tobytes()
-    keys = _cell_keys(queries, r)
-    empty = ~np.array([(samples.digit_keys == row).all(axis=1).any() for row in keys])
-    assert h[empty].tobytes() == np.zeros(empty.sum()).tobytes()
+    modes_agree(SampleSet(points, values, resolution=r), d, queries)
+    empty = ~(_cell_keys(points, r) == _cell_keys(queries, r)[:, None]).all(axis=2).any(axis=1)
     assert empty.any() == (r * d > 3)
 
 
@@ -1359,30 +1303,6 @@ def test_exact_quotients_pass_the_float_range_where_python_division_overflows(n)
         got = reconstruction_value(model, np.zeros((len(numerators), 1)))
     assert got.tobytes() == np.array(expected).tobytes()
     assert got[0] == np.finfo(np.float64).max and np.isinf(got[2:6]).all()
-
-
-@pytest.mark.parametrize("d, r", [(2, 6), (8, 8), (10, 9)])
-def test_k_equals_d_models_hold_no_chi(d, r):
-    # No k = d model builds chi: within 63 bits linear and sign read the
-    # tables and generalized the full-cell run; past them (64 and 90 bits,
-    # the formula's r at eps = 0.5) all three keep coordinate runs.  At
-    # k < d a model without tables still builds chi, in int64 only below the
-    # guard max(3 n, 4) max|chi| < 2**63 (past it here at d = 8 and 10).
-    rng = np.random.default_rng(d)
-    samples = SampleSet(rng.random((300, d)), rng.uniform(-1.0, 1.0, 300), resolution=r)
-    with mock.patch.object(approx_mc, "chi_table", side_effect=AssertionError("chi_table called")):
-        models = [WaveletModel(d, mode, samples) for mode in MODES]
-    wide = r * d > 63
-    for model in models:
-        assert model.chi is None and model.order is None
-        assert (model.tables is None) == (wide or model.mode == "generalized")
-        if model.tables is None:
-            assert model.runs.shape == (d if wide else 1, 300)
-    below = WaveletModel(d - 1, "generalized", samples)
-    table = chi_table(d, d - 1, r)
-    assert below.chi.tolist() == list(table)
-    assert below.chi.dtype == (np.int64 if 3 * 300 * max(map(abs, table)) < 2**63 else object) == (
-        np.int64 if d == 2 else object)
 
 
 def test_generalized_matches_direct_threshold_average():

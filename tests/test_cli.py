@@ -268,6 +268,11 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
         ["bounds", "--d-grid", ","],
         ["convergence", "--algo", "det", "--d", "1", "--family", "affine", "--m-grid", ","],
         ["convergence", "--algo", "mc", "--d", "1", "--family", "affine", "--k", "1", "--r", "2", "--n-grid", ","],
+        ["convergence", "--algo", "mc", "--d", "2", "--family", "affine", "--k", "1", "--r", "1",
+         "--n-grid", "4,8,100000000000000000000"],
+        _MC + ["--eps", "0.5", "--n-probe", "100000000000000000000"],
+        _DET + ["--n-probe", "1000000000000000000"],  # 2 * 10^18 coordinates, 8 bytes each
+        _DET + ["--budget-cells", "-5"],
     ],
     ids=["replications-0", "convergence-replications-0", "config-without-path",
          "config-missing-file", "n-probe-1", "m-1", "n-0", "k-above-d", "eps-0",
@@ -282,7 +287,9 @@ _MC = ["approximate", "--algo", "mc", "--d", "2", "--family", "affine"]
          "c0-0", "c0-negative", "c0-uncertified", "eps-grid-0", "eps-grid-1.5",
          "eps-grid-zero-denominator", "eps-grid-0/0", "eps-grid-1/", "m-grid-2,x", "d-grid-0", "upper-c-nan",
          "out-missing-dir", "out-directory", "mc-out-missing-dir", "det-out-directory",
-         "eps-grid-names-no-entry", "d-grid-names-no-entry", "m-grid-names-no-entry", "n-grid-names-no-entry"],
+         "eps-grid-names-no-entry", "d-grid-names-no-entry", "m-grid-names-no-entry", "n-grid-names-no-entry",
+         "n-grid-past-one-array", "n-probe-past-one-array", "n-probe-bytes-past-one-array",
+         "budget-cells-negative"],
 )
 def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
     # Each is refused before any fit runs.
@@ -308,6 +315,16 @@ def test_bad_flags_give_one_line_and_exit_2(capsys, argv):
                           ("2,x", "--m-grid: not a list of integers: '2,x'")):
         if entry in argv:
             assert captured.err.strip() == f"monoapprox: error: argument {reason}"
+
+
+@pytest.mark.parametrize("argv", [_DET, _MC[:-1] + ["step:m=4", "--eps", "0.5"]], ids=["det-grid", "mc-step-family"])
+def test_bad_budget_variable_gives_one_line_and_exit_2(capsys, monkeypatch, argv):
+    # Named as the variable it is, before a grid or a family reads it as its budget.
+    monkeypatch.setenv("MONOAPPROX_BUDGET_CELLS", "abc")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "monoapprox: error: MONOAPPROX_BUDGET_CELLS must be a positive integer, got 'abc'\n"
 
 
 def test_formula_n_past_the_float_range(capsys):
